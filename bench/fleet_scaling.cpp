@@ -8,17 +8,19 @@
 // the cluster scale model (max-over-nodes + log2(N) allreduce), projecting
 // the fleet's BSP efficiency at each size.
 //
-// Reported per fleet size: aggregate simulated events/s of wall time, mean
-// arena bytes/node, projected parallel efficiency, and peak RSS. The trial
+// Reported per fleet size: host seconds spent booting, running and tearing
+// down nodes (each summed over the fleet's nodes, so at --jobs N they add up
+// the workers' time), simulated events per second of run time, mean arena
+// bytes/node, projected parallel efficiency, and peak RSS. The trial
 // fan-out goes through core::ThreadPool; results are merged in node-index
 // order, and the sweep is run at --jobs 1 and at the requested --jobs with
-// the deterministic outputs compared byte-for-byte (wall-clock metrics are
+// the deterministic outputs compared byte-for-byte (host-time metrics are
 // reported separately and excluded from the comparison).
 //
 // Usage: fleet_scaling [--jobs N] [--floor FILE] [counts...]
 //   counts  fleet sizes to sweep (default: 10 100 1000 10000)
-//   --floor FILE  read a reference events/s; exit 1 if the measured
-//                 aggregate falls below 0.9x the reference (the CI
+//   --floor FILE  read a reference events/s (of run time); exit 1 if the
+//                 measured aggregate falls below 0.9x the reference (the CI
 //                 regression gate).
 #include <sys/resource.h>
 
@@ -28,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,29 +56,41 @@ wl::WorkloadSpec fleet_node_spec() {
     return spec;
 }
 
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+}
+
 struct NodeSample {
     std::uint64_t events = 0;        ///< engine events this node executed
     std::uint64_t batched_pops = 0;  ///< timer-wheel batched dispatches
     std::size_t arena_bytes = 0;     ///< arena footprint at teardown
     cluster::NodeTrace trace;        ///< superstep trace for the scale model
+    // Host time per phase (excluded from the witness).
+    double boot_s = 0.0;      ///< Node construction + boot
+    double run_s = 0.0;       ///< the workload run
+    double teardown_s = 0.0;  ///< Node destruction + arena reset
 };
 
 /// One fleet point: `nodes` detailed trials fanned across the pool, each
-/// worker reusing a thread-local arena (reset between trials = the O(1)
-/// teardown this PR buys), then a scale-model projection over the traces.
+/// worker reusing a thread-local arena (reset between trials = O(1)
+/// teardown), then a scale-model projection over the traces.
 struct FleetPoint {
     int nodes = 0;
     std::uint64_t total_events = 0;
     std::uint64_t total_batched_pops = 0;
     double mean_bytes_per_node = 0.0;
     cluster::ScaleResult projection;
-    double wall_s = 0.0;  ///< detailed-trial phase only (excluded from witness)
+    // Host seconds summed over nodes (excluded from the witness).
+    double boot_s = 0.0;
+    double run_s = 0.0;
+    double teardown_s = 0.0;
 };
 
 FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
                      const wl::WorkloadSpec& spec, std::uint64_t base_seed) {
     std::vector<NodeSample> samples(static_cast<std::size_t>(nodes));
-    const auto t0 = std::chrono::steady_clock::now();
     core::parallel_for_indexed(pool, static_cast<std::size_t>(nodes),
                                [&](std::size_t i) {
         // One arena per worker thread, reused for every trial the worker
@@ -87,29 +102,35 @@ FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
             base_seed + 6151ull * static_cast<std::uint64_t>(i));
         cfg.platform.arena = &arena;
         NodeSample& out = samples[i];
+        const Clock::time_point t0 = Clock::now();
+        std::optional<core::Node> node(std::in_place, std::move(cfg));
+        node->boot();
+        const Clock::time_point t1 = Clock::now();
         {
-            core::Node node(std::move(cfg));
-            node.boot();
             wl::ParallelWorkload w(spec);
-            const sim::SimTime start = node.platform().engine().now();
-            (void)node.run_workload(w);
-            out.events = node.platform().engine().events_executed();
-            out.batched_pops = node.platform().engine().timer_batched_pops();
+            const sim::SimTime start = node->platform().engine().now();
+            (void)node->run_workload(w);
+            out.run_s = seconds(t1, Clock::now());
+            // Boot dispatches no engine events, so these are all run events.
+            out.events = node->platform().engine().events_executed();
+            out.batched_pops = node->platform().engine().timer_batched_pops();
             out.trace = cluster::trace_from_step_times(
                 w.step_completion_times(), start);
         }
+        const Clock::time_point t2 = Clock::now();
+        node.reset();
         // The external arena outlives the Platform; bytes_used at this
         // point is the node's whole long-lived footprint (cores, VMs,
         // VCPUs, grants) — deterministic per seed, so it goes in the
         // witness string.
         out.arena_bytes = arena.bytes_used();
         arena.reset();
+        out.boot_s = seconds(t0, t1);
+        out.teardown_s = seconds(t2, Clock::now());
     });
-    const auto t1 = std::chrono::steady_clock::now();
 
     FleetPoint pt;
     pt.nodes = nodes;
-    pt.wall_s = std::chrono::duration<double>(t1 - t0).count();
     std::vector<cluster::NodeTrace> traces;
     traces.reserve(samples.size());
     double bytes_sum = 0.0;
@@ -117,6 +138,9 @@ FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
         pt.total_events += s.events;
         pt.total_batched_pops += s.batched_pops;
         bytes_sum += static_cast<double>(s.arena_bytes);
+        pt.boot_s += s.boot_s;
+        pt.run_s += s.run_s;
+        pt.teardown_s += s.teardown_s;
         traces.push_back(std::move(s.trace));
     }
     pt.mean_bytes_per_node = bytes_sum / static_cast<double>(nodes);
@@ -135,14 +159,13 @@ struct SweepRun {
 SweepRun run_sweep(int jobs, const std::vector<int>& counts,
                    const wl::WorkloadSpec& spec) {
     SweepRun run;
-    const auto t0 = std::chrono::steady_clock::now();
+    const Clock::time_point t0 = Clock::now();
     core::ThreadPool pool(jobs);
     run.points.reserve(counts.size());
     for (const int n : counts) {
         run.points.push_back(run_fleet(pool, n, spec, /*base_seed=*/20210101));
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    run.wall_s = std::chrono::duration<double>(t1 - t0).count();
+    run.wall_s = seconds(t0, Clock::now());
 
     std::ostringstream w;
     for (const FleetPoint& pt : run.points) {
@@ -204,20 +227,23 @@ int main(int argc, char** argv) {
     }
     const SweepRun& run = runs.back();  // the requested-jobs run
 
-    std::printf("%8s %14s %14s %12s %10s %10s\n", "nodes", "events", "events/s",
-                "bytes/node", "eff", "step_us");
+    std::printf("%8s %14s %10s %10s %10s %14s %12s %10s %10s\n", "nodes", "events",
+                "boot_s", "run_s", "teardown_s", "events/s", "bytes/node", "eff",
+                "step_us");
     std::uint64_t total_events = 0;
-    double total_wall = 0.0;
+    double total_run = 0.0;
     for (const FleetPoint& pt : run.points) {
         const double evps =
-            pt.wall_s > 0.0 ? static_cast<double>(pt.total_events) / pt.wall_s
-                            : 0.0;
-        std::printf("%8d %14llu %14.0f %12.1f %10.4f %10.2f\n", pt.nodes,
-                    static_cast<unsigned long long>(pt.total_events), evps,
-                    pt.mean_bytes_per_node, pt.projection.efficiency,
-                    pt.projection.mean_step_us);
+            pt.run_s > 0.0 ? static_cast<double>(pt.total_events) / pt.run_s : 0.0;
+        std::printf("%8d %14llu %10.4f %10.4f %10.4f %14.0f %12.1f %10.4f %10.2f\n",
+                    pt.nodes, static_cast<unsigned long long>(pt.total_events),
+                    pt.boot_s, pt.run_s, pt.teardown_s, evps, pt.mean_bytes_per_node,
+                    pt.projection.efficiency, pt.projection.mean_step_us);
         const std::string tag = "fleet." + std::to_string(pt.nodes);
         report.add(tag + ".events", static_cast<double>(pt.total_events), 0.0, 1);
+        report.add(tag + ".boot_s", pt.boot_s, 0.0, 1);
+        report.add(tag + ".run_s", pt.run_s, 0.0, 1);
+        report.add(tag + ".teardown_s", pt.teardown_s, 0.0, 1);
         report.add(tag + ".events_per_s", evps, 0.0, 1);
         report.add(tag + ".bytes_per_node", pt.mean_bytes_per_node, 0.0, 1);
         report.add(tag + ".efficiency", pt.projection.efficiency, 0.0, 1);
@@ -225,14 +251,15 @@ int main(int argc, char** argv) {
         report.add(tag + ".batched_pops",
                    static_cast<double>(pt.total_batched_pops), 0.0, 1);
         total_events += pt.total_events;
-        total_wall += pt.wall_s;
+        total_run += pt.run_s;
     }
     const double rss = peak_rss_mib();
     const double agg_evps =
-        total_wall > 0.0 ? static_cast<double>(total_events) / total_wall : 0.0;
+        total_run > 0.0 ? static_cast<double>(total_events) / total_run : 0.0;
     report.add("events_per_s", agg_evps, 0.0, 1);
     report.add("peak_rss_mib", rss, 0.0, 1);
-    std::printf("\naggregate: %.0f events/s, peak RSS %.1f MiB\n", agg_evps, rss);
+    std::printf("\naggregate: %.0f events/s of run time, peak RSS %.1f MiB\n", agg_evps,
+                rss);
 
     bool ok = true;
     bool identical = true;

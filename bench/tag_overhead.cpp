@@ -4,9 +4,9 @@
 // path must sit at its pre-tag floor — the whole feature behind one
 // predicted branch (`MemoryMap::has_integrity_tags`). These benches pin
 // that floor next to the armed-but-clean cost (tags exist, target frame is
-// not tagged: one hash-set probe) and the violation cost (tagged frame hit:
-// fault construction, stats, event record), host-side, alongside
-// BENCH_micro_paths' untouched baselines.
+// not tagged: one binary search of the tag runs) and the violation cost
+// (tagged frame hit: fault construction, stats, event record), host-side,
+// alongside BENCH_micro_paths' untouched baselines.
 #include <benchmark/benchmark.h>
 
 #include "arch/mmu.h"
@@ -49,7 +49,7 @@ void BM_TranslateTagsOff(benchmark::State& state) {
 BENCHMARK(BM_TranslateTagsOff);
 
 // Armed but clean: tags exist elsewhere, the accessed frame is untagged.
-// Adds one hash-set probe to the L0-hit path.
+// Adds one binary search of the tag runs to the L0-hit path.
 void BM_TranslateTagsArmedClean(benchmark::State& state) {
     MmuBench b;
     b.mem.set_integrity_tag(0x4000'0000 + (512ull << 12), 1, true);

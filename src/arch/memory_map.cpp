@@ -1,8 +1,75 @@
 #include "arch/memory_map.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 namespace hpcsec::arch {
+
+namespace {
+
+// Run vectors are sorted and disjoint, so their ends ascend too: every
+// lookup is a binary search on `end`.
+
+/// First run whose end lies above `page`: the run holding `page`, else the
+/// next one up.
+template <typename Runs>
+auto first_ending_after(Runs& runs, std::uint64_t page) {
+    return std::partition_point(runs.begin(), runs.end(),
+                                [page](const auto& r) { return r.end <= page; });
+}
+
+/// Number of pages of [first, end) that `runs` cover.
+template <typename Run>
+std::uint64_t pages_covered(const std::vector<Run>& runs, std::uint64_t first,
+                            std::uint64_t end) {
+    std::uint64_t n = 0;
+    for (auto it = first_ending_after(runs, first); it != runs.end() && it->first < end;
+         ++it) {
+        n += std::min(it->end, end) - std::max(it->first, first);
+    }
+    return n;
+}
+
+/// Repaint [first, end) as one run owned by `*owner`, or as a gap when
+/// `owner` is null. Runs crossing an edge are split, and the painted run
+/// merges with touching runs of the same owner, so `runs` stays canonical.
+template <typename Run>
+void paint(std::vector<Run>& runs, std::uint64_t first, std::uint64_t end,
+           const VmId* owner) {
+    // [lo, hi): every run that overlaps or touches [first, end).
+    const auto lo = std::partition_point(runs.begin(), runs.end(),
+                                         [first](const Run& r) { return r.end < first; });
+    const auto hi = std::partition_point(lo, runs.end(),
+                                         [end](const Run& r) { return r.first <= end; });
+    std::array<Run, 3> parts{};
+    std::size_t n = 0;
+    const auto put = [&parts, &n](std::uint64_t f, std::uint64_t e, VmId o) {
+        if (f >= e) return;
+        if (n > 0 && parts[n - 1].end == f && parts[n - 1].owner == o) {
+            parts[n - 1].end = e;
+        } else {
+            parts[n++] = Run{f, e, o};
+        }
+    };
+    if (lo != hi) put(lo->first, std::min(lo->end, first), lo->owner);
+    if (owner != nullptr) put(first, end, *owner);
+    if (lo != hi) {
+        const Run& last = *std::prev(hi);
+        put(std::max(last.first, end), last.end, last.owner);
+    }
+    // Splice parts[0, n) over [lo, hi).
+    const auto k = static_cast<std::size_t>(hi - lo);
+    const auto at = std::copy_n(parts.begin(), std::min(n, k), lo);
+    if (n < k) {
+        runs.erase(at, hi);
+    } else {
+        runs.insert(at, parts.begin() + static_cast<std::ptrdiff_t>(k),
+                    parts.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+}
+
+}  // namespace
 
 void MemoryMap::add_region(MemRegion region) {
     if (region.size == 0 || (region.base & kPageMask) != 0 || (region.size & kPageMask) != 0) {
@@ -59,110 +126,117 @@ PhysAddr MemoryMap::alloc_frames(std::uint64_t nframes, VmId owner, World world)
     if (nframes == 0) throw std::invalid_argument("alloc_frames: zero frames");
     for (const auto& r : regions_) {
         if (r.kind != RegionKind::kRam || r.world != world) continue;
-        // First-fit scan within the region.
-        std::uint64_t run = 0;
-        PhysAddr run_base = r.base;
-        for (PhysAddr a = r.base; a < r.end(); a += kPageSize) {
-            const auto it = frames_.find(page_index(a));
-            const bool busy = it != frames_.end() && it->second.owner.allocated;
-            if (busy) {
-                run = 0;
-                run_base = a + kPageSize;
-            } else {
-                ++run;
-                if (run == nframes) {
-                    for (PhysAddr p = run_base; p < run_base + nframes * kPageSize;
-                         p += kPageSize) {
-                        frames_[page_index(p)] = FrameState{FrameOwner{owner, true}};
-                    }
-                    allocated_frames_ += nframes;
-                    return run_base;
-                }
+        // First fit: walk the gaps between allocated runs inside the region.
+        const std::uint64_t last = page_index(r.end());
+        std::uint64_t gap = page_index(r.base);
+        for (auto it = first_ending_after(owner_runs_, gap); gap < last; ++it) {
+            const std::uint64_t gap_end =
+                it == owner_runs_.end() ? last : std::min(it->first, last);
+            if (gap_end >= gap + nframes) {
+                paint(owner_runs_, gap, gap + nframes, &owner);
+                allocated_frames_ += nframes;
+                return gap << kPageShift;
             }
+            if (it == owner_runs_.end()) break;
+            gap = it->end;
         }
     }
     throw std::runtime_error("MemoryMap: out of contiguous frames");
 }
 
 void MemoryMap::free_frames(PhysAddr base, std::uint64_t nframes) {
-    for (PhysAddr a = base; a < base + nframes * kPageSize; a += kPageSize) {
-        auto it = frames_.find(page_index(a));
-        if (it == frames_.end() || !it->second.owner.allocated) {
-            throw std::logic_error("free_frames: frame not allocated");
-        }
-        frames_.erase(it);
+    const std::uint64_t first = page_index(base);
+    const std::uint64_t end = first + nframes;
+    if (pages_covered(owner_runs_, first, end) != nframes) {
+        throw std::logic_error("free_frames: frame not allocated");
     }
+    paint(owner_runs_, first, end, nullptr);
     allocated_frames_ -= nframes;
     // Hygiene: a freed frame is no longer critical. Dropping the tag here
-    // (rather than at the next tagging) keeps tagged_count_ the exact
-    // number of live tagged frames, which the hot-path gate depends on.
-    bool changed = false;
-    for (PhysAddr a = base; a < base + nframes * kPageSize; a += kPageSize) {
-        if (tagged_.erase(page_index(a)) != 0) {
-            --tagged_count_;
-            changed = true;
-        }
+    // (rather than at the next tagging) keeps has_integrity_tags() exact,
+    // which the hot-path gate depends on.
+    if (pages_covered(tag_runs_, first, end) != 0) {
+        paint(tag_runs_, first, end, nullptr);
+        if (tag_change_hook_) tag_change_hook_();
     }
-    if (changed && tag_change_hook_) tag_change_hook_();
 }
 
 void MemoryMap::set_integrity_tag(PhysAddr base, std::uint64_t nframes, bool tagged) {
-    bool changed = false;
-    for (PhysAddr a = base; a < base + nframes * kPageSize; a += kPageSize) {
-        if (!is_ram(a)) {
+    const std::uint64_t first = page_index(base);
+    const std::uint64_t end = first + nframes;
+    for (std::uint64_t page = first; page < end;) {
+        const MemRegion* r = find_region(page << kPageShift);
+        if (r == nullptr || r->kind != RegionKind::kRam) {
             throw std::invalid_argument("set_integrity_tag: frame is not RAM");
         }
-        if (tagged) {
-            if (tagged_.insert(page_index(a)).second) {
-                ++tagged_count_;
-                changed = true;
-            }
-        } else if (tagged_.erase(page_index(a)) != 0) {
-            --tagged_count_;
-            changed = true;
-        }
+        page = page_index(r->end());
     }
+    const std::uint64_t before = pages_covered(tag_runs_, first, end);
+    paint(tag_runs_, first, end, tagged ? &kHypervisorId : nullptr);
     // Shoot down cached translations even on a clear: a stale "tagged"
     // verdict would fault a now-legal access.
+    const bool changed = tagged ? before != nframes : before != 0;
     if (changed && tag_change_hook_) tag_change_hook_();
+}
+
+bool MemoryMap::in_tag_run(std::uint64_t page) const {
+    const auto it = first_ending_after(tag_runs_, page);
+    return it != tag_runs_.end() && it->first <= page;
 }
 
 std::vector<PhysAddr> MemoryMap::frames_owned_by(VmId vm) const {
     std::vector<PhysAddr> out;
-    // sca-suppress(det-unordered-iter): collected addresses are sorted below,
-    // so the result is independent of hash-map iteration order.
-    for (const auto& [page, state] : frames_) {
-        if (state.owner.allocated && state.owner.vm == vm) {
+    for (const Run& r : owner_runs_) {
+        if (r.owner != vm) continue;
+        for (std::uint64_t page = r.first; page < r.end; ++page) {
             out.push_back(page << kPageShift);
         }
     }
-    std::sort(out.begin(), out.end());
     return out;
 }
 
 void MemoryMap::set_owner(PhysAddr base, std::uint64_t nframes, VmId owner) {
-    for (PhysAddr a = base; a < base + nframes * kPageSize; a += kPageSize) {
-        auto it = frames_.find(page_index(a));
-        if (it == frames_.end() || !it->second.owner.allocated) {
-            throw std::logic_error("set_owner: frame not allocated");
-        }
-        it->second.owner.vm = owner;
+    const std::uint64_t first = page_index(base);
+    if (pages_covered(owner_runs_, first, first + nframes) != nframes) {
+        throw std::logic_error("set_owner: frame not allocated");
     }
+    paint(owner_runs_, first, first + nframes, &owner);
 }
 
 std::optional<FrameOwner> MemoryMap::owner_of(PhysAddr a) const {
-    const auto it = frames_.find(page_index(a));
-    if (it == frames_.end()) return std::nullopt;
-    return it->second.owner;
+    const std::uint64_t page = page_index(a);
+    const auto it = first_ending_after(owner_runs_, page);
+    if (it == owner_runs_.end() || it->first > page) return std::nullopt;
+    return FrameOwner{it->owner, true};
 }
 
 bool MemoryMap::owned_span(PhysAddr base, std::uint64_t bytes, VmId vm) const {
-    for (PhysAddr a = page_floor(base); a < base + bytes; a += kPageSize) {
-        if (!is_ram(a)) return false;
-        const auto o = owner_of(a);
-        if (!o || !o->allocated || o->vm != vm) return false;
+    // Allocated frames are RAM by construction, so ownership implies is_ram.
+    std::uint64_t page = page_index(base);
+    const std::uint64_t end = page_index(page_ceil(base + bytes));
+    for (auto it = first_ending_after(owner_runs_, page); page < end; ++it) {
+        if (it == owner_runs_.end() || it->first > page || it->owner != vm) return false;
+        page = it->end;
     }
     return true;
+}
+
+void MemoryMap::for_each_owner_run(
+    PhysAddr base, std::uint64_t bytes,
+    const std::function<void(PhysAddr, std::uint64_t, const FrameOwner&)>& fn) const {
+    std::uint64_t page = page_index(base);
+    const std::uint64_t end = page_index(page_ceil(base + bytes));
+    auto it = first_ending_after(owner_runs_, page);
+    while (page < end) {
+        const bool held = it != owner_runs_.end() && it->first <= page;
+        const std::uint64_t next = held                      ? it->end
+                                   : it != owner_runs_.end() ? it->first
+                                                             : end;
+        const std::uint64_t stop = std::min(next, end);
+        fn(page << kPageShift, stop - page, held ? FrameOwner{it->owner, true} : FrameOwner{});
+        page = stop;
+        if (held) ++it;
+    }
 }
 
 FaultKind MemoryMap::check_physical_access(PhysAddr a, World accessor) const {

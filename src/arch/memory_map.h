@@ -4,7 +4,10 @@
 // Frame ownership is the ground truth the isolation property tests check
 // against: every RAM frame is owned by exactly one entity (hypervisor, a VM,
 // or free), and stage-2 translations must never let a VM reach a frame it
-// does not own or hold a share-grant for.
+// does not own or hold a share-grant for. Ownership and integrity tags are
+// stored as extents (sorted runs of frames), so a partition costs a few
+// entries whatever its size, the way Hafnium maps it with a few large
+// blocks.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +16,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "arch/types.h"
@@ -60,20 +62,30 @@ public:
     // --- frame allocation / ownership -------------------------------------
 
     /// Allocate `nframes` physically contiguous RAM frames in `world` and tag
-    /// them as owned by `owner`. Returns the base PA.
+    /// them as owned by `owner`. Returns the base PA of the lowest free range
+    /// that fits (first fit, regions in address order).
     /// Throws std::runtime_error when no suitable contiguous range exists.
     PhysAddr alloc_frames(std::uint64_t nframes, VmId owner, World world);
 
     /// Free previously allocated frames (ownership returns to "free").
+    /// Throws std::logic_error, changing nothing, if any frame is free.
     void free_frames(PhysAddr base, std::uint64_t nframes);
 
     /// Transfer ownership of allocated frames (VM image donation etc.).
+    /// Throws std::logic_error, changing nothing, if any frame is free.
     void set_owner(PhysAddr base, std::uint64_t nframes, VmId owner);
 
     [[nodiscard]] std::optional<FrameOwner> owner_of(PhysAddr a) const;
 
     /// True when every frame in [base, base+bytes) is RAM owned by `vm`.
     [[nodiscard]] bool owned_span(PhysAddr base, std::uint64_t bytes, VmId vm) const;
+
+    /// Visit the frames of [base, base+bytes) in ascending runs of one owner:
+    /// `fn(run_base, nframes, owner)`, where unallocated stretches arrive
+    /// with `owner.allocated == false`. The auditor's exact ownership walk.
+    void for_each_owner_run(
+        PhysAddr base, std::uint64_t bytes,
+        const std::function<void(PhysAddr, std::uint64_t, const FrameOwner&)>& fn) const;
 
     [[nodiscard]] std::uint64_t allocated_frames() const { return allocated_frames_; }
 
@@ -83,22 +95,23 @@ public:
     /// [base, base + nframes * page). Tagged frames hold SPM-critical state
     /// (stage-2 tables, attestation log, signature material, manifest); the
     /// MMU raises FaultKind::kTagViolation when a guest translation targets
-    /// one. Every change fires the tag-change hook so cached translations
-    /// (TLB entries, the L0 line) are shot down — a stale fill must never
-    /// outlive a tag flip.
+    /// one. A call that changes any tag fires the tag-change hook once so
+    /// cached translations (TLB entries, the L0 line) are shot down — a
+    /// stale fill must never outlive a tag flip. Throws
+    /// std::invalid_argument, changing nothing, if any frame is not RAM.
     void set_integrity_tag(PhysAddr base, std::uint64_t nframes, bool tagged);
 
     /// Fast gate for the translate hot path: with no frame tagged anywhere
-    /// this is a single predicted branch, so the tags-off cost floor is one
-    /// compare against a resident counter.
-    [[nodiscard]] bool has_integrity_tags() const { return tagged_count_ != 0; }
+    /// the tag-run vector is empty, so the tags-off cost floor is one
+    /// predicted branch.
+    [[nodiscard]] bool has_integrity_tags() const { return !tag_runs_.empty(); }
 
     /// DFITAGCHECK: true when the frame holding `a` carries the tag.
     [[nodiscard]] bool integrity_tagged(PhysAddr a) const {
-        if (tagged_count_ == 0) [[likely]] {
+        if (tag_runs_.empty()) [[likely]] {
             return false;
         }
-        return tagged_.find(page_index(a)) != tagged_.end();
+        return in_tag_run(page_index(a));
     }
 
     /// Invoked after every tag change (set or clear). The platform wires
@@ -134,20 +147,23 @@ public:
     void register_mmio(PhysAddr region_base, MmioHandler handler);
 
 private:
-    struct FrameState {
-        FrameOwner owner;
+    /// Frames [first, end), as page indices. Tag runs leave `owner` at its
+    /// default. A run vector is kept sorted and disjoint, and never holds two
+    /// touching runs with the same owner.
+    struct Run {
+        std::uint64_t first = 0;
+        std::uint64_t end = 0;
+        VmId owner = kHypervisorId;
     };
 
+    [[nodiscard]] bool in_tag_run(std::uint64_t page) const;
+
     std::vector<MemRegion> regions_;
-    // Sparse: only frames that were ever allocated appear here.
-    std::unordered_map<std::uint64_t, FrameState> frames_;
+    std::vector<Run> owner_runs_;  ///< allocated frames only
+    std::vector<Run> tag_runs_;    ///< tagged frames, allocated or not
     std::unordered_map<std::uint64_t, std::uint64_t> store_;
     std::unordered_map<std::uint64_t, MmioHandler> mmio_;  // keyed by region base
     std::uint64_t allocated_frames_ = 0;
-    // Sparse tag bits, keyed by page index; lookup-only on hot paths (never
-    // iterated), count-gated so the untagged world pays one branch.
-    std::unordered_set<std::uint64_t> tagged_;
-    std::uint64_t tagged_count_ = 0;
     std::function<void()> tag_change_hook_;
 };
 

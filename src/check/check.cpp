@@ -16,13 +16,6 @@ namespace {
 /// (kExternalBase + the default external-source count).
 constexpr int kIrqIdLimit = 256;
 
-/// Largest mapping (in frames) that is ownership-probed exhaustively;
-/// larger windows are probed at both ends plus every kProbeStride frames
-/// (allocations are physically contiguous, so a stride catches any
-/// ownership change inside a big block mapping).
-constexpr std::uint64_t kExhaustiveProbeFrames = 1024;
-constexpr std::uint64_t kProbeStride = 64;
-
 [[nodiscard]] std::string hex(std::uint64_t v) {
     constexpr const char* digits = "0123456789abcdef";
     std::string s;
@@ -39,7 +32,8 @@ constexpr std::uint64_t kProbeStride = 64;
            (irq >= arch::kExternalBase && irq < kIrqIdLimit);  // device irqs
 }
 
-/// A stage-2 terminal mapping tagged with its VM, flattened to PA space.
+/// A run of stage-2 terminal mappings, contiguous in IPA and PA with equal
+/// attributes, tagged with its VM.
 struct PaMapping {
     arch::VmId vm = 0;
     arch::IpaAddr ipa = 0;
@@ -56,6 +50,24 @@ struct GrantRange {
     arch::PhysAddr pa = 0;
     std::uint64_t size = 0;
 };
+
+/// First PA in [pa, end) that no grant passing `accept` covers, or `end`
+/// when they cover all of it. Grants may overlap and come in any order.
+template <typename Accept>
+[[nodiscard]] arch::PhysAddr first_ungranted(const std::vector<GrantRange>& grants,
+                                             arch::PhysAddr pa, arch::PhysAddr end,
+                                             const Accept& accept) {
+    for (bool advanced = true; pa < end && advanced;) {
+        advanced = false;
+        for (const GrantRange& gr : grants) {
+            if (accept(gr) && gr.pa <= pa && pa < gr.pa + gr.size) {
+                pa = gr.pa + gr.size;
+                advanced = true;
+            }
+        }
+    }
+    return std::min(pa, end);
+}
 
 }  // namespace
 
@@ -212,93 +224,82 @@ void Auditor::check_stage2() {
         if (w.fault != arch::FaultKind::kNone) continue;  // owner unmapped: stale
         grant_ranges.push_back({g.owner, g.borrower, w.out, g.pages * arch::kPageSize});
     }
-    const auto borrowed = [&grant_ranges](arch::VmId vm, arch::PhysAddr pa) {
-        for (const auto& gr : grant_ranges) {
-            if (gr.borrower == vm && pa >= gr.pa && pa < gr.pa + gr.size) return true;
-        }
-        return false;
-    };
-    const auto grant_pair = [&grant_ranges](arch::VmId a, arch::VmId b,
-                                            arch::PhysAddr pa) {
-        for (const auto& gr : grant_ranges) {
-            if (pa < gr.pa || pa >= gr.pa + gr.size) continue;
-            if ((gr.owner == a && gr.borrower == b) ||
-                (gr.owner == b && gr.borrower == a)) {
-                return true;
-            }
-        }
-        return false;
-    };
 
     std::vector<PaMapping> ram_maps;
+    const auto check_mapping = [&](hafnium::Vm& vm, const PaMapping& m,
+                                   const arch::MemRegion* region) {
+        if (region == nullptr) {
+            record({Rule::kStage2Ownership, vm.id(), -1,
+                    "maps unbacked PA " + hex(m.pa) + " (" + std::to_string(m.size) +
+                        " bytes)"});
+            return;
+        }
+        if (region->kind == arch::RegionKind::kMmio) {
+            if (vm.role() == hafnium::VmRole::kSecondary) {
+                record({Rule::kStage2Ownership, vm.id(), -1,
+                        "secondary maps MMIO region '" + region->name + "'"});
+            }
+            return;  // device windows are exempt from RAM rules
+        }
+
+        // TrustZone: the NS bit must match the frame's world, and a
+        // normal-world VM must never reach secure RAM.
+        const bool frame_secure = region->world == arch::World::kSecure;
+        if (m.secure != frame_secure) {
+            record({Rule::kTrustZone, vm.id(), -1,
+                    std::string("stage-2 secure attribute ") +
+                        (m.secure ? "set" : "clear") + " but frame world is " +
+                        (frame_secure ? "secure" : "non-secure")});
+        }
+        if (vm.world() == arch::World::kNonSecure && frame_secure) {
+            record({Rule::kTrustZone, vm.id(), -1,
+                    "normal-world VM maps secure RAM at PA " + hex(m.pa)});
+        }
+
+        // Ownership, exactly: every run of frames the VM does not own must
+        // be covered by grants that name it as borrower.
+        mem.for_each_owner_run(m.pa, m.size, [&](arch::PhysAddr pa, std::uint64_t frames,
+                                                 const arch::FrameOwner& owner) {
+            if (owner.allocated && owner.vm == vm.id()) return;
+            const arch::PhysAddr end = pa + frames * arch::kPageSize;
+            const arch::PhysAddr bad = first_ungranted(
+                grant_ranges, pa, end,
+                [&vm](const GrantRange& gr) { return gr.borrower == vm.id(); });
+            if (bad == end) return;
+            record({Rule::kStage2Ownership, vm.id(), -1,
+                    "maps PA " + hex(bad) + " owned by vm " + std::to_string(owner.vm) +
+                        " without a grant"});
+        });
+        ram_maps.push_back(m);
+    };
+
     for (int id = 1; id <= spm_->vm_count(); ++id) {
         hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
         if (vm.destroyed) continue;
-        const bool may_own_devices = vm.role() != hafnium::VmRole::kSecondary;
-
+        // Coalesce leaves contiguous in IPA and PA, with equal attributes and
+        // inside one region: block splits leave thousands of 4 KiB leaves.
+        PaMapping run;
+        const arch::MemRegion* region = nullptr;
         vm.stage2().for_each_mapping([&](const arch::PageTable::MappingView& m) {
-            const arch::MemRegion* region = mem.find_region(m.out_base);
-            if (region == nullptr) {
-                record({Rule::kStage2Ownership, vm.id(), -1,
-                        "maps unbacked PA " + hex(m.out_base) +
-                            " (" + std::to_string(m.size) + " bytes)"});
+            if (run.size != 0 && region != nullptr && m.in_base == run.ipa + run.size &&
+                m.out_base == run.pa + run.size && m.out_base < region->end() &&
+                m.perms == run.perms && m.secure == run.secure) {
+                run.size += m.size;
                 return;
             }
-            if (region->kind == arch::RegionKind::kMmio) {
-                if (!may_own_devices) {
-                    record({Rule::kStage2Ownership, vm.id(), -1,
-                            "secondary maps MMIO region '" + region->name + "'"});
-                }
-                return;  // device windows are exempt from RAM rules
-            }
-
-            // TrustZone: the NS bit must match the frame's world, and a
-            // normal-world VM must never reach secure RAM.
-            const bool frame_secure = mem.world_of(m.out_base) == arch::World::kSecure;
-            if (m.secure != frame_secure) {
-                record({Rule::kTrustZone, vm.id(), -1,
-                        std::string("stage-2 secure attribute ") +
-                            (m.secure ? "set" : "clear") + " but frame world is " +
-                            (frame_secure ? "secure" : "non-secure")});
-            }
-            if (vm.world() == arch::World::kNonSecure && frame_secure) {
-                record({Rule::kTrustZone, vm.id(), -1,
-                        "normal-world VM maps secure RAM at PA " +
-                            hex(m.out_base)});
-            }
-
-            // Ownership: every frame must belong to the mapping VM or be
-            // covered by a grant that names it as borrower.
-            const std::uint64_t frames = m.size >> arch::kPageShift;
-            const auto probe = [&](std::uint64_t fi) {
-                const arch::PhysAddr pa = m.out_base + fi * arch::kPageSize;
-                const auto owner = mem.owner_of(pa);
-                if (owner && owner->allocated && owner->vm == vm.id()) return;
-                if (borrowed(vm.id(), pa)) return;
-                record({Rule::kStage2Ownership, vm.id(), -1,
-                        "maps PA " + hex(pa) + " owned by vm " +
-                            std::to_string(owner ? owner->vm : 0) +
-                            " without a grant"});
-            };
-            if (frames <= kExhaustiveProbeFrames) {
-                for (std::uint64_t f = 0; f < frames; ++f) probe(f);
-            } else {
-                probe(0);
-                probe(frames - 1);
-                for (std::uint64_t f = kProbeStride; f < frames - 1;
-                     f += kProbeStride) {
-                    probe(f);
-                }
-            }
-            ram_maps.push_back(
-                {vm.id(), m.in_base, m.out_base, m.size, m.perms, m.secure});
+            if (run.size != 0) check_mapping(vm, run, region);
+            run = {vm.id(), m.in_base, m.out_base, m.size, m.perms, m.secure};
+            region = mem.find_region(m.out_base);
         });
+        if (run.size != 0) check_mapping(vm, run, region);
     }
 
     // Exclusivity sweep: writable RAM present in two different VMs' tables
-    // must be covered by an explicit grant between exactly those VMs.
-    std::sort(ram_maps.begin(), ram_maps.end(),
-              [](const PaMapping& a, const PaMapping& b) { return a.pa < b.pa; });
+    // must be covered, over the whole overlap, by grants between exactly
+    // those VMs.
+    std::sort(ram_maps.begin(), ram_maps.end(), [](const PaMapping& a, const PaMapping& b) {
+        return a.pa != b.pa ? a.pa < b.pa : a.vm < b.vm;
+    });
     for (std::size_t i = 0; i < ram_maps.size(); ++i) {
         const PaMapping& a = ram_maps[i];
         if ((a.perms & arch::kPermW) == 0) continue;
@@ -306,11 +307,16 @@ void Auditor::check_stage2() {
             const PaMapping& b = ram_maps[j];
             if (b.pa >= a.pa + a.size) break;  // sorted: no further overlap
             if (b.vm == a.vm || (b.perms & arch::kPermW) == 0) continue;
-            if (grant_pair(a.vm, b.vm, b.pa)) continue;
+            const arch::PhysAddr end = std::min(a.pa + a.size, b.pa + b.size);
+            const arch::PhysAddr bad =
+                first_ungranted(grant_ranges, b.pa, end, [&a, &b](const GrantRange& gr) {
+                    return (gr.owner == a.vm && gr.borrower == b.vm) ||
+                           (gr.owner == b.vm && gr.borrower == a.vm);
+                });
+            if (bad == end) continue;
             record({Rule::kStage2Exclusive, b.vm, -1,
-                    "PA " + hex(b.pa) + " writable in vm " +
-                        std::to_string(a.vm) + " and vm " + std::to_string(b.vm) +
-                        " without a grant"});
+                    "PA " + hex(bad) + " writable in vm " + std::to_string(a.vm) +
+                        " and vm " + std::to_string(b.vm) + " without a grant"});
         }
     }
 }

@@ -160,6 +160,7 @@ void Spm::destroy_vm(arch::VmId id) {
         if (it->owner == id || it->borrower == id) {
             vm(it->borrower).stage2().unmap(it->borrower_ipa,
                                             it->pages * arch::kPageSize);
+            flush_stage2_tlbs(it->borrower);
             if (it->exclusive && it->borrower == id) {
                 // The borrower of a lend died: the owner regains access.
                 vm(it->owner).stage2().protect(
@@ -188,17 +189,26 @@ void Spm::destroy_vm(arch::VmId id) {
     for (const auto& [in_base, size] : mappings) {
         victim.stage2().unmap(in_base, size);
     }
+    flush_stage2_tlbs(id);
     // Reclaim by *current ownership*, not the boot window. FFA donations
     // move frames both ways after boot: frames donated away belong to
     // another live partition now (scrubbing/freeing them here was the
     // lifecycle twin of the reclaim-under-grant donate bug), and frames
     // donated in would otherwise leak. Grants were revoked above, so no
-    // borrower window outlives the reclaim.
-    for (const arch::PhysAddr frame : platform_->mem().frames_owned_by(id)) {
-        // Sparse store: clearing word 0 of each frame suffices for the
-        // model (reads of freed memory return zero anyway after reuse).
-        platform_->mem().write64(frame, 0, victim.world());
-        platform_->mem().free_frames(frame, 1);
+    // borrower window outlives the reclaim. Frames come back ascending and
+    // are freed one contiguous run at a time.
+    arch::MemoryMap& mem = platform_->mem();
+    const std::vector<arch::PhysAddr> frames = mem.frames_owned_by(id);
+    for (std::size_t i = 0; i < frames.size();) {
+        std::size_t j = i;
+        for (; j < frames.size() && frames[j] == frames[i] + (j - i) * arch::kPageSize;
+             ++j) {
+            // Sparse store: clearing word 0 of each frame suffices for the
+            // model (reads of freed memory return zero anyway after reuse).
+            mem.write64(frames[j], 0, victim.world());
+        }
+        mem.free_frames(frames[i], j - i);
+        i = j;
     }
     if (critical_armed_) release_critical("stage2:" + victim.name());
     victim.destroyed = true;
@@ -317,6 +327,14 @@ void Spm::set_core_context(arch::CoreId core, Vm* vmctx) {
     // comes from stage 2.
     c.mmu().set_context(nullptr, &vmctx->stage2(), vmctx->id(), 0, vmctx->world());
     c.set_world(vmctx->world());
+}
+
+void Spm::flush_stage2_tlbs(arch::VmId id) {
+    // TLBI by VMID on every core; the flush epoch also kills the MMUs' L0
+    // lines, so no translation filled before the change is consulted after.
+    for (int c = 0; c < platform_->ncores(); ++c) {
+        platform_->core(c).mmu().tlb().flush_vmid(id);
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -992,6 +1010,7 @@ HfResult Spm::mem_grant(arch::VmId caller, const abi::MemShareArgs& a,
         // walk-checked mapped above, so protect() cannot throw.
         vm(caller).stage2().protect(own_ipa, pages * arch::kPageSize,
                                     arch::kPermNone);
+        flush_stage2_tlbs(caller);
     }
     // sca-suppress(hot-path-alloc): GrantList is arena-backed — growth
     // bumps the trial arena, never the global heap.
@@ -1052,6 +1071,7 @@ HfResult Spm::on_mem_donate(arch::CoreId, arch::VmId caller,
     // sca-suppress(no-throw-guest-path): window aligned (validated above),
     // and unmap() is idempotent on holes, so it cannot throw.
     vm(caller).stage2().unmap(own_ipa, pages * arch::kPageSize);
+    flush_stage2_tlbs(caller);
     // sca-suppress(no-throw-guest-path): every frame walk-checked and
     // owned_span-checked above, so the frames are allocated.
     platform_->mem().set_owner(w0.out, pages, target_id);
@@ -1074,6 +1094,7 @@ HfResult Spm::on_mem_reclaim(arch::CoreId, arch::VmId caller,
             // windows mem_grant validated as aligned; unmap() is idempotent
             // on holes, so it cannot throw.
             vm(target_id).stage2().unmap(it->borrower_ipa, it->pages * arch::kPageSize);
+            flush_stage2_tlbs(target_id);
             if (it->exclusive) {
                 // Lend reclaim: the owner regains access. The owner window
                 // stays mapped (perms-none) for the grant's lifetime:

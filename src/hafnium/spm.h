@@ -306,6 +306,9 @@ private:
     /// Guest personality for `id`, nullptr when none attached (or torn down).
     [[nodiscard]] GuestOsItf* find_guest_os(arch::VmId id);
     void set_core_context(arch::CoreId core, Vm* vmctx);
+    /// Drop every cached translation of VM `id` after its stage-2 lost or
+    /// narrowed an entry (unmap, lend, donate, reclaim, destroy).
+    void flush_stage2_tlbs(arch::VmId id);
 
     // Typed call handlers, one per table row. Privilege and argument range
     // checks already happened in the gate; handlers do semantic validation

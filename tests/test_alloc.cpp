@@ -3,8 +3,10 @@
 // warmed up, and trial teardown must be an arena rewind rather than a
 // unique_ptr graveyard. The counting global operator new below is the
 // proof: it is armed only inside measurement windows, so gtest's own
-// allocations never pollute the counts.
+// allocations never pollute the counts. It also tracks live bytes (sizes
+// from malloc_usable_size) and their peak, for whole-heap footprints.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -26,21 +28,44 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<bool> g_counting{false};
+/// Bytes allocated minus bytes freed inside the window, and its peak.
+std::atomic<std::int64_t> g_live{0};
+std::atomic<std::int64_t> g_peak{0};
 
-void count_alloc() {
+void* counted(void* p) {
+    if (p == nullptr) throw std::bad_alloc();
     if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        const auto bytes = static_cast<std::int64_t>(malloc_usable_size(p));
+        const std::int64_t live = g_live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+        if (live > g_peak.load(std::memory_order_relaxed)) {
+            g_peak.store(live, std::memory_order_relaxed);
+        }
     }
+    return p;
+}
+
+void release(void* p) noexcept {
+    if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
+        g_live.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+    }
+    std::free(p);
 }
 
 struct CountingWindow {
     CountingWindow() {
         g_allocs.store(0, std::memory_order_relaxed);
+        g_live.store(0, std::memory_order_relaxed);
+        g_peak.store(0, std::memory_order_relaxed);
         g_counting.store(true, std::memory_order_relaxed);
     }
     ~CountingWindow() { g_counting.store(false, std::memory_order_relaxed); }
     [[nodiscard]] static std::uint64_t count() {
         return g_allocs.load(std::memory_order_relaxed);
+    }
+    [[nodiscard]] static std::int64_t peak_bytes() {
+        return g_peak.load(std::memory_order_relaxed);
     }
 };
 
@@ -52,35 +77,27 @@ struct CountingWindow {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-void* operator new(std::size_t n) {
-    count_alloc();
-    if (void* p = std::malloc(n ? n : 1)) return p;
-    throw std::bad_alloc();
-}
+void* operator new(std::size_t n) { return counted(std::malloc(n ? n : 1)); }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t a) {
-    count_alloc();
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                     (n + static_cast<std::size_t>(a) - 1) &
-                                         ~(static_cast<std::size_t>(a) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc();
+    return counted(std::aligned_alloc(static_cast<std::size_t>(a),
+                                      (n + static_cast<std::size_t>(a) - 1) &
+                                          ~(static_cast<std::size_t>(a) - 1)));
 }
 void* operator new[](std::size_t n, std::align_val_t a) {
     return ::operator new(n, a);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    release(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    release(p);
 }
 
 #pragma GCC diagnostic pop
@@ -314,6 +331,24 @@ TEST_F(AllocFixture, TeardownFreesViaArenaResetAcrossTrials) {
     // Identical node shape => identical arena footprint, every trial.
     EXPECT_EQ(per_trial_bytes[1], per_trial_bytes[0]);
     EXPECT_EQ(per_trial_bytes[2], per_trial_bytes[0]);
+}
+
+// Whole-heap footprint, not only the arena: frame ownership is a handful of
+// extents, so a 16x larger compute VM costs boot almost no extra heap.
+TEST(WholeHeap, BootPeakDoesNotGrowWithComputeVmSize) {
+    const auto boot_peak = [](std::uint64_t compute_bytes) {
+        core::NodeConfig cfg = core::Harness::default_config(
+            core::SchedulerKind::kKittenPrimary, 21);
+        cfg.compute_mem_bytes = compute_bytes;
+        core::Node node(std::move(cfg));
+        CountingWindow window;
+        node.boot();
+        return CountingWindow::peak_bytes();
+    };
+    const std::int64_t small = boot_peak(64ull << 20);
+    const std::int64_t large = boot_peak(1ull << 30);
+    EXPECT_LT(large - small, 64 * 1024)
+        << "boot heap peak: " << small << " B at 64 MiB, " << large << " B at 1 GiB";
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // Memory-system tests: MemoryMap, PageTable, Tlb, Mmu (one- and two-stage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/memory_map.h"
 #include "arch/mmu.h"
 #include "arch/page_table.h"
+#include "arch/platform.h"
 #include "arch/tlb.h"
+#include "hafnium/abi.h"
+#include "hafnium/spm.h"
 #include "sim/rng.h"
 
 namespace hpcsec::arch {
@@ -128,6 +133,204 @@ TEST(MemoryMap, SetOwnerTransfersFrames) {
     m.set_owner(a, 4, 9);
     EXPECT_TRUE(m.owned_span(a, 4 * kPageSize, 9));
     EXPECT_FALSE(m.owned_span(a, 4 * kPageSize, 1));
+}
+
+// --- MemoryMap extents ----------------------------------------------------------
+
+TEST(MemoryMapExtents, FirstFitReusesAnInteriorHole) {
+    MemoryMap m = make_map();
+    const PhysAddr a = m.alloc_frames(16, 1, World::kNonSecure);
+    const PhysAddr b = m.alloc_frames(16, 2, World::kNonSecure);
+    ASSERT_EQ(b, a + 16 * kPageSize);
+    m.set_owner(a + 4 * kPageSize, 8, 7);  // A is now 1 | 7 | 1
+    m.free_frames(a + 6 * kPageSize, 4);   // punch frames [6, 10) out of the 7s
+    EXPECT_EQ(m.allocated_frames(), 28u);
+    // Too big for the hole: lands after B.
+    EXPECT_EQ(m.alloc_frames(5, 3, World::kNonSecure), b + 16 * kPageSize);
+    // Fits: first fit takes the hole, not the space after B.
+    EXPECT_EQ(m.alloc_frames(4, 4, World::kNonSecure), a + 6 * kPageSize);
+    const VmId want[16] = {1, 1, 1, 1, 7, 7, 4, 4, 4, 4, 7, 7, 1, 1, 1, 1};
+    for (std::uint64_t f = 0; f < 16; ++f) {
+        const auto o = m.owner_of(a + f * kPageSize);
+        ASSERT_TRUE(o.has_value()) << "frame " << f;
+        EXPECT_EQ(o->vm, want[f]) << "frame " << f;
+    }
+    EXPECT_EQ(m.frames_owned_by(7),
+              (std::vector<PhysAddr>{a + 4 * kPageSize, a + 5 * kPageSize,
+                                     a + 10 * kPageSize, a + 11 * kPageSize}));
+}
+
+TEST(MemoryMapExtents, PartlyFreeRangeIsRefusedWhole) {
+    MemoryMap m = make_map();
+    const PhysAddr a = m.alloc_frames(8, 1, World::kNonSecure);
+    m.free_frames(a + 2 * kPageSize, 2);
+    EXPECT_THROW(m.free_frames(a, 8), std::logic_error);
+    EXPECT_THROW(m.set_owner(a, 8, 5), std::logic_error);
+    EXPECT_EQ(m.allocated_frames(), 6u);
+    EXPECT_TRUE(m.owned_span(a, 2 * kPageSize, 1));
+    EXPECT_FALSE(m.owner_of(a + 2 * kPageSize).has_value());
+    EXPECT_FALSE(m.owner_of(a + 3 * kPageSize).has_value());
+    EXPECT_TRUE(m.owned_span(a + 4 * kPageSize, 4 * kPageSize, 1));
+}
+
+// Random alloc / free / set_owner sequences against a per-frame model:
+// owner_of must agree on every frame, so on both sides of every extent
+// boundary, and a refused call must leave the map as it was.
+class MemoryMapExtentModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MemoryMapExtentModel, OwnerOfMatchesPerFrameModel) {
+    constexpr std::uint64_t kFrames = 128;
+    MemoryMap m;
+    m.add_region({"ram", kRamBase, kFrames * kPageSize, RegionKind::kRam,
+                  World::kNonSecure});
+    std::vector<int> model(kFrames, -1);  // owner per frame, -1 = free
+    const auto pa = [](std::uint64_t f) { return kRamBase + f * kPageSize; };
+    sim::Rng rng(GetParam());
+    for (int step = 0; step < 400; ++step) {
+        const std::uint64_t n = 1 + rng.next_below(8);
+        const auto owner = static_cast<VmId>(1 + rng.next_below(3));
+        const std::uint64_t f = rng.next_below(kFrames - n + 1);
+        const auto range = model.begin() + static_cast<std::ptrdiff_t>(f);
+        const bool held = std::all_of(range, range + static_cast<std::ptrdiff_t>(n),
+                                      [](int o) { return o >= 0; });
+        switch (rng.next_below(3)) {
+            case 0: {
+                std::uint64_t fit = kFrames;
+                for (std::uint64_t i = 0, run = 0; i < kFrames && fit == kFrames; ++i) {
+                    run = model[i] < 0 ? run + 1 : 0;
+                    if (run == n) fit = i + 1 - n;
+                }
+                if (fit == kFrames) {
+                    EXPECT_THROW(m.alloc_frames(n, owner, World::kNonSecure),
+                                 std::runtime_error);
+                } else {
+                    ASSERT_EQ(m.alloc_frames(n, owner, World::kNonSecure), pa(fit));
+                    std::fill_n(model.begin() + static_cast<std::ptrdiff_t>(fit), n, owner);
+                }
+                break;
+            }
+            case 1:
+                if (held) {
+                    m.free_frames(pa(f), n);
+                    std::fill_n(range, n, -1);
+                } else {
+                    EXPECT_THROW(m.free_frames(pa(f), n), std::logic_error);
+                }
+                break;
+            default:
+                if (held) {
+                    m.set_owner(pa(f), n, owner);
+                    std::fill_n(range, n, owner);
+                } else {
+                    EXPECT_THROW(m.set_owner(pa(f), n, owner), std::logic_error);
+                }
+                break;
+        }
+        std::uint64_t allocated = 0;
+        for (std::uint64_t i = 0; i < kFrames; ++i) {
+            const auto o = m.owner_of(pa(i));
+            ASSERT_EQ(o.has_value(), model[i] >= 0) << "step " << step << " frame " << i;
+            if (!o) continue;
+            ASSERT_EQ(static_cast<int>(o->vm), model[i]) << "step " << step << " frame " << i;
+            ++allocated;
+        }
+        ASSERT_EQ(m.allocated_frames(), allocated) << "step " << step;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoryMapExtentModel, ::testing::Values(1, 2, 3, 4));
+
+TEST(MemoryMapExtents, ClearingTheMiddleOfATagRunStaysExact) {
+    MemoryMap m = make_map();
+    int shootdowns = 0;
+    m.set_tag_change_hook([&shootdowns] { ++shootdowns; });
+    const auto tagged = [&m](std::uint64_t f) {
+        return m.integrity_tagged(kRamBase + f * kPageSize);
+    };
+    m.set_integrity_tag(kRamBase, 8, true);
+    m.set_integrity_tag(kRamBase, 8, true);  // no change, no shootdown
+    EXPECT_EQ(shootdowns, 1);
+    m.set_integrity_tag(kRamBase + 2 * kPageSize, 4, false);
+    m.set_integrity_tag(kRamBase + 2 * kPageSize, 4, false);
+    EXPECT_EQ(shootdowns, 2);
+    for (std::uint64_t f = 0; f < 9; ++f) {
+        EXPECT_EQ(tagged(f), f < 2 || (f >= 6 && f < 8)) << "frame " << f;
+    }
+    m.set_integrity_tag(kRamBase, 2, false);
+    EXPECT_TRUE(m.has_integrity_tags());
+    m.set_integrity_tag(kRamBase + 6 * kPageSize, 2, false);
+    EXPECT_FALSE(m.has_integrity_tags());
+    EXPECT_EQ(shootdowns, 4);
+    // A range running off the end of RAM is refused whole.
+    EXPECT_THROW(m.set_integrity_tag(kRamBase + kRamSize - kPageSize, 2, true),
+                 std::invalid_argument);
+    EXPECT_FALSE(m.has_integrity_tags());
+    EXPECT_EQ(shootdowns, 4);
+    // Freeing tagged frames drops their tags with one shootdown.
+    const PhysAddr a = m.alloc_frames(4, 1, World::kNonSecure);
+    m.set_integrity_tag(a + kPageSize, 2, true);
+    m.free_frames(a, 4);
+    EXPECT_FALSE(m.has_integrity_tags());
+    EXPECT_EQ(shootdowns, 6);
+}
+
+// The remap-invalidate-read shape of the ProtoKernel and qemu MMU self-tests,
+// through the SPM: donate one frame out of a 2 MiB block. The new owner's IPA
+// reads the donated backing, and the donor's IPA faults at once: no TLB entry
+// or L0 line filled before the donation survives it.
+TEST(MemoryMapRemap, DonatedFrameLeavesNoStaleTranslation) {
+    for (const Isa isa : {Isa::kArm, Isa::kRiscv}) {
+        SCOPED_TRACE(to_string(isa));
+        PlatformConfig pcfg = PlatformConfig::pine_a64();
+        pcfg.isa = isa;
+        Platform platform(pcfg);
+        hafnium::Manifest manifest;
+        hafnium::VmSpec primary;
+        primary.name = "primary";
+        primary.role = hafnium::VmRole::kPrimary;
+        primary.mem_bytes = 64ull << 20;
+        primary.vcpu_count = 4;
+        primary.image = {1};
+        hafnium::VmSpec donor_spec;
+        donor_spec.name = "donor";
+        donor_spec.role = hafnium::VmRole::kSecondary;
+        donor_spec.mem_bytes = 32ull << 20;
+        donor_spec.vcpu_count = 1;
+        donor_spec.image = {2};
+        manifest.vms = {primary, donor_spec};
+        hafnium::Spm spm(platform, manifest);
+        spm.boot();
+        hafnium::Vm& donor = *spm.find_vm("donor");
+
+        const IpaAddr own = 0x5000;          // inside the donor's first 2 MiB block
+        const IpaAddr window = 0x6100'0000;  // a hole in the primary's stage-2
+        const WalkResult block = spm.vm_translate(donor.id(), own);
+        ASSERT_EQ(donor.stage2().format().span(block.level), 2ull << 20);
+        const PhysAddr pa = block.out;
+        ASSERT_TRUE(spm.vm_write64(donor.id(), own, 0x5eed));
+
+        Mmu& mmu = platform.core(0).mmu();
+        mmu.set_context(nullptr, &donor.stage2(), donor.id(), 0, World::kNonSecure);
+        std::uint64_t v = 0;
+        ASSERT_TRUE(mmu.read64(own, v));  // fills the TLB and the L0 line
+        ASSERT_TRUE(mmu.translate(own + 8, Access::kRead).tlb_hit);
+
+        ASSERT_TRUE(hf::mem_donate(spm, 0, donor.id(), kPrimaryVmId, own, 1, window).ok());
+        const Translation gone = mmu.translate(own, Access::kRead);
+        EXPECT_EQ(gone.fault, FaultKind::kTranslation);
+        EXPECT_EQ(gone.fault_stage, 2);
+        EXPECT_EQ(mmu.translate(own + kPageSize, Access::kRead).pa, pa + kPageSize);
+
+        mmu.set_context(nullptr, &spm.primary_vm().stage2(), kPrimaryVmId, 0,
+                        World::kNonSecure);
+        ASSERT_TRUE(mmu.read64(window, v));
+        EXPECT_EQ(v, 0x5eedu);
+        EXPECT_EQ(mmu.translate(window, Access::kRead).pa, pa);
+        // The donor's run split around the one frame.
+        EXPECT_EQ(platform.mem().owner_of(pa - kPageSize)->vm, donor.id());
+        EXPECT_EQ(platform.mem().owner_of(pa)->vm, kPrimaryVmId);
+        EXPECT_EQ(platform.mem().owner_of(pa + kPageSize)->vm, donor.id());
+    }
 }
 
 // --- PageTable ------------------------------------------------------------------

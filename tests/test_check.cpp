@@ -4,12 +4,15 @@
 // documented in docs/CHECKING.md.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
+#include "arch/platform.h"
 #include "check/check.h"
 #include "check/corrupt.h"
 #include "core/harness.h"
 #include "core/node.h"
+#include "hafnium/abi.h"
 #include "obs/events.h"
 #include "workloads/nas.h"
 #include "workloads/workload.h"
@@ -304,6 +307,106 @@ TEST(CheckGrants, SharedPagesAreNotExclusivityFindings) {
     ASSERT_NE(node.auditor(), nullptr);
     EXPECT_EQ(node.auditor()->validate(), 0u) << node.auditor()->report();
 }
+
+// --- exact ownership and exclusivity ----------------------------------------
+
+/// A bare SPM whose 1 GiB primary sits at the 1 GiB-aligned DRAM base, so
+/// its stage-2 identity map is one 1 GiB block, plus one 32 MiB tenant.
+struct OneBlockSpm {
+    arch::Platform platform;
+    hafnium::Spm spm;
+
+    explicit OneBlockSpm(arch::Isa isa) : platform(config(isa)), spm(platform, manifest()) {
+        spm.boot();
+    }
+
+    static arch::PlatformConfig config(arch::Isa isa) {
+        arch::PlatformConfig c = arch::PlatformConfig::pine_a64();
+        c.isa = isa;
+        return c;
+    }
+
+    static hafnium::Manifest manifest() {
+        hafnium::VmSpec primary;
+        primary.name = "primary";
+        primary.role = hafnium::VmRole::kPrimary;
+        primary.mem_bytes = 1ull << 30;
+        primary.vcpu_count = 4;
+        primary.image = {1};
+        hafnium::VmSpec tenant;
+        tenant.name = "tenant";
+        tenant.role = hafnium::VmRole::kSecondary;
+        tenant.mem_bytes = 32ull << 20;
+        tenant.vcpu_count = 1;
+        tenant.image = {2};
+        hafnium::Manifest m;
+        m.vms = {primary, tenant};
+        return m;
+    }
+};
+
+[[nodiscard]] std::string hex_pa(arch::PhysAddr pa) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(pa));
+    return buf;
+}
+
+class ExactAudit : public ::testing::TestWithParam<arch::Isa> {};
+
+// One frame re-owned inside a 1 GiB block mapping, with stage-2 untouched:
+// every frame of the block is checked, not a stride sample of it.
+TEST_P(ExactAudit, ReownedFrameInsideOneGiBBlockIsFound) {
+    OneBlockSpm node(GetParam());
+    hafnium::Vm& primary = node.spm.primary_vm();
+    ASSERT_EQ(primary.mem_base % (1ull << 30), 0u);
+    const arch::WalkResult w = node.spm.vm_translate(primary.id(), primary.ipa_base);
+    ASSERT_EQ(primary.stage2().format().span(w.level), 1ull << 30);
+    {
+        Auditor clean(node.spm, {Mode::kSampled});
+        ASSERT_EQ(clean.validate(), 0u) << clean.report();
+    }
+
+    const arch::PhysAddr stolen = primary.mem_base + 37 * arch::kPageSize;
+    node.platform.mem().set_owner(stolen, 1, node.spm.find_vm("tenant")->id());
+    {
+        Auditor sampled(node.spm, {Mode::kSampled});
+        sampled.validate();
+        ASSERT_EQ(sampled.count(Rule::kStage2Ownership), 1u) << sampled.report();
+        EXPECT_NE(sampled.report().find("maps PA " + hex_pa(stolen) + " "),
+                  std::string::npos)
+            << sampled.report();
+    }
+    Auditor strict(node.spm, {Mode::kStrict});
+    EXPECT_THROW(strict.validate(), CheckViolation);
+}
+
+// A writable overlap that starts inside a grant and runs past its end: the
+// grant excuses only its own frames, so the first frame after it is flagged.
+TEST_P(ExactAudit, OverlapRunningPastItsGrantIsFlagged) {
+    OneBlockSpm node(GetParam());
+    const arch::VmId tenant = node.spm.find_vm("tenant")->id();
+    const arch::IpaAddr own = 0x10'0000;
+    ASSERT_TRUE(
+        hf::mem_share(node.spm, 0, tenant, arch::kPrimaryVmId, own, 2, 0xA000'0000).ok());
+    const arch::PhysAddr pa = node.spm.vm_translate(tenant, own).out;
+    Auditor auditor(node.spm, {Mode::kSampled});
+    ASSERT_EQ(auditor.validate(), 0u) << auditor.report();
+
+    check::CorruptionAccess::map_rogue_window(node.spm, arch::kPrimaryVmId,
+                                              pa + arch::kPageSize, 4);
+    auditor.validate();
+    EXPECT_EQ(auditor.count(Rule::kStage2Exclusive), 1u) << auditor.report();
+    EXPECT_NE(auditor.report().find("PA " + hex_pa(pa + 2 * arch::kPageSize) +
+                                    " writable"),
+              std::string::npos)
+        << auditor.report();
+}
+
+INSTANTIATE_TEST_SUITE_P(BothIsas, ExactAudit,
+                         ::testing::Values(arch::Isa::kArm, arch::Isa::kRiscv),
+                         [](const ::testing::TestParamInfo<arch::Isa>& info) {
+                             return arch::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hpcsec

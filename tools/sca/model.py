@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import fnmatch
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,20 +108,32 @@ def _excluded(rel: str) -> bool:
                for p in EXCLUDE_PREFIXES)
 
 
+def _walk(root: Path, pattern: str) -> list[Path]:
+    """Files under `root` whose name matches `pattern`, sorted, outside the
+    exclude list. Excluded directories are never entered: the lint tests
+    create and delete temporary trees under build/ while the gate runs."""
+    out = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        base = Path(dirpath)
+        dirnames[:] = [d for d in dirnames
+                       if not _excluded((base / d).relative_to(root).as_posix())]
+        out += [base / name for name in filenames
+                if fnmatch.fnmatchcase(name, pattern)
+                and not _excluded((base / name).relative_to(root).as_posix())]
+    return sorted(out)
+
+
 class Corpus:
     """All C++ sources under the root, lexed once and shared by every rule."""
 
     def __init__(self, root: Path):
         self.root = root
         self.files: dict[str, SourceFile] = {}
-        for path in sorted(root.rglob("*")):
-            if not path.is_file() or path.suffix not in CPP_SUFFIXES:
-                continue
-            rel = path.relative_to(root).as_posix()
-            if _excluded(rel):
+        for path in _walk(root, "*"):
+            if path.suffix not in CPP_SUFFIXES:
                 continue
             sf = SourceFile(root, path)
-            self.files[rel] = sf
+            self.files[path.relative_to(root).as_posix()] = sf
 
     def src_files(self) -> list[SourceFile]:
         return [f for rel, f in sorted(self.files.items())
@@ -130,9 +144,4 @@ class Corpus:
 
     def data_files(self, pattern: str) -> list[Path]:
         """Non-C++ inputs (e.g. BENCH_*.json), honoring the exclude list."""
-        out = []
-        for path in sorted(self.root.rglob(pattern)):
-            rel = path.relative_to(self.root).as_posix()
-            if not _excluded(rel):
-                out.append(path)
-        return out
+        return _walk(self.root, pattern)
