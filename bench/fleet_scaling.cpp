@@ -63,10 +63,9 @@ double seconds(Clock::time_point a, Clock::time_point b) {
 }
 
 struct NodeSample {
-    std::uint64_t events = 0;        ///< engine events this node executed
-    std::uint64_t batched_pops = 0;  ///< timer-wheel batched dispatches
-    std::size_t arena_bytes = 0;     ///< arena footprint at teardown
-    cluster::NodeTrace trace;        ///< superstep trace for the scale model
+    std::uint64_t events = 0;     ///< engine events this node executed
+    std::size_t arena_bytes = 0;  ///< arena footprint at teardown
+    cluster::NodeTrace trace;     ///< superstep trace for the scale model
     // Host time per phase (excluded from the witness).
     double boot_s = 0.0;      ///< Node construction + boot
     double run_s = 0.0;       ///< the workload run
@@ -79,7 +78,6 @@ struct NodeSample {
 struct FleetPoint {
     int nodes = 0;
     std::uint64_t total_events = 0;
-    std::uint64_t total_batched_pops = 0;
     double mean_bytes_per_node = 0.0;
     cluster::ScaleResult projection;
     // Host seconds summed over nodes (excluded from the witness).
@@ -113,7 +111,6 @@ FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
             out.run_s = seconds(t1, Clock::now());
             // Boot dispatches no engine events, so these are all run events.
             out.events = node->platform().engine().events_executed();
-            out.batched_pops = node->platform().engine().timer_batched_pops();
             out.trace = cluster::trace_from_step_times(
                 w.step_completion_times(), start);
         }
@@ -136,7 +133,6 @@ FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
     double bytes_sum = 0.0;
     for (auto& s : samples) {
         pt.total_events += s.events;
-        pt.total_batched_pops += s.batched_pops;
         bytes_sum += static_cast<double>(s.arena_bytes);
         pt.boot_s += s.boot_s;
         pt.run_s += s.run_s;
@@ -171,11 +167,9 @@ SweepRun run_sweep(int jobs, const std::vector<int>& counts,
     for (const FleetPoint& pt : run.points) {
         char line[256];
         std::snprintf(line, sizeof line,
-                      "nodes=%d events=%llu batched_pops=%llu bytes/node=%.1f "
-                      "eff=%.6f step_us=%.4f\n",
+                      "nodes=%d events=%llu bytes/node=%.1f eff=%.6f step_us=%.4f\n",
                       pt.nodes,
                       static_cast<unsigned long long>(pt.total_events),
-                      static_cast<unsigned long long>(pt.total_batched_pops),
                       pt.mean_bytes_per_node, pt.projection.efficiency,
                       pt.projection.mean_step_us);
         w << line;
@@ -248,8 +242,6 @@ int main(int argc, char** argv) {
         report.add(tag + ".bytes_per_node", pt.mean_bytes_per_node, 0.0, 1);
         report.add(tag + ".efficiency", pt.projection.efficiency, 0.0, 1);
         report.add(tag + ".step_us", pt.projection.mean_step_us, 0.0, 1);
-        report.add(tag + ".batched_pops",
-                   static_cast<double>(pt.total_batched_pops), 0.0, 1);
         total_events += pt.total_events;
         total_run += pt.run_s;
     }

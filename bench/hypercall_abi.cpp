@@ -3,7 +3,7 @@
 // monolithic switch it displaced, the typed hf:: wrapper path, the
 // interceptor chain off/on, and the unknown-call reject path. Written to
 // BENCH_hypercall_abi.json so the perf trajectory keeps the comparison
-// measured, not asserted (the LegacyEventQueue discipline).
+// measured, not asserted.
 #include <benchmark/benchmark.h>
 
 #include "arch/platform.h"

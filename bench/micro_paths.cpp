@@ -17,8 +17,8 @@
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 
-#include <queue>
-#include <unordered_set>
+#include <functional>
+#include <vector>
 
 namespace {
 
@@ -35,209 +35,78 @@ void BM_EventScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventScheduleAndRun);
 
-// --- event-queue regression baseline -----------------------------------------
-// The pre-slab EventQueue: std::priority_queue of value entries plus two
-// unordered_sets for O(1) cancellation via tombstones. Kept here verbatim so
-// the slab queue's win stays *measured* against the design it replaced
-// (schedule/pop allocation churn, tombstone-set growth, callback copies on
-// pop) rather than asserted.
-class LegacyEventQueue {
-public:
-    sim::EventId schedule(sim::SimTime when, int priority, sim::EventFn fn) {
-        const std::uint64_t seq = next_seq_++;
-        heap_.push(Entry{when, priority, seq, std::move(fn)});
-        pending_.insert(seq);
-        ++live_;
-        return sim::EventId{seq};
-    }
-
-    bool cancel(sim::EventId id) {
-        if (!id.valid()) return false;
-        const auto it = pending_.find(id.seq);
-        if (it == pending_.end()) return false;
-        pending_.erase(it);
-        cancelled_.insert(id.seq);
-        --live_;
-        return true;
-    }
-
-    [[nodiscard]] bool empty() const { return live_ == 0; }
-
-    struct Popped {
-        sim::SimTime when;
-        int priority;
-        sim::EventFn fn;
-    };
-    Popped pop() {
-        drop_tombstones();
-        auto& top = const_cast<Entry&>(heap_.top());
-        Popped out{top.when, top.priority, std::move(top.fn)};
-        pending_.erase(top.seq);
-        heap_.pop();
-        --live_;
-        return out;
-    }
-
-private:
-    struct Entry {
-        sim::SimTime when;
-        int priority;
-        std::uint64_t seq;
-        sim::EventFn fn;
-    };
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const {
-            if (a.when != b.when) return a.when > b.when;
-            if (a.priority != b.priority) return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
-    };
-
-    void drop_tombstones() {
-        while (!heap_.empty()) {
-            auto it = cancelled_.find(heap_.top().seq);
-            if (it == cancelled_.end()) return;
-            cancelled_.erase(it);
-            heap_.pop();
-        }
-    }
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    std::unordered_set<std::uint64_t> cancelled_;
-    std::unordered_set<std::uint64_t> pending_;
-    std::uint64_t next_seq_ = 1;
-    std::size_t live_ = 0;
-};
-
 // Deterministic timestamp scramble so heap order differs from insert order.
 constexpr sim::SimTime scrambled_when(int i) {
     return static_cast<sim::SimTime>((i * 2654435761u) & 0xffff) + 1;
 }
 
 // Schedule/drain churn: the pattern the engine's run loop produces. The
-// capture makes the callback large enough that a copying pop() pays a heap
-// allocation per event.
-template <typename Queue>
-void queue_schedule_drain(benchmark::State& state, Queue& q, std::uint64_t& sink) {
-    std::uint64_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-    for (int i = 0; i < 1000; ++i) {
-        q.schedule(scrambled_when(i), i & 3,
-                   [payload, &sink] { sink += payload[0]; });
-    }
-    while (!q.empty()) {
-        auto popped = q.pop();
-        popped.fn();
-    }
-    benchmark::DoNotOptimize(sink);
-}
-
+// capture is larger than std::function's inline buffer, so a pop that
+// copied the callback instead of moving it would allocate per event.
 void BM_EventQueueScheduleDrain(benchmark::State& state) {
     std::uint64_t sink = 0;
+    std::uint64_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     for (auto _ : state) {
         sim::EventQueue q;
-        queue_schedule_drain(state, q, sink);
+        for (int i = 0; i < 1000; ++i) {
+            q.schedule(scrambled_when(i), i & 3,
+                       [payload, &sink] { sink += payload[0]; });
+        }
+        while (!q.empty()) q.pop().fn();
+        benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleDrain);
 
-void BM_LegacyQueueScheduleDrain(benchmark::State& state) {
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        LegacyEventQueue q;
-        queue_schedule_drain(state, q, sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_LegacyQueueScheduleDrain);
-
 // Cancellation-heavy churn: timers that are armed and mostly disarmed before
 // firing (watchdogs, preemption timers). Half the scheduled events are
-// cancelled; the legacy queue grows tombstone sets and still sifts the dead
-// entries through the heap.
-template <typename Queue>
-void queue_cancel_heavy(benchmark::State& state, Queue& q, std::uint64_t& sink) {
-    std::vector<sim::EventId> ids;
-    ids.reserve(1000);
-    for (int i = 0; i < 1000; ++i) {
-        ids.push_back(q.schedule(scrambled_when(i), 0, [&sink] { ++sink; }));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
-    while (!q.empty()) {
-        auto popped = q.pop();
-        popped.fn();
-    }
-    benchmark::DoNotOptimize(sink);
-}
-
+// cancelled, each removed from the heap on the spot.
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
     std::uint64_t sink = 0;
     for (auto _ : state) {
         sim::EventQueue q;
-        queue_cancel_heavy(state, q, sink);
+        std::vector<sim::EventId> ids;
+        ids.reserve(1000);
+        for (int i = 0; i < 1000; ++i) {
+            ids.push_back(q.schedule(scrambled_when(i), 0, [&sink] { ++sink; }));
+        }
+        for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
+        while (!q.empty()) q.pop().fn();
+        benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
 
-void BM_LegacyQueueCancelHeavy(benchmark::State& state) {
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        LegacyEventQueue q;
-        queue_cancel_heavy(state, q, sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_LegacyQueueCancelHeavy);
-
-// Tick-storm: the periodic-cadence pattern kernels generate — N cores each
-// re-arming a fixed-period timer forever. Deliberately collision-heavy
-// (shared periods) so the wheel's batched same-slot pops are exercised; the
-// heap variant re-sifts every re-arm through the binary heap. Both run the
-// identical storm through a real Engine, so the ratio is the tick-path
-// speedup, with dispatch order proven identical by tests/test_alloc.cpp.
-template <bool kUseWheel>
-void engine_tick_storm(benchmark::State& state, std::uint64_t& sink) {
+// Tick storm: the periodic-cadence pattern kernels generate — N cores each
+// re-arming a fixed-period timer forever, with shared periods so deadlines
+// collide. Every re-arm goes through Engine::at, as GenericTimer's do.
+void BM_EngineTickStorm(benchmark::State& state) {
     const int kCores = static_cast<int>(state.range(0));
     constexpr sim::SimTime kHorizon = 200'000;
-    sim::Engine e;
-    std::vector<std::function<void()>> ticks(kCores);
-    for (int core = 0; core < kCores; ++core) {
-        const sim::Cycles period = 100 + 10 * (core % 3);
-        ticks[core] = [&e, &sink, &ticks, core, period] {
-            ++sink;
-            const sim::SimTime next = e.now() + period;
-            if (next > kHorizon) return;
-            if constexpr (kUseWheel) {
-                e.at_timer(next, [&ticks, core] { ticks[core](); });
-            } else {
-                e.at(next, [&ticks, core] { ticks[core](); },
-                     sim::kPrioInterrupt);
-            }
-        };
-        if constexpr (kUseWheel) {
-            e.at_timer(100, [&ticks, core] { ticks[core](); });
-        } else {
+    std::uint64_t sink = 0;
+    std::int64_t events = 0;
+    for (auto _ : state) {
+        sim::Engine e;
+        std::vector<std::function<void()>> ticks(kCores);
+        for (int core = 0; core < kCores; ++core) {
+            const sim::Cycles period = 100 + 10 * (core % 3);
+            ticks[core] = [&e, &sink, &ticks, core, period] {
+                ++sink;
+                const sim::SimTime next = e.now() + period;
+                if (next > kHorizon) return;
+                e.at(next, [&ticks, core] { ticks[core](); }, sim::kPrioInterrupt);
+            };
             e.at(100, [&ticks, core] { ticks[core](); }, sim::kPrioInterrupt);
         }
+        e.run();
+        benchmark::DoNotOptimize(sink);
+        events = static_cast<std::int64_t>(e.events_executed());
     }
-    e.run();
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(e.events_executed()));
+    state.SetItemsProcessed(state.iterations() * events);
 }
-
-void BM_TimerWheelTickStorm(benchmark::State& state) {
-    std::uint64_t sink = 0;
-    for (auto _ : state) engine_tick_storm<true>(state, sink);
-}
-BENCHMARK(BM_TimerWheelTickStorm)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_HeapQueueTickStorm(benchmark::State& state) {
-    std::uint64_t sink = 0;
-    for (auto _ : state) engine_tick_storm<false>(state, sink);
-}
-BENCHMARK(BM_HeapQueueTickStorm)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_EngineTickStorm)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_PageTableWalk4Level(benchmark::State& state) {
     arch::PageTable pt;

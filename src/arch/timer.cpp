@@ -1,5 +1,7 @@
 #include "arch/timer.h"
 
+#include <algorithm>
+
 namespace hpcsec::arch {
 
 GenericTimer::GenericTimer(sim::Engine& engine, IrqController& irqc, CoreId core,
@@ -13,11 +15,10 @@ void GenericTimer::set_deadline(TimerChannel ch, sim::SimTime deadline) {
     if (c.armed) engine_->cancel(c.event);
     c.deadline = deadline;
     c.armed = true;
-    // A deadline in the past fires immediately (condition already met).
-    // Timer deadlines are the periodic tick storm — they go on the batched
-    // timer wheel, not the heap queue (same dispatch order, cheaper re-arm).
+    // A deadline in the past fires immediately (condition already met). The
+    // clamp also keeps Engine::at's past-time throw out of guest reach.
     const sim::SimTime when = std::max(deadline, engine_->now());
-    c.event = engine_->at_timer(when, [this, ch] { fire(ch); }, sim::kPrioInterrupt);
+    c.event = engine_->at(when, [this, ch] { fire(ch); }, sim::kPrioInterrupt);
 }
 
 void GenericTimer::cancel(TimerChannel ch) {

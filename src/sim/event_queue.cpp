@@ -6,11 +6,6 @@
 namespace hpcsec::sim {
 
 EventId EventQueue::schedule(SimTime when, int priority, EventFn fn) {
-    return schedule(when, priority, std::move(fn), next_order_++);
-}
-
-EventId EventQueue::schedule(SimTime when, int priority, EventFn fn,
-                             std::uint64_t order) {
     std::uint32_t slot;
     if (!free_.empty()) {
         slot = free_.back();
@@ -19,28 +14,25 @@ EventId EventQueue::schedule(SimTime when, int priority, EventFn fn,
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.emplace_back();
     }
+    const std::uint64_t order = next_order_++;
     Entry& e = slab_[slot];
     e.when = when;
     e.order = order;
     e.id = (static_cast<std::uint64_t>(slot) + 1) << kSlotShift | (order & kSeqMask);
     e.fn = std::move(fn);
     e.priority = priority;
-    e.cancelled = false;
 
     heap_.push_back(slot);
     sift_up(heap_.size() - 1);
-    ++live_;
     return EventId{e.id};
 }
 
 bool EventQueue::cancel(EventId id) {
     const std::uint64_t slot_part = id.seq >> kSlotShift;
     if (slot_part == 0 || slot_part > slab_.size()) return false;
-    Entry& e = slab_[static_cast<std::size_t>(slot_part - 1)];
-    if (e.id != id.seq || e.cancelled) return false;  // ran, cancelled, or stale
-    e.cancelled = true;
-    e.fn = nullptr;  // release captured resources immediately
-    --live_;
+    const Entry& e = slab_[static_cast<std::size_t>(slot_part - 1)];
+    if (e.id != id.seq) return false;  // ran, cancelled, or stale
+    remove_at(e.pos);
     return true;
 }
 
@@ -49,10 +41,10 @@ void EventQueue::sift_up(std::size_t pos) {
     while (pos != 0) {
         const std::size_t parent = (pos - 1) >> 2;
         if (!before(slot, heap_[parent])) break;
-        heap_[pos] = heap_[parent];
+        place(pos, heap_[parent]);
         pos = parent;
     }
-    heap_[pos] = slot;
+    place(pos, slot);
 }
 
 void EventQueue::sift_down(std::size_t pos) {
@@ -67,60 +59,38 @@ void EventQueue::sift_down(std::size_t pos) {
             if (before(heap_[c], heap_[best])) best = c;
         }
         if (!before(heap_[best], slot)) break;
-        heap_[pos] = heap_[best];
+        place(pos, heap_[best]);
         pos = best;
     }
-    heap_[pos] = slot;
+    place(pos, slot);
 }
 
-void EventQueue::remove_top() {
-    const std::uint32_t slot = heap_[0];
+void EventQueue::remove_at(std::size_t pos) {
+    const std::uint32_t slot = heap_[pos];
     Entry& e = slab_[slot];
     e.id = 0;
-    e.fn = nullptr;
+    e.fn = nullptr;  // release captured resources immediately
     // sca-suppress(hot-path-alloc): freelist depth is bounded by the slab
     // high-water mark; growth stops once the queue is warmed.
     free_.push_back(slot);
     const std::uint32_t last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_[0] = last;
-        sift_down(0);
+    if (pos == heap_.size()) return;  // the removed entry was the last leaf
+    // The last leaf fills the hole. It may come from another subtree, so it
+    // can belong above the hole as well as below it.
+    heap_[pos] = last;
+    if (pos != 0 && before(last, heap_[(pos - 1) >> 2])) {
+        sift_up(pos);
+    } else {
+        sift_down(pos);
     }
 }
 
-void EventQueue::skim_cancelled() {
-    while (!heap_.empty() && slab_[heap_[0]].cancelled) remove_top();
-}
-
-SimTime EventQueue::next_time() {
-    skim_cancelled();
-    return heap_.empty() ? kTimeNever : slab_[heap_[0]].when;
-}
-
-EventQueue::Key EventQueue::next_key() {
-    skim_cancelled();
-    if (heap_.empty()) return Key{};
-    const Entry& top = slab_[heap_[0]];
-    return Key{top.when, top.priority, top.order};
-}
-
 EventQueue::Popped EventQueue::pop() {
-    skim_cancelled();
     Entry& top = slab_[heap_[0]];
     Popped out{top.when, top.priority, std::move(top.fn)};
-    remove_top();
-    --live_;
+    remove_at(0);
     return out;
-}
-
-void EventQueue::clear() {
-    slab_.clear();
-    heap_.clear();
-    free_.clear();
-    // next_order_ is deliberately not reset: stale EventIds from before the
-    // clear must keep failing the id check once slots are reused.
-    live_ = 0;
 }
 
 }  // namespace hpcsec::sim

@@ -6,11 +6,12 @@
 // Implementation: a slab of recycled entries indexed by a 4-ary heap. The
 // hot path (schedule/pop tens of millions of times per trial) does no
 // per-event container allocation once the slab is warm: scheduling reuses a
-// free slot, popping moves the callback out, and cancellation is O(1) — it
-// flips a flag on the slab entry addressed by the handle (no tombstone hash
-// sets, no heap fix-up; cancelled entries are skimmed off lazily when they
-// reach the top). The 4-ary layout halves the tree depth of a binary heap
-// and keeps children of a node on one cache line of indices.
+// free slot and popping moves the callback out. Each entry records its heap
+// position, so cancellation removes the entry at once in O(log n) of the
+// live events — the heap never holds dead entries, which keeps it as small
+// as the set of pending events (single digits per node in practice). The
+// 4-ary layout halves the tree depth of a binary heap and keeps children of
+// a node on one cache line of indices.
 #pragma once
 
 #include <cstdint>
@@ -33,54 +34,30 @@ using EventFn = std::function<void()>;
 
 class EventQueue {
 public:
-    /// The engine-wide dispatch order: lexicographic (when, priority,
-    /// insertion order). Shared with TimerWheel so the two event sources
-    /// merge into one deterministic total order.
-    struct Key {
-        SimTime when = kTimeNever;
-        int priority = 0;
-        std::uint64_t order = 0;
-        [[nodiscard]] bool operator<(const Key& o) const {
-            if (when != o.when) return when < o.when;
-            if (priority != o.priority) return priority < o.priority;
-            return order < o.order;
-        }
-    };
-
     /// Lower `priority` runs first among events with equal timestamps.
     /// Ties break by an internally assigned insertion sequence.
     EventId schedule(SimTime when, int priority, EventFn fn);
 
-    /// Same, with a caller-supplied insertion sequence — the engine passes
-    /// its shared counter here so queue and timer-wheel events interleave
-    /// exactly as if they lived in one queue. Orders must be unique and
-    /// increasing across calls; mixing with the self-ordering overload on
-    /// one queue is a caller bug.
-    EventId schedule(SimTime when, int priority, EventFn fn, std::uint64_t order);
-
-    /// Cancel a pending event. Returns false if it already ran or was
-    /// cancelled (cancelling an invalid id is a harmless no-op).
+    /// Cancel a pending event, removing it from the queue. Returns false if
+    /// it already ran or was cancelled (cancelling an invalid or stale id is
+    /// a harmless no-op).
     bool cancel(EventId id);
 
-    [[nodiscard]] bool empty() const { return live_ == 0; }
-    [[nodiscard]] std::size_t size() const { return live_; }
+    [[nodiscard]] bool empty() const { return heap_.empty(); }
+    [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-    /// Timestamp of the next live event; kTimeNever when empty.
-    [[nodiscard]] SimTime next_time();
+    /// Timestamp of the next event; kTimeNever when empty.
+    [[nodiscard]] SimTime next_time() const {
+        return heap_.empty() ? kTimeNever : slab_[heap_[0]].when;
+    }
 
-    /// Full dispatch key of the next live event; when == kTimeNever if
-    /// empty. Used by the engine to merge with the timer wheel.
-    [[nodiscard]] Key next_key();
-
-    /// Pop and return the next live event. Precondition: !empty().
+    /// Pop and return the next event. Precondition: !empty().
     struct Popped {
         SimTime when;
         int priority;
         EventFn fn;
     };
     Popped pop();
-
-    void clear();
 
 private:
     // Slot index and sequence share the 64-bit handle: high 24 bits carry
@@ -95,7 +72,7 @@ private:
         std::uint64_t id = 0;     ///< composite handle; 0 while the slot is free
         EventFn fn;
         int priority = 0;
-        bool cancelled = false;
+        std::uint32_t pos = 0;  ///< index of this slot in heap_ while pending
     };
 
     [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
@@ -106,16 +83,21 @@ private:
         return ea.order < eb.order;
     }
 
+    /// Put `slot` at heap index `pos` and record the index in its entry.
+    void place(std::size_t pos, std::uint32_t slot) {
+        heap_[pos] = slot;
+        slab_[slot].pos = static_cast<std::uint32_t>(pos);
+    }
+
     void sift_up(std::size_t pos);
     void sift_down(std::size_t pos);
-    void remove_top();
-    void skim_cancelled();
+    /// Free the entry at heap index `pos` and restore the heap property.
+    void remove_at(std::size_t pos);
 
     std::vector<Entry> slab_;
     std::vector<std::uint32_t> heap_;  ///< slab indices, 4-ary min-heap
     std::vector<std::uint32_t> free_;  ///< recycled slab slots
     std::uint64_t next_order_ = 1;
-    std::size_t live_ = 0;
 };
 
 }  // namespace hpcsec::sim

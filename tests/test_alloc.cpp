@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <new>
 #include <string>
 #include <utility>
@@ -22,7 +21,6 @@
 #include "core/signature.h"
 #include "sim/arena.h"
 #include "sim/engine.h"
-#include "sim/rng.h"
 
 namespace {
 
@@ -160,93 +158,35 @@ TEST(Arena, ArenaAllocatorBacksStdVector) {
     EXPECT_GE(arena.bytes_used(), 100 * sizeof(int));
 }
 
-// --- timer wheel vs heap queue equivalence ----------------------------------
+// --- event queue: cancel removes the entry ----------------------------------
 
-// The wheel's contract: dispatch order is identical to scheduling the same
-// events on the heap queue, because both draw from one insertion counter
-// and the engine merges by (when, priority, order).
-TEST(TimerWheel, DispatchOrderMatchesHeapQueue) {
-    sim::Rng rng(12345);
-    struct Ev {
-        sim::SimTime when;
-        int priority;
-        bool on_wheel;
-    };
-    std::vector<Ev> evs;
-    for (int i = 0; i < 2000; ++i) {
-        evs.push_back({static_cast<sim::SimTime>(rng.next_below(5000)),
-                       static_cast<int>(rng.next_below(3)) * 10,
-                       rng.next_below(2) == 0});
-    }
-
-    auto run = [&](bool use_wheel) {
-        sim::Engine eng;
-        std::vector<std::pair<sim::SimTime, int>> seq;
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-            const Ev& e = evs[i];
-            auto fn = [&seq, &eng, i] {
-                seq.emplace_back(eng.now(), static_cast<int>(i));
-            };
-            if (use_wheel && e.on_wheel) {
-                eng.at_timer(e.when, fn, e.priority);
-            } else {
-                eng.at(e.when, fn, e.priority);
-            }
-        }
-        eng.run();
-        return seq;
-    };
-
-    EXPECT_EQ(run(true), run(false));
-}
-
-TEST(TimerWheel, ReschedulingCadencesInterleaveLikeQueue) {
-    // Periodic re-arm from inside the handler — the tick-storm shape.
-    auto run = [&](bool use_wheel) {
-        sim::Engine eng;
-        std::vector<std::pair<sim::SimTime, int>> seq;
-        std::vector<std::function<void()>> ticks(8);
-        for (int core = 0; core < 8; ++core) {
-            const sim::Cycles period = 100 + 10 * (core % 3);
-            ticks[core] = [&eng, &seq, &ticks, core, period, use_wheel] {
-                seq.emplace_back(eng.now(), core);
-                if (eng.now() >= 20'000) return;
-                if (use_wheel) {
-                    eng.at_timer(eng.now() + period, ticks[core]);
-                } else {
-                    eng.at(eng.now() + period, ticks[core], sim::kPrioInterrupt);
-                }
-            };
-            if (use_wheel) {
-                eng.at_timer(100, ticks[core]);
-            } else {
-                eng.at(100, ticks[core], sim::kPrioInterrupt);
-            }
-        }
-        eng.run();
-        return std::make_pair(seq, eng.timer_batched_pops());
-    };
-
-    const auto [wheel_seq, wheel_pops] = run(true);
-    const auto [queue_seq, queue_pops] = run(false);
-    EXPECT_EQ(wheel_seq, queue_seq);
-    // Same-cadence cores collide in wheel slots; the whole point is that
-    // those collision groups dispatch as pre-sorted batches.
-    EXPECT_GT(wheel_pops, 0u);
-    EXPECT_EQ(queue_pops, 0u);
-}
-
-TEST(TimerWheel, CancelPreventsDispatchAndSurvivesReuse) {
+// The Executor::preempt shape: a far-future chunk completion is cancelled
+// and re-armed over and over while other events stay pending. Cancel frees
+// the slot and its heap position at once, so the churn reuses one slot and
+// the queue never grows.
+TEST(EventQueueAlloc, CancelRearmChurnMakesZeroHeapAllocations) {
     sim::Engine eng;
     int fired = 0;
-    const sim::EventId a = eng.at_timer(100, [&] { ++fired; });
-    const sim::EventId b = eng.at_timer(200, [&] { ++fired; });
-    eng.at_timer(300, [&] { ++fired; });
-    EXPECT_TRUE(eng.cancel(a));
-    EXPECT_FALSE(eng.cancel(a));  // already cancelled
+    eng.at(10, [&fired] { ++fired; });  // stays pending throughout
+    sim::EventId far = eng.at(1'000'000, [&fired] { ++fired; });
+    int cancelled = 0;
+    const auto rearm = [&](sim::SimTime when) {
+        cancelled += eng.cancel(far) ? 1 : 0;
+        far = eng.at(when, [&fired] { ++fired; });
+    };
+    rearm(1'000'000);  // warm-up: the free list gets its capacity
+
+    std::uint64_t allocs = 0;
+    {
+        CountingWindow window;
+        for (int i = 1; i <= 100'000; ++i) rearm(1'000'000 + static_cast<sim::SimTime>(i));
+        allocs = CountingWindow::count();
+    }
+    EXPECT_EQ(cancelled, 100'001);
+    EXPECT_EQ(allocs, 0u) << "cancel/re-arm churn touched the global heap";
+    EXPECT_EQ(eng.pending_events(), 2u);
     eng.run();
     EXPECT_EQ(fired, 2);
-    EXPECT_FALSE(eng.cancel(b));  // already fired
 }
 
 // --- zero-alloc steady state -------------------------------------------------
@@ -295,9 +235,6 @@ TEST_F(AllocFixture, SteadyStateWindowMakesZeroHeapAllocations) {
         node.platform().engine().events_executed() - events_before;
     EXPECT_GE(events, 1000u) << "window too quiet to prove anything";
     EXPECT_EQ(allocs, 0u) << "steady-state dispatch touched the global heap";
-    // Kernel tick deadlines land far enough out that the wheel serves them
-    // from high levels (no same-slot batching at this density); the batch
-    // path itself is proven by the TimerWheel unit tests above.
 }
 
 TEST_F(AllocFixture, TeardownFreesViaArenaResetAcrossTrials) {

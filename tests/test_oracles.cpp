@@ -2,8 +2,10 @@
 // cross-check every observable against a simple reference implementation.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "arch/tlb.h"
@@ -23,41 +25,62 @@ TEST_P(EventQueueOracle, MatchesReferenceOrdering) {
     sim::Rng rng(GetParam());
     sim::EventQueue q;
     // Reference: ordered by (time, priority, seq).
-    std::map<std::tuple<sim::SimTime, int, std::uint64_t>, int> ref;
-    std::map<std::uint64_t, std::tuple<sim::SimTime, int, std::uint64_t>> by_seq;
+    using Key = std::tuple<sim::SimTime, int, std::uint64_t>;
+    std::map<Key, int> ref;
+    std::map<std::uint64_t, Key> by_seq;  // every handle issued, fired ones too
     std::vector<int> fired;
     int next_payload = 0;
     std::uint64_t seq = 0;
+    sim::SimTime now = 0;
+
+    // Cancel a random handle, possibly one that already fired or was
+    // cancelled; the queue and the reference must agree either way.
+    const auto cancel_one = [&] {
+        if (by_seq.empty()) return;
+        auto it = by_seq.begin();
+        std::advance(it, static_cast<long>(rng.next_below(by_seq.size())));
+        const bool cancelled = q.cancel(sim::EventId{it->first});
+        const bool in_ref = ref.erase(it->second) > 0;
+        EXPECT_EQ(cancelled, in_ref);
+        by_seq.erase(it);
+    };
+    // Popped callbacks schedule and cancel too, as engine handlers do. Their
+    // cancels hit entries anywhere in the heap, and the last leaf that fills
+    // such a hole must sometimes sift up.
+    std::function<void()> schedule_one = [&] {
+        const sim::SimTime when = now + rng.next_below(1000);
+        const int prio = static_cast<int>(rng.next_below(3)) * 10;
+        const int payload = next_payload++;
+        const sim::EventId id = q.schedule(when, prio, [&, payload] {
+            fired.push_back(payload);
+            if (rng.next_below(2) == 0) schedule_one();
+            if (rng.next_below(2) == 0) cancel_one();
+        });
+        ref[{when, prio, ++seq}] = payload;
+        by_seq[id.seq] = {when, prio, seq};
+    };
 
     for (int step = 0; step < 2000; ++step) {
         const double dice = rng.next_double();
         if (dice < 0.55) {
-            const sim::SimTime when = rng.next_below(1000);
-            const int prio = static_cast<int>(rng.next_below(3)) * 10;
-            const int payload = next_payload++;
-            const sim::EventId id =
-                q.schedule(when, prio, [payload, &fired] { fired.push_back(payload); });
-            ref[{when, prio, ++seq}] = payload;
-            by_seq[id.seq] = {when, prio, seq};
-        } else if (dice < 0.75 && !by_seq.empty()) {
-            // Cancel a random still-tracked event.
-            auto it = by_seq.begin();
-            std::advance(it, static_cast<long>(rng.next_below(by_seq.size())));
-            const bool cancelled = q.cancel(sim::EventId{it->first});
-            const bool in_ref = ref.erase(it->second) > 0;
-            EXPECT_EQ(cancelled, in_ref);
-            by_seq.erase(it);
+            schedule_one();
+        } else if (dice < 0.75) {
+            cancel_one();
         } else if (!q.empty()) {
-            // Pop one; reference pops its minimum.
-            fired.clear();
-            q.pop().fn();
+            // Pop one; reference pops its minimum, then the callback runs.
             ASSERT_FALSE(ref.empty());
-            EXPECT_EQ(fired.size(), 1u);
-            EXPECT_EQ(fired[0], ref.begin()->second);
+            const int expected = ref.begin()->second;
+            now = std::get<0>(ref.begin()->first);
             ref.erase(ref.begin());
+            auto popped = q.pop();
+            EXPECT_EQ(popped.when, now);
+            fired.clear();
+            popped.fn();
+            ASSERT_EQ(fired.size(), 1u);
+            EXPECT_EQ(fired[0], expected);
         }
         EXPECT_EQ(q.size(), ref.size());
-        EXPECT_EQ(q.empty() ? sim::kTimeNever : q.next_time(),
+        EXPECT_EQ(q.next_time(),
                   ref.empty() ? sim::kTimeNever : std::get<0>(ref.begin()->first));
     }
 }

@@ -270,7 +270,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
     EXPECT_EQ(q.next_time(), 2u);
 }
 
-TEST(EventQueue, NextTimeSkipsTombstones) {
+TEST(EventQueue, CancelOfHeadExposesNextEvent) {
     EventQueue q;
     const EventId a = q.schedule(1, 0, [] {});
     q.schedule(5, 0, [] {});
@@ -339,6 +339,44 @@ TEST(Engine, CancelledEventNotExecuted) {
     EXPECT_TRUE(e.cancel(id));
     e.run();
     EXPECT_FALSE(ran);
+}
+
+TEST(Engine, CancelPreventsDispatchAndRejectsStaleHandles) {
+    Engine e;
+    std::vector<int> fired;
+    const EventId a = e.at(100, [&] { fired.push_back(1); });
+    const EventId b = e.at(200, [&] { fired.push_back(2); });
+    e.at(300, [&] { fired.push_back(3); });
+    EXPECT_TRUE(e.cancel(a));
+    EXPECT_FALSE(e.cancel(a));  // already cancelled
+    // The next schedule takes a's freed slot; a's handle must not reach it.
+    e.at(400, [&] { fired.push_back(4); });
+    EXPECT_FALSE(e.cancel(a));
+    EXPECT_EQ(e.pending_events(), 3u);
+    e.run();
+    EXPECT_EQ(fired, (std::vector<int>{2, 3, 4}));
+    EXPECT_FALSE(e.cancel(b));  // already fired
+}
+
+// A handler runs after its event left the queue, so cancelling its own id
+// is a no-op, also once a new event has taken over the slot.
+TEST(Engine, HandlerCancellingItsOwnEventGetsFalse) {
+    Engine e;
+    std::vector<int> order;
+    std::vector<bool> results;
+    EventId self;
+    self = e.at(10, [&] {
+        order.push_back(1);
+        results.push_back(e.cancel(self));
+        e.at(15, [&] { order.push_back(2); });  // reuses the freed slot
+        results.push_back(e.cancel(self));
+    });
+    e.at(20, [&] { order.push_back(3); });
+    e.at(5, [&] { order.push_back(0); });
+    e.run();
+    EXPECT_EQ(results, (std::vector<bool>{false, false}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(e.pending_events(), 0u);
 }
 
 TEST(Engine, RunUntilAdvancesIdleTime) {
