@@ -1,7 +1,7 @@
 // Timeline trace: *see* the scheduler noise.
 //
-// Attaches a timeline recorder to every core, runs the spinner under the
-// Kitten and Linux schedulers, and renders a 60 ms execution strip:
+// Records the executors' work-chunk and overhead spans, runs the spinner
+// under the Kitten and Linux schedulers, and renders an execution strip:
 //   '#' workload cycles   'o' kernel/hypervisor overhead
 //   't' TLB-refill transients   '.' idle
 // Kitten shows solid workload bars; Linux shows the 250 Hz tick picket
@@ -10,7 +10,7 @@
 
 #include "core/harness.h"
 #include "core/node.h"
-#include "sim/timeline.h"
+#include "obs/timeline.h"
 #include "workloads/selfish.h"
 
 namespace {
@@ -18,17 +18,16 @@ namespace {
 using namespace hpcsec;
 
 void run_one(core::SchedulerKind kind, double window_ms) {
-    core::Node node(core::Harness::default_config(kind, 7777));
+    core::NodeConfig cfg = core::Harness::default_config(kind, 7777);
+    cfg.platform.obs_mask = obs::to_mask(obs::Category::kWorkload);
+    core::Node node(cfg);
     node.boot();
-    sim::Timeline timeline;
-    for (int c = 0; c < node.platform().ncores(); ++c) {
-        node.platform().core(c).exec().set_timeline(&timeline);
-    }
+    auto& recorder = node.platform().recorder();
     wl::SelfishBenchmark selfish(4, node.platform().engine().clock());
     // Warm up past boot transients, then capture the window.
     node.run_selfish(selfish, 0.5);
     const sim::SimTime from = node.platform().engine().now();
-    timeline.clear();
+    recorder.clear();
     node.run_for(window_ms * 1e-3);
     const sim::SimTime to = node.platform().engine().now();
     // Flush the still-running chunks so their spans reach the recorder
@@ -37,14 +36,17 @@ void run_one(core::SchedulerKind kind, double window_ms) {
         node.platform().core(c).exec().reprice();
     }
 
+    const auto& events = recorder.events();
     std::printf("---- %s (%.0f ms window) ----\n", core::to_string(kind).c_str(),
                 window_ms);
-    std::printf("%s", timeline.render(from, to, node.platform().ncores(), 110).c_str());
+    std::printf("%s",
+                obs::render_timeline(events, from, to, node.platform().ncores(), 110)
+                    .c_str());
     const auto& clk = node.platform().engine().clock();
     std::printf("  work %.2f ms  overhead %.3f ms  transients %.3f ms\n\n",
-                clk.to_millis(timeline.total('W', -1, from, to)),
-                clk.to_millis(timeline.total('O', -1, from, to)),
-                clk.to_millis(timeline.total('T', -1, from, to)));
+                clk.to_millis(obs::timeline_total(events, 'W', -1, from, to)),
+                clk.to_millis(obs::timeline_total(events, 'O', -1, from, to)),
+                clk.to_millis(obs::timeline_total(events, 'T', -1, from, to)));
 }
 
 }  // namespace

@@ -9,15 +9,19 @@ namespace hpcsec::arch {
 Executor::Executor(sim::Engine& engine, const PerfModel& perf, CoreId core)
     : engine_(&engine), perf_(&perf), core_(core) {}
 
-void Executor::charge(sim::Cycles overhead) {
+void Executor::charge(sim::Cycles overhead, obs::ProfPath path) {
     if (state_ == State::kRunning) {
         throw std::logic_error("Executor::charge: preempt the runnable first");
     }
     const sim::SimTime start = std::max(busy_until_, engine_->now());
     busy_until_ = start + overhead;
     usage_.overhead += overhead;
-    if (timeline_ != nullptr) {
-        timeline_->record(core_, start, busy_until_, 'O', "kernel");
+    if (profiler_ != nullptr) [[unlikely]] {
+        profiler_->charge(core_, path, overhead);
+    }
+    if (recorder_ != nullptr && overhead > 0) {
+        recorder_->span(start, busy_until_, obs::EventType::kOverhead, core_,
+                        static_cast<std::int64_t>(path));
     }
     if (state_ == State::kPendingBegin) {
         // Push the pending start out past the new charge.
@@ -88,30 +92,11 @@ Runnable* Executor::preempt() {
         case State::kRunning: {
             if (pending_event_.valid()) engine_->cancel(pending_event_);
             const sim::SimTime now = engine_->now();
-            const sim::Cycles elapsed = now - chunk_start_;
-            const sim::Cycles transient_used = std::min(elapsed, chunk_transient_);
-            const sim::Cycles effective = elapsed - transient_used;
-            usage_.transient += transient_used;
-            usage_.work += effective;
-            // Unconsumed transient carries over: the TLB is still cold.
-            pending_transient_ += chunk_transient_ - transient_used;
-            chunk_transient_ = 0;
-
             Runnable* r = current_;
-            if (profiler_ != nullptr) [[unlikely]] {
-                profile_walk(r, transient_used, effective);
-            }
+            const sim::Cycles effective = close_chunk(r, now);
             const double units = static_cast<double>(effective) / rate_;
             if (units > 0.0) r->advance(units, now);
             if (now > chunk_start_) r->on_interval(chunk_start_, now);
-            if (timeline_ != nullptr && now > chunk_start_) {
-                const sim::SimTime split = chunk_start_ + transient_used;
-                if (transient_used > 0) {
-                    timeline_->record(core_, chunk_start_, split, 'T', "tlb-refill");
-                }
-                if (now > split) timeline_->record(core_, split, now, 'W', r->label());
-            }
-            if (now > chunk_start_) observe_chunk(chunk_start_ + transient_used, now);
             current_ = nullptr;
             state_ = State::kIdle;
             busy_until_ = std::max(busy_until_, now);
@@ -121,14 +106,31 @@ Runnable* Executor::preempt() {
     return nullptr;
 }
 
-void Executor::observe_chunk(sim::SimTime split, sim::SimTime now) {
-    if (recorder_ != nullptr && now > split) {
-        recorder_->span(split, now, obs::EventType::kWorkChunk, core_);
+// Ends the running chunk at `now` for the accounting and the observers:
+// splits its cycles into transient and work, attributes stage-2 walks,
+// records one kWorkChunk span and the chunk duration. Returns the work
+// cycles. Unconsumed transient carries over: the TLB is still cold.
+sim::Cycles Executor::close_chunk(Runnable* r, sim::SimTime now) {
+    const sim::Cycles elapsed = now - chunk_start_;
+    const sim::Cycles transient_used = std::min(elapsed, chunk_transient_);
+    const sim::Cycles effective = elapsed - transient_used;
+    usage_.transient += transient_used;
+    usage_.work += effective;
+    pending_transient_ += chunk_transient_ - transient_used;
+    chunk_transient_ = 0;
+    if (profiler_ != nullptr) [[unlikely]] {
+        profile_walk(r, transient_used, effective);
     }
-    if (metrics_ != nullptr) {
-        metrics_->observe(chunk_hist_,
-                          engine_->clock().to_micros(now - chunk_start_));
+    if (now > chunk_start_) {
+        if (recorder_ != nullptr) {
+            recorder_->span(chunk_start_, now, obs::EventType::kWorkChunk, core_,
+                            static_cast<std::int64_t>(transient_used));
+        }
+        if (metrics_ != nullptr) {
+            metrics_->observe(chunk_hist_, engine_->clock().to_micros(elapsed));
+        }
     }
+    return effective;
 }
 
 // Stage-2 walk attribution: the TLB-refill transient the chunk consumed
@@ -158,26 +160,8 @@ void Executor::reprice() {
 
 void Executor::finish_chunk() {
     const sim::SimTime now = engine_->now();
-    const sim::Cycles elapsed = now - chunk_start_;
-    const sim::Cycles transient_used = std::min(elapsed, chunk_transient_);
-    usage_.transient += transient_used;
-    usage_.work += elapsed - transient_used;
-    chunk_transient_ = 0;
-    if (profiler_ != nullptr) [[unlikely]] {
-        profile_walk(current_, transient_used, elapsed - transient_used);
-    }
-    if (timeline_ != nullptr && now > chunk_start_) {
-        const sim::SimTime split = chunk_start_ + transient_used;
-        if (transient_used > 0) {
-            timeline_->record(core_, chunk_start_, split, 'T', "tlb-refill");
-        }
-        if (now > split) {
-            timeline_->record(core_, split, now, 'W', current_->label());
-        }
-    }
-    if (now > chunk_start_) observe_chunk(chunk_start_ + transient_used, now);
-
     Runnable* r = current_;
+    close_chunk(r, now);
     current_ = nullptr;
     state_ = State::kIdle;
     pending_event_ = sim::EventId{};

@@ -2,10 +2,14 @@
 //
 // The Executor is the single consumer of a core's cycles. Kernels and the
 // hypervisor drive it with two verbs:
-//   charge(c) — the core spends c cycles on a kernel/hypervisor path
-//               (trap, world switch, tick handler, ...);
-//   begin(r)  — workload r starts running once all charged time has
-//               elapsed, and keeps running until preempt() or completion.
+//   charge(c, p) — the core spends c cycles on kernel/hypervisor path p
+//                  (trap, world switch, tick handler, ...);
+//   begin(r)     — workload r starts running once all charged time has
+//                  elapsed, and keeps running until preempt() or completion.
+// Both feed the core's accounting and its observers from one place: a
+// charge adds to CoreUsage::overhead, to the profiler under p, and to the
+// recorder as one kOverhead span; a chunk close splits its cycles into
+// work and transient and records one kWorkChunk span.
 // Work progression is continuous-rate: a runnable's remaining units drain
 // at a rate priced by the PerfModel for its translation mode, with a
 // one-off TLB-refill transient after preemptions/world switches.
@@ -21,7 +25,6 @@
 #include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "sim/engine.h"
-#include "sim/timeline.h"
 
 namespace hpcsec::arch {
 
@@ -66,10 +69,10 @@ public:
     Executor(const Executor&) = delete;
     Executor& operator=(const Executor&) = delete;
 
-    /// The core spends `overhead` cycles on a kernel/hypervisor path before
-    /// anything else can run. Illegal while a runnable is running (preempt
-    /// first). Charges stack: consecutive charges serialize.
-    void charge(sim::Cycles overhead);
+    /// The core spends `overhead` cycles on kernel/hypervisor path `path`
+    /// before anything else can run. Illegal while a runnable is running
+    /// (preempt first). Charges stack: consecutive charges serialize.
+    void charge(sim::Cycles overhead, obs::ProfPath path);
 
     /// Start running `r` once charged time has elapsed. Illegal while
     /// running. Replaces any not-yet-started runnable.
@@ -107,11 +110,9 @@ public:
 
     [[nodiscard]] const CoreUsage& usage() const { return usage_; }
 
-    /// Attach a timeline recorder (purely observational).
-    void set_timeline(sim::Timeline* timeline) { timeline_ = timeline; }
-
     /// Attach the structured span recorder (purely observational; one
-    /// branch per chunk boundary when the workload category is off).
+    /// branch per charge and chunk boundary when the workload category is
+    /// off).
     void set_recorder(obs::SpanRecorder* recorder) { recorder_ = recorder; }
 
     /// Record on-CPU chunk durations (µs) into a registry histogram.
@@ -121,11 +122,12 @@ public:
         chunk_hist_ = chunk_hist;
     }
 
-    /// Attach the cycle profiler (purely observational). Stage-2 walk
-    /// cycles — the refill transient plus the nested-walk share of each
-    /// chunk's steady-state cost — attribute to ProfPath::kStage2Walk at
-    /// chunk boundaries. Only attach an enabled profiler: detached (the
-    /// default) the accounting costs one predicted branch per boundary.
+    /// Attach the cycle profiler (purely observational). Every charge
+    /// attributes to its path; stage-2 walk cycles — the refill transient
+    /// plus the nested-walk share of each chunk's steady-state cost —
+    /// attribute to ProfPath::kStage2Walk at chunk boundaries. Only attach
+    /// an enabled profiler: detached (the default) the attribution costs
+    /// one predicted branch per charge and boundary.
     void set_profiler(obs::CycleProfiler* profiler) { profiler_ = profiler; }
 
 private:
@@ -134,6 +136,7 @@ private:
     void schedule_start();
     void start_chunk();  // start event body
     void finish_chunk(); // completion event body
+    sim::Cycles close_chunk(Runnable* r, sim::SimTime now);
 
     sim::Engine* engine_;
     const PerfModel* perf_;
@@ -148,13 +151,11 @@ private:
     double rate_ = 1.0;                // cycles per unit for current chunk
     sim::Cycles pending_transient_ = 0;
 
-    void observe_chunk(sim::SimTime split, sim::SimTime now);
     void profile_walk(Runnable* r, sim::Cycles transient_used,
                       sim::Cycles effective);
 
     std::function<void(Runnable*)> on_complete_;
     CoreUsage usage_;
-    sim::Timeline* timeline_ = nullptr;
     obs::SpanRecorder* recorder_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
     obs::MetricsRegistry::Handle chunk_hist_ = 0;

@@ -25,7 +25,6 @@
 #include "sim/arena.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 
 namespace hpcsec::arch {
 
@@ -51,8 +50,8 @@ struct PlatformConfig {
     PerfModel perf;
     /// Structured-recorder category mask (obs::Category bits); 0 = off.
     std::uint32_t obs_mask = 0;
-    /// Arm the cycle-attribution profiler: engine dispatch probe, executor
-    /// walk attribution, and the SPM/kernel charge mirrors all feed
+    /// Arm the cycle-attribution profiler: the engine dispatch probe, every
+    /// Executor charge and chunk close, and the hypercall counts all feed
     /// obs::CycleProfiler. Off (default) every hook is one predicted branch.
     bool profile = false;
     /// Always-on flight recorder: last N events per core ring-buffered for
@@ -86,7 +85,6 @@ public:
     /// Arena backing the platform's long-lived objects (cores, and the
     /// SPM's VMs/VCPUs/grants above this layer).
     sim::Arena& arena() { return *arena_; }
-    sim::TraceLog& trace() { return trace_; }
     obs::Obs& obs() { return obs_; }
     obs::MetricsRegistry& metrics() { return obs_.metrics; }
     obs::SpanRecorder& recorder() { return obs_.recorder; }
@@ -132,7 +130,6 @@ private:
     PlatformConfig config_;
     sim::Engine engine_;
     sim::Rng rng_;
-    sim::TraceLog trace_;
     obs::Obs obs_;
     MemoryMap mem_;
     // Own arena declared before everything holding arena-backed objects:

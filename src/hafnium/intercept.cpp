@@ -51,17 +51,7 @@ ProfilingInterceptor::ProfilingInterceptor(arch::Platform& platform)
     : HypercallInterceptor(Stage::kMetrics), platform_(&platform) {}
 
 void ProfilingInterceptor::after(const HypercallSite& site, const HfResult&) {
-    const Spm::CallDescriptor* desc = Spm::descriptor(site.call);
-    const sim::Cycles cost =
-        desc != nullptr && desc->cost == Spm::CallCost::kHandlerCharged
-            ? platform_->perf().hypercall_roundtrip
-            : 0;
-    obs::CycleProfiler& prof = platform_->profiler();
-    prof.charge_call(site.core, static_cast<unsigned>(site.call), cost);
-    // One hop through the interceptor pipeline per call: counted so the
-    // observation plane's own activity shows up in the tree (0 cycles —
-    // interceptors never charge modeled time).
-    prof.count(site.core, obs::ProfPath::kInterceptor);
+    platform_->profiler().count_call(site.core, static_cast<unsigned>(site.call));
 }
 
 // --------------------------------------------------------------------------

@@ -102,13 +102,12 @@ private:
     std::vector<PerCall> by_number_;  ///< indexed by raw call number
 };
 
-/// Stage kMetrics: mirrors each call's modeled cost into the cycle
-/// profiler's per-call attribution. The dispatch table's CallCost rule
-/// decides the charge — kHandlerCharged calls cost a hypercall round trip
-/// at the gate, kFree calls are counted with zero cycles (their handlers
-/// charge nothing). Mirrors only: per the interceptor contract this never
-/// charges the Executor, so attaching it cannot perturb modeled results.
-/// core::Node attaches one when the platform profiler is enabled.
+/// Stage kMetrics: counts each call by number in the cycle profiler. The
+/// cycles a call costs reach the profiler through its handler's own
+/// Executor::charge, under that charge's path. Per the interceptor
+/// contract this never charges the Executor, so attaching it cannot
+/// perturb modeled results. core::Node attaches one when the platform
+/// profiler is enabled.
 class ProfilingInterceptor final : public HypercallInterceptor {
 public:
     explicit ProfilingInterceptor(arch::Platform& platform);

@@ -371,10 +371,8 @@ void Spm::handle_phys_irq(arch::CoreId core, int irq) {
             platform_->recorder().instant(platform_->engine().now(),
                                           obs::EventType::kVirqInject, core,
                                           virt_timer, rv->vm().id());
-            platform_->profiler().charge(core, obs::ProfPath::kTimerTick,
-                                         perf.trap_to_hyp + perf.virq_inject +
-                                             service);
-            ex.charge(perf.trap_to_hyp + perf.virq_inject + service);
+            ex.charge(perf.trap_to_hyp + perf.virq_inject + service,
+                      obs::ProfPath::kTimerTick);
             ex.begin(rv->guest_context);
             // The handler may have re-armed the vtimer via hypercall.
             if (rv->vtimer_armed) {
@@ -394,17 +392,13 @@ void Spm::handle_phys_irq(arch::CoreId core, int irq) {
             }
             Vcpu& target = ss->vcpu(0);
             arch::Runnable* interrupted = ex.preempt();
-            ex.charge(perf.trap_to_hyp + perf.virq_inject);
-            platform_->profiler().charge(core, obs::ProfPath::kIrqRoute,
-                                         perf.trap_to_hyp + perf.virq_inject);
+            ex.charge(perf.trap_to_hyp + perf.virq_inject, obs::ProfPath::kIrqRoute);
             if (running_vcpu_on(core) == &target || interrupted == target.guest_context) {
                 // SS is on this very core: deliver inline.
                 GuestOsItf* gos = find_guest_os(ss->id());
                 const sim::Cycles service =
                     gos != nullptr ? gos->on_virq(target, irq) : 0;
-                ex.charge(service);
-                platform_->profiler().charge(core, obs::ProfPath::kIrqRoute,
-                                             service);
+                ex.charge(service, obs::ProfPath::kIrqRoute);
                 ++stats_.virq_injections;
                 platform_->recorder().instant(platform_->engine().now(),
                                               obs::EventType::kVirqInject, core,
@@ -424,10 +418,8 @@ void Spm::handle_phys_irq(arch::CoreId core, int irq) {
                           perf.trap_to_hyp + perf.world_switch);
             } else {
                 arch::Runnable* interrupted = ex.preempt();
-                ex.charge(perf.trap_to_hyp + perf.irq_entry_exit_kernel);
-                platform_->profiler().charge(
-                    core, obs::ProfPath::kIrqRoute,
-                    perf.trap_to_hyp + perf.irq_entry_exit_kernel);
+                ex.charge(perf.trap_to_hyp + perf.irq_entry_exit_kernel,
+                          obs::ProfPath::kIrqRoute);
                 // The primary's own task was interrupted; its scheduler will
                 // redispatch it (we leave it detached, matching a real IRQ
                 // frame on the kernel stack).
@@ -457,10 +449,8 @@ void Spm::enter_vcpu(arch::CoreId core, Vcpu& vcpu, sim::Cycles base_cost) {
     set_core_context(core, &vcpu.vm());
 
     const sim::Cycles drain_cost = drain_virqs(vcpu);
-    ex.charge(base_cost + drain_cost);
-    auto& prof = platform_->profiler();
-    prof.charge(core, obs::ProfPath::kWorldSwitch, base_cost);
-    prof.charge(core, obs::ProfPath::kVgicRoute, drain_cost);
+    ex.charge(base_cost, obs::ProfPath::kWorldSwitch);
+    ex.charge(drain_cost, obs::ProfPath::kVgicRoute);
     ++stats_.world_switches;
     if (vcpu.guest_context == nullptr) {
         // Interrupt-service-only entry: the guest handled its virqs and has
@@ -515,10 +505,9 @@ void Spm::exit_vcpu(arch::CoreId core, Vcpu& vcpu, ExitReason reason,
     vcpu_on_core_[static_cast<std::size_t>(core)] = nullptr;
     c.timer().cancel(arch::TimerChannel::kVirt);  // deadline kept in vcpu state
     // Exit cost is the hypervisor working on the exiting guest's behalf:
-    // attribute before the context flips back to the primary.
-    platform_->profiler().charge(core, obs::ProfPath::kWorldSwitch, cost);
+    // charge before the profiler's context flips back to the primary.
+    ex.charge(cost, obs::ProfPath::kWorldSwitch);
     set_core_context(core, &primary_vm());
-    ex.charge(cost);
     ++stats_.vm_exits;
     ++stats_.world_switches;
     if (primary_os_ != nullptr) primary_os_->on_vcpu_exit(core, vcpu, reason);
@@ -576,7 +565,7 @@ void Spm::on_core_idle(arch::CoreId core, arch::Runnable* finished) {
         // spin) costs nothing; switching guest threads costs a switch.
         if (next != finished) {
             set_guest_context(vcpu, next);
-            ex.charge(perf.thread_switch);
+            ex.charge(perf.thread_switch, obs::ProfPath::kSchedule);
         }
         ex.begin(next);
         return;
@@ -591,54 +580,53 @@ void Spm::on_core_idle(arch::CoreId core, arch::Runnable* finished) {
 // Hypercalls
 // --------------------------------------------------------------------------
 
-// The dispatch table: one declarative row per call — privilege mask, cost
-// rule, typed-decode thunk, handler. Adding a call is one row here plus a
-// handler; tools/lint.py fails the build unless every Call enumerator has
-// a row.
+// The dispatch table: one declarative row per call — privilege mask,
+// typed-decode thunk, handler. Adding a call is one row here plus a
+// handler; tools/sca fails the build unless every Call enumerator has a
+// row.
 const std::array<Spm::CallDescriptor, kCallCount>& Spm::call_table() {
     static const std::array<CallDescriptor, kCallCount> kCallTable{{
-        {Call::kVersion, kAnyRole, CallCost::kFree,
+        {Call::kVersion, kAnyRole,
          &Spm::invoke_thunk<abi::Empty, &Spm::on_version>},
-        {Call::kVmGetCount, kAnyRole, CallCost::kFree,
+        {Call::kVmGetCount, kAnyRole,
          &Spm::invoke_thunk<abi::Empty, &Spm::on_vm_get_count>},
-        {Call::kVcpuGetCount, kAnyRole, CallCost::kFree,
+        {Call::kVcpuGetCount, kAnyRole,
          &Spm::invoke_thunk<abi::VcpuGetCountArgs, &Spm::on_vcpu_get_count>},
-        {Call::kVmGetInfo, kAnyRole, CallCost::kFree,
+        {Call::kVmGetInfo, kAnyRole,
          &Spm::invoke_thunk<abi::VmGetInfoArgs, &Spm::on_vm_get_info>},
         // "These privileges include … the ability to assume control over
         // CPU cores" — primary only; the super-secondary is explicitly
         // denied.
-        {Call::kVcpuRun, kRolePrimary, CallCost::kHandlerCharged,
+        {Call::kVcpuRun, kRolePrimary,
          &Spm::invoke_thunk<abi::VcpuRunArgs, &Spm::on_vcpu_run>},
-        {Call::kVmConfigure, kAnyRole, CallCost::kFree,
+        {Call::kVmConfigure, kAnyRole,
          &Spm::invoke_thunk<abi::VmConfigureArgs, &Spm::on_vm_configure>},
-        {Call::kMsgSend, kAnyRole, CallCost::kFree,
+        {Call::kMsgSend, kAnyRole,
          &Spm::invoke_thunk<abi::MsgSendArgs, &Spm::on_msg_send>},
-        {Call::kMsgWait, kAnyRole, CallCost::kFree,
+        {Call::kMsgWait, kAnyRole,
          &Spm::invoke_thunk<abi::Empty, &Spm::on_msg_wait>},
-        {Call::kYield, kAnyRole, CallCost::kHandlerCharged,
+        {Call::kYield, kAnyRole,
          &Spm::invoke_thunk<abi::Empty, &Spm::on_yield>},
-        {Call::kRxRelease, kAnyRole, CallCost::kFree,
+        {Call::kRxRelease, kAnyRole,
          &Spm::invoke_thunk<abi::Empty, &Spm::on_rx_release>},
-        {Call::kMemShare, kAnyRole, CallCost::kFree,
+        {Call::kMemShare, kAnyRole,
          &Spm::invoke_thunk<abi::MemShareArgs, &Spm::on_mem_share>},
-        {Call::kMemReclaim, kAnyRole, CallCost::kFree,
+        {Call::kMemReclaim, kAnyRole,
          &Spm::invoke_thunk<abi::MemReclaimArgs, &Spm::on_mem_reclaim>},
-        {Call::kMemLend, kAnyRole, CallCost::kFree,
+        {Call::kMemLend, kAnyRole,
          &Spm::invoke_thunk<abi::MemLendArgs, &Spm::on_mem_lend>},
-        {Call::kMemDonate, kAnyRole, CallCost::kFree,
+        {Call::kMemDonate, kAnyRole,
          &Spm::invoke_thunk<abi::MemDonateArgs, &Spm::on_mem_donate>},
-        {Call::kInterruptEnable, kAnyRole, CallCost::kFree,
+        {Call::kInterruptEnable, kAnyRole,
          &Spm::invoke_thunk<abi::InterruptEnableArgs, &Spm::on_interrupt_enable>},
-        {Call::kInterruptGet, kAnyRole, CallCost::kFree,
+        {Call::kInterruptGet, kAnyRole,
          &Spm::invoke_thunk<abi::Empty, &Spm::on_interrupt_get>},
         // Primary (or super-secondary forwarding path) only.
         {Call::kInterruptInject, kRolePrimary | kRoleSuperSecondary,
-         CallCost::kFree,
          &Spm::invoke_thunk<abi::InterruptInjectArgs, &Spm::on_interrupt_inject>},
-        {Call::kVtimerSet, kAnyRole, CallCost::kFree,
+        {Call::kVtimerSet, kAnyRole,
          &Spm::invoke_thunk<abi::VtimerSetArgs, &Spm::on_vtimer_set>},
-        {Call::kVtimerCancel, kAnyRole, CallCost::kFree,
+        {Call::kVtimerCancel, kAnyRole,
          &Spm::invoke_thunk<abi::VtimerCancelArgs, &Spm::on_vtimer_cancel>},
     }};
     return kCallTable;

@@ -102,20 +102,13 @@ public:
     static constexpr std::uint8_t kAnyRole =
         kRolePrimary | kRoleSuperSecondary | kRoleSecondary;
 
-    /// Cost-charging rule. The gate itself never charges modeled cycles —
-    /// kFree calls are pure bookkeeping, kHandlerCharged calls account the
-    /// world-switch/roundtrip inside the handler (enter_vcpu/exit_vcpu),
-    /// where the amount depends on the outcome.
-    enum class CallCost : std::uint8_t { kFree, kHandlerCharged };
-
     /// One row per hafnium::Call: the complete, declarative description of
     /// a hypercall. `invoke` is a thunk that decodes the typed request
     /// (kInvalid on range failure) and calls the member handler.
-    /// tools/lint.py proves the table covers every Call enumerator.
+    /// tools/sca proves the table covers every Call enumerator.
     struct CallDescriptor {
         Call call;
         std::uint8_t privilege;
-        CallCost cost;
         HfResult (*invoke)(Spm&, arch::CoreId, arch::VmId, const HfArgs&);
     };
 

@@ -267,7 +267,7 @@ void KittenKernel::dispatch(arch::CoreId core) {
             platform_->recorder().instant(platform_->engine().now(),
                                           obs::EventType::kContextSwitch, core,
                                           static_cast<std::int64_t>(t->kind));
-            ex.charge(perf.sched_pick_kitten);
+            ex.charge(perf.sched_pick_kitten, obs::ProfPath::kSchedule);
             const hafnium::HfResult r = hf::vcpu_run(
                 *spm_, core, self_id(), t->vcpu->vm().id(), t->vcpu->index());
             if (!r.ok()) {
@@ -287,7 +287,7 @@ void KittenKernel::dispatch(arch::CoreId core) {
         platform_->recorder().instant(platform_->engine().now(),
                                       obs::EventType::kContextSwitch, core,
                                       static_cast<std::int64_t>(t->kind));
-        ex.charge(perf.sched_pick_kitten);
+        ex.charge(perf.sched_pick_kitten, obs::ProfPath::kSchedule);
         ex.begin(t->ctx);
         return;
     }
@@ -310,7 +310,7 @@ void KittenKernel::native_irq(arch::CoreId core, int irq) {
         enqueue(*cur, /*front=*/true);
         cur = nullptr;
     }
-    ex.charge(perf.irq_entry_exit_kernel);
+    ex.charge(perf.irq_entry_exit_kernel, obs::ProfPath::kIrqRoute);
     if (irq == platform_->isa_ops().irq.phys_timer) {
         handle_tick(core);
     }
@@ -326,9 +326,7 @@ void KittenKernel::handle_tick(arch::CoreId core) {
     const double service =
         std::max(500.0, rng_.normal(static_cast<double>(perf.kitten_tick_service),
                                     static_cast<double>(perf.kitten_tick_jitter)));
-    ex.charge(static_cast<sim::Cycles>(service));
-    platform_->profiler().charge(core, obs::ProfPath::kTimerTick,
-                                 static_cast<sim::Cycles>(service));
+    ex.charge(static_cast<sim::Cycles>(service), obs::ProfPath::kTimerTick);
     if (config_.tick_enabled) arm_tick(core);
     // Round-robin quantum expiry: the interrupted thread sits at the front;
     // rotate it behind any other ready thread. With one runnable thread per
@@ -356,7 +354,8 @@ void KittenKernel::on_interrupt(arch::CoreId core, int irq) {
         // Device IRQ: the paper's current approach — the primary forwards it
         // to the super-secondary VM.
         const arch::PerfModel& perf = platform_->perf();
-        platform_->core(core).exec().charge(perf.irq_entry_exit_kernel);
+        platform_->core(core).exec().charge(perf.irq_entry_exit_kernel,
+                                           obs::ProfPath::kIrqRoute);
         if (hafnium::Vm* ss = spm_->super_secondary()) {
             hf::interrupt_inject(*spm_, core, self_id(), ss->id(), /*vcpu=*/0, irq);
             ++stats_.forwarded_irqs;

@@ -167,7 +167,7 @@ void LinuxKernel::dispatch(arch::CoreId core) {
         if (se->kind == SchedEntity::Kind::kVcpuProxy) {
             current_[static_cast<std::size_t>(core)] = se;
             dispatched_at_[static_cast<std::size_t>(core)] = platform_->engine().now();
-            ex.charge(perf.sched_pick_linux);
+            ex.charge(perf.sched_pick_linux, obs::ProfPath::kSchedule);
             const hafnium::HfResult r =
                 hf::vcpu_run(*spm_, core, arch::kPrimaryVmId, se->vcpu->vm().id(),
                              se->vcpu->index());
@@ -180,7 +180,7 @@ void LinuxKernel::dispatch(arch::CoreId core) {
         }
         current_[static_cast<std::size_t>(core)] = se;
         dispatched_at_[static_cast<std::size_t>(core)] = platform_->engine().now();
-        ex.charge(perf.sched_pick_linux);
+        ex.charge(perf.sched_pick_linux, obs::ProfPath::kSchedule);
         ex.begin(se->ctx);
         return;
     }
@@ -203,16 +203,13 @@ void LinuxKernel::handle_tick(arch::CoreId core) {
     const double service = std::max(
         2000.0, rng.normal(static_cast<double>(perf.linux_tick_service),
                            static_cast<double>(perf.linux_tick_jitter)));
-    ex.charge(static_cast<sim::Cycles>(service));
-    platform_->profiler().charge(core, obs::ProfPath::kTimerTick,
-                                 static_cast<sim::Cycles>(service));
+    ex.charge(static_cast<sim::Cycles>(service), obs::ProfPath::kTimerTick);
 
     // Softirq processing rides on a fraction of ticks.
     if (config_.noise_enabled && rng.next_double() < config_.softirq_prob) {
         const double us = rng.exponential(config_.softirq_us_mean);
         const auto cycles = platform_->engine().clock().from_micros(us);
-        ex.charge(cycles);
-        platform_->profiler().charge(core, obs::ProfPath::kTimerTick, cycles);
+        ex.charge(cycles, obs::ProfPath::kTimerTick);
         ++stats_.softirqs;
         stats_.noise_cycles += static_cast<double>(cycles);
     }
@@ -235,7 +232,7 @@ void LinuxKernel::on_interrupt(arch::CoreId core, int irq) {
         handle_tick(core);
     } else if (irq == kSgiIrqWork) {
         // Deferred work arrival: wake this core's kworker with a fresh burst.
-        ex.charge(perf.irq_entry_exit_kernel);
+        ex.charge(perf.irq_entry_exit_kernel, obs::ProfPath::kIrqRoute);
         auto& rng = noise_rng_[static_cast<std::size_t>(core)];
         if (config_.noise_enabled) {
             SchedEntity* kw = kworker_[static_cast<std::size_t>(core)];
@@ -257,7 +254,7 @@ void LinuxKernel::on_interrupt(arch::CoreId core, int irq) {
     } else if (irq >= arch::kExternalBase) {
         // Device IRQ: forward to the super-secondary, as the reference
         // driver stack would hand it to the owning VM.
-        ex.charge(perf.irq_entry_exit_kernel);
+        ex.charge(perf.irq_entry_exit_kernel, obs::ProfPath::kIrqRoute);
         if (hafnium::Vm* ss = spm_->super_secondary()) {
             hf::interrupt_inject(*spm_, core, arch::kPrimaryVmId, ss->id(),
                                  /*vcpu=*/0, irq);

@@ -1,9 +1,7 @@
 // Structured telemetry event vocabulary.
 //
 // Every observable action in the stack is an enum type plus up to three
-// numeric arguments — no strings are built on the hot path. Categories
-// mirror sim::TraceCat bit-for-bit so a structured event can be mirrored
-// into the legacy TraceLog (substring-assert tests) without remapping.
+// numeric arguments — no strings are built on the hot path.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +43,8 @@ enum class Category : std::uint32_t {
 enum class EventType : std::uint8_t {
     // Spans (end > start).
     kVmRun,         ///< a0 = vm id, a1 = vcpu index, a2 = ExitReason
-    kWorkChunk,     ///< a0 = reserved
+    kWorkChunk,     ///< one on-CPU chunk; a0 = TLB-refill cycles at its start
+    kOverhead,      ///< one Executor::charge; a0 = obs::ProfPath
     kDetour,        ///< a0 = thread index
     // Instants (end == start).
     kVmExit,        ///< a0 = vm id, a1 = vcpu index, a2 = ExitReason
@@ -65,7 +64,7 @@ enum class EventType : std::uint8_t {
     kContainAction, ///< a0 = resil::ContainmentPolicy step, a1 = vm id, a2 = detail
 };
 
-/// Stable lower-case name, used for trace export and TraceLog mirroring.
+/// Stable lower-case name, used for trace export and flight dumps.
 [[nodiscard]] const char* to_string(EventType t);
 
 [[nodiscard]] constexpr Category category_of(EventType t) {
@@ -75,6 +74,7 @@ enum class EventType : std::uint8_t {
         case EventType::kGuestTick:
             return Category::kVm;
         case EventType::kWorkChunk:
+        case EventType::kOverhead:
         case EventType::kDetour:
         case EventType::kBarrierStep:
             return Category::kWorkload;

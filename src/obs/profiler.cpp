@@ -15,7 +15,7 @@ const char* to_string(ProfPath p) {
         case ProfPath::kVgicRoute: return "vgic-route";
         case ProfPath::kIrqRoute: return "irq-route";
         case ProfPath::kTimerTick: return "timer-tick";
-        case ProfPath::kInterceptor: return "interceptor";
+        case ProfPath::kSchedule: return "schedule";
     }
     return "?";
 }
@@ -69,17 +69,12 @@ void CycleProfiler::charge_slow(int core, ProfPath p, sim::Cycles cycles) {
     ++cell.count;
 }
 
-void CycleProfiler::charge_call_slow(int core, unsigned call_number,
-                                     sim::Cycles cycles) {
+void CycleProfiler::count_call_slow(int core, unsigned call_number) {
     if (core < 0 || core >= ncores_) return;
     Slot& s = slots_[current_[static_cast<std::size_t>(core)]];
     if (s.calls.size() <= call_number) s.calls.resize(call_number + 1);
-    PathCell& cell = s.calls[call_number];
-    cell.cycles += static_cast<std::uint64_t>(cycles);
-    ++cell.count;
-    PathCell& path = s.paths[static_cast<std::size_t>(ProfPath::kHypercall)];
-    path.cycles += static_cast<std::uint64_t>(cycles);
-    ++path.count;
+    ++s.calls[call_number].count;
+    ++s.paths[static_cast<std::size_t>(ProfPath::kHypercall)].count;
 }
 
 void CycleProfiler::on_dispatch(sim::SimTime now, int priority) {

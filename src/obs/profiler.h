@@ -1,19 +1,21 @@
 // Cycle-attribution profiler: a "perf top" for the simulator.
 //
 // PR 1's metrics can say *that* hypervisor overhead exists; this sink says
-// *where* it went. Every modeled cycle the SPM, the kernels, or the
-// executor charges can be mirrored here under an attribution path
-// (world-switch, stage-2 walk, vGIC route, ...), bucketed per (VM, core)
-// plus per call number for hypercalls. Attribution is purely
-// observational: the profiler never charges the Executor itself, so figure
-// benches stay bit-identical with the profiler attached (the interceptor
-// discipline from src/hafnium/intercept.h).
+// *where* it went. Every cycle a core spends on a kernel or hypervisor
+// path reaches it through arch::Executor::charge, under the path the
+// charge site names (world-switch, vGIC route, timer tick, ...), so the
+// paths add up to CoreUsage::overhead by construction. The executor also
+// attributes stage-2 walk cycles at chunk boundaries, and hypercalls are
+// counted per call number. Cycles are bucketed per (VM, core). Attribution
+// is purely observational: the profiler never charges the Executor, so
+// figure benches stay bit-identical with the profiler attached.
 //
-// Cost model: one predicted branch per charge site when disabled. When
-// enabled, the engine's dispatch probe drives deterministic sampling of
-// the cumulative per-path totals, which export as Perfetto counter tracks;
-// the final tree exports as collapsed-stack text ("vm;core;path cycles")
-// that flamegraph.pl / speedscope consume directly.
+// Cost model: a detached profiler (the default) costs the Executor one
+// predicted branch per charge. When enabled, the engine's dispatch probe
+// drives deterministic sampling of the cumulative per-path totals, which
+// export as Perfetto counter tracks; the final tree exports as
+// collapsed-stack text ("vm;core;path cycles") that flamegraph.pl /
+// speedscope consume directly.
 #pragma once
 
 #include <array>
@@ -29,23 +31,24 @@
 namespace hpcsec::obs {
 
 /// Attribution paths — the SPM/kernel code paths the paper's figures
-/// account cycles to. Keep to_string in profiler.cpp in sync (tools/lint.py
+/// account cycles to. Keep to_string in profiler.cpp in sync (tools/sca
 /// fails the build otherwise).
 enum class ProfPath : std::uint8_t {
     kWorldSwitch,  ///< full VM context switch through EL2 (enter/exit)
-    kHypercall,    ///< EL1 -> EL2 -> EL1 roundtrip charged by a handler
+    kHypercall,    ///< hypercalls by call number (counts only: handlers
+                   ///< charge their cycles under their own paths)
     kStage2Walk,   ///< nested-walk TLB refill transients under stage 2
     kVgicRoute,    ///< virq drain/injection on VCPU entry
-    kIrqRoute,     ///< physical IRQ routing (direct delivery, primary path)
+    kIrqRoute,     ///< IRQ entry and routing (kernel vector, SPM paths)
     kTimerTick,    ///< vtimer/kernel tick service
-    kInterceptor,  ///< hypercall interceptor chain (counts; zero cycles)
+    kSchedule,     ///< scheduler picks and guest thread switches
 };
 inline constexpr std::size_t kProfPathCount = 7;
 
 [[nodiscard]] const char* to_string(ProfPath p);
 
 /// Hierarchical cycle sink. Disabled (the default) it is a null object:
-/// charge()/charge_call() cost one predicted branch, set_context() is a
+/// charge()/count_call() cost one predicted branch, set_context() is a
 /// store, and nothing allocates.
 class CycleProfiler final : public sim::DispatchProbe {
 public:
@@ -93,19 +96,17 @@ public:
         set_context_slow(core, vm);
     }
 
-    /// Mirror `cycles` already charged to the core's Executor under `p`.
+    /// Attribute `cycles` the core spent under `p`. In the simulator the
+    /// only caller is arch::Executor: its charge() and its chunk closes.
     void charge(int core, ProfPath p, sim::Cycles cycles) {
         if (!enabled_) [[likely]] return;
         charge_slow(core, p, cycles);
     }
 
-    /// Count a path occurrence without cycles (e.g. interceptor hops).
-    void count(int core, ProfPath p) { charge(core, p, 0); }
-
-    /// Attribute a hypercall by raw number (also feeds ProfPath::kHypercall).
-    void charge_call(int core, unsigned call_number, sim::Cycles cycles) {
+    /// Count one hypercall by raw number (also counts ProfPath::kHypercall).
+    void count_call(int core, unsigned call_number) {
         if (!enabled_) [[likely]] return;
-        charge_call_slow(core, call_number, cycles);
+        count_call_slow(core, call_number);
     }
 
     /// sim::DispatchProbe: deterministic sampling clock for counter tracks.
@@ -141,7 +142,7 @@ public:
 private:
     void set_context_slow(int core, int vm);
     void charge_slow(int core, ProfPath p, sim::Cycles cycles);
-    void charge_call_slow(int core, unsigned call_number, sim::Cycles cycles);
+    void count_call_slow(int core, unsigned call_number);
     Slot& slot_for(int core, int vm);
 
     bool enabled_ = false;

@@ -78,6 +78,7 @@ const char* to_string(EventType t) {
     switch (t) {
         case EventType::kVmRun: return "vm-run";
         case EventType::kWorkChunk: return "work-chunk";
+        case EventType::kOverhead: return "overhead";
         case EventType::kDetour: return "detour";
         case EventType::kVmExit: return "vm-exit";
         case EventType::kIrqDeliver: return "irq-deliver";
@@ -108,21 +109,12 @@ std::size_t SpanRecorder::count(EventType t) const {
 
 void SpanRecorder::record(Event e) {
     if (flight_ != nullptr) flight_->push(e);
-    // Retain/mirror only when the event's category is enabled proper; an
-    // armed flight recorder routes everything here but keeps only its rings.
+    // Retain only when the event's category is enabled proper; an armed
+    // flight recorder routes everything here but keeps only its rings.
     if ((mask_ & to_mask(category_of(e.type))) == 0) return;
     // sca-suppress(hot-path-alloc): category retention is opt-in via
     // obs_mask; a disarmed recorder returns before this line.
     events_.push_back(e);
-    if (mirror_ == nullptr) return;
-    // TraceCat bit layout matches Category, so the cast is exact.
-    const auto cat = static_cast<sim::TraceCat>(to_mask(category_of(e.type)));
-    if (!mirror_->enabled(cat)) return;
-    std::string text = to_string(e.type);
-    text += " a0=" + std::to_string(e.a0) + " a1=" + std::to_string(e.a1) +
-            " a2=" + std::to_string(e.a2);
-    if (e.is_span()) text += " dur=" + std::to_string(e.end - e.start);
-    mirror_->log(e.start, cat, e.core, std::move(text));
 }
 
 }  // namespace hpcsec::obs

@@ -2,9 +2,7 @@
 //
 // Recording is off by default and costs exactly one branch per call site
 // when disabled (a bitmask test; no allocation, no string formatting).
-// When enabled, events are retained in memory for export. An optional
-// TraceLog mirror renders enabled events as text so the legacy
-// substring-assert API keeps working for tests.
+// When enabled, events are retained in memory for export.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +10,6 @@
 
 #include "obs/events.h"
 #include "obs/flight.h"
-#include "sim/trace.h"
 
 namespace hpcsec::obs {
 
@@ -23,11 +20,6 @@ public:
     void set_mask(std::uint32_t mask) { mask_ = mask; }
     void enable(Category c) { mask_ |= to_mask(c); }
     void disable(Category c) { mask_ &= ~to_mask(c); }
-
-    /// Mirror enabled events into the legacy string TraceLog (cold path
-    /// only; nothing is formatted unless the event's category is enabled
-    /// here AND in the mirror).
-    void set_mirror(sim::TraceLog* log) { mirror_ = log; }
 
     /// Feed every event (all categories) into an armed flight recorder's
     /// rings in addition to normal retention. The hot path stays one branch:
@@ -59,12 +51,11 @@ public:
     void clear() { events_.clear(); }
 
 private:
-    void record(Event e);  ///< cold path: flight ring, retain, optional mirror
+    void record(Event e);  ///< cold path: flight ring, then retain
 
     std::uint32_t mask_ = 0;
     std::uint32_t flight_mask_ = 0;  ///< kAll while a flight recorder is armed
     std::vector<Event> events_;
-    sim::TraceLog* mirror_ = nullptr;
     FlightRecorder* flight_ = nullptr;
 };
 

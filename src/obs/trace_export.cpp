@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/profiler.h"
+
 namespace hpcsec::obs {
 
 namespace {
@@ -39,6 +41,12 @@ void write_args(std::ostream& os, const Event& e) {
             break;
         case EventType::kGuestTick:
             os << "\"vm\":" << e.a0 << ",\"vcpu\":" << e.a1;
+            break;
+        case EventType::kWorkChunk:
+            os << "\"refill\":" << e.a0;
+            break;
+        case EventType::kOverhead:
+            os << "\"path\":\"" << to_string(static_cast<ProfPath>(e.a0)) << "\"";
             break;
         default:
             os << "\"a0\":" << e.a0 << ",\"a1\":" << e.a1 << ",\"a2\":" << e.a2;

@@ -1,10 +1,10 @@
 // Chrome trace-event JSON exporter (Perfetto / chrome://tracing loadable).
 //
 // Each node configuration is a trace "process" (pid), each physical core a
-// "thread" (tid). VM-run and work-chunk spans become complete ("X") events,
-// instants become "i" events, and per-reason VM-exit counts are synthesized
-// into cumulative counter ("C") tracks so the exit mix is visible as a
-// timeline graph.
+// "thread" (tid). Spans (VM runs, work chunks, overhead charges) become
+// complete ("X") events, instants become "i" events, and per-reason VM-exit
+// counts are synthesized into cumulative counter ("C") tracks so the exit
+// mix is visible as a timeline graph.
 #pragma once
 
 #include <iosfwd>

@@ -205,7 +205,7 @@ TEST_F(ExecFixture, RunsToCompletion) {
 
 TEST_F(ExecFixture, ChargeDelaysStart) {
     FiniteWork w(100);
-    ex.charge(500);
+    ex.charge(500, obs::ProfPath::kSchedule);
     ex.begin(&w);
     engine.run();
     EXPECT_EQ(engine.now(), 600u);
@@ -216,8 +216,8 @@ TEST_F(ExecFixture, ChargeDelaysStart) {
 
 TEST_F(ExecFixture, ChargesStack) {
     FiniteWork w(100);
-    ex.charge(200);
-    ex.charge(300);
+    ex.charge(200, obs::ProfPath::kSchedule);
+    ex.charge(300, obs::ProfPath::kSchedule);
     ex.begin(&w);
     engine.run();
     EXPECT_EQ(engine.now(), 600u);
@@ -238,7 +238,7 @@ TEST_F(ExecFixture, PreemptChargesPartialProgress) {
 
 TEST_F(ExecFixture, PreemptDuringPendingBeginReturnsRunnable) {
     FiniteWork w(100);
-    ex.charge(1000);
+    ex.charge(1000, obs::ProfPath::kSchedule);
     ex.begin(&w);
     engine.after(10, [&] { EXPECT_EQ(ex.preempt(), &w); });
     engine.run_until(2000);
@@ -303,7 +303,7 @@ TEST_F(ExecFixture, BeginWhileRunningThrows) {
     FiniteWork a(1000), b(10);
     ex.begin(&a);
     EXPECT_THROW(ex.begin(&b), std::logic_error);
-    EXPECT_THROW(ex.charge(10), std::logic_error);
+    EXPECT_THROW(ex.charge(10, obs::ProfPath::kSchedule), std::logic_error);
 }
 
 TEST_F(ExecFixture, RepriceKeepsProgressExact) {
@@ -320,7 +320,7 @@ TEST_F(ExecFixture, IntervalsReportedContiguously) {
     ex.begin(&w);
     engine.after(400, [&] {
         ex.preempt();
-        ex.charge(100);
+        ex.charge(100, obs::ProfPath::kSchedule);
         ex.begin(&w);
     });
     engine.run();

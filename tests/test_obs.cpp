@@ -1,8 +1,9 @@
 // Observability stack: metrics registry semantics, structured recorder
-// filtering + TraceLog mirroring, metrics snapshots from a scripted
-// hafnium run, the cycle-attribution profiler, the always-on flight
-// recorder, windowed metric aggregation, and the Chrome trace-event JSON
-// exporter (including a DOM-level Perfetto round trip).
+// filtering, metrics snapshots from a scripted hafnium run, the
+// cycle-attribution profiler and its conservation against core
+// accounting, the always-on flight recorder, windowed metric aggregation,
+// and the Chrome trace-event JSON exporter (including a DOM-level Perfetto
+// round trip).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -11,6 +12,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,7 +25,6 @@
 #include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "obs/trace_export.h"
-#include "sim/trace.h"
 
 namespace hpcsec {
 namespace {
@@ -245,21 +246,6 @@ TEST(Recorder, SpanCarriesIntervalAndArgs) {
     EXPECT_EQ(e.a1, 3);
 }
 
-TEST(Recorder, MirrorsIntoTraceLog) {
-    sim::TraceLog log;
-    log.enable(sim::TraceCat::kVm);
-    log.set_retain(true);
-
-    obs::SpanRecorder rec;
-    rec.set_mask(obs::to_mask(obs::Category::kAll));
-    rec.set_mirror(&log);
-    rec.instant(5, obs::EventType::kVmExit, 1, 2, 0, 1);
-    rec.instant(6, obs::EventType::kKernelTick, 0);  // kSched: not mirrored
-
-    EXPECT_EQ(log.count_matching("vm-exit"), 1u);
-    EXPECT_EQ(log.count_matching("kernel-tick"), 0u);
-}
-
 // --- scripted hafnium run ----------------------------------------------------
 
 core::NodeConfig observed_config(core::SchedulerKind kind) {
@@ -379,6 +365,8 @@ TEST(TraceExport, WritesParsableJsonWithMonotonicTsPerCore) {
     EXPECT_NE(text.find("\"vm-run\""), std::string::npos);
     EXPECT_NE(text.find("vm_exits"), std::string::npos);   // counter track
     EXPECT_NE(text.find("preempted"), std::string::npos);  // exit-reason name
+    EXPECT_NE(text.find("\"path\":\"world-switch\""), std::string::npos);
+    EXPECT_NE(text.find("\"refill\":"), std::string::npos);  // work-chunk arg
 
     // Non-metadata events are sorted by (tid, ts) within the process.
     std::istringstream lines(text);
@@ -556,8 +544,7 @@ TEST(Profiler, DisabledHooksAreNoOps) {
     EXPECT_FALSE(prof.enabled());
     prof.set_context(0, 1);
     prof.charge(0, obs::ProfPath::kWorldSwitch, 100);
-    prof.count(0, obs::ProfPath::kInterceptor);
-    prof.charge_call(0, 5, 25);
+    prof.count_call(0, 5);
     prof.on_dispatch(10, 0);
     EXPECT_EQ(prof.total_cycles(), 0u);
     EXPECT_TRUE(prof.slots().empty());
@@ -570,14 +557,15 @@ TEST(Profiler, AttributesChargesToVmCorePath) {
     prof.set_context(0, 3);
     prof.charge(0, obs::ProfPath::kWorldSwitch, 100);
     prof.charge(0, obs::ProfPath::kWorldSwitch, 50);
-    prof.charge_call(0, 5, 25);
+    prof.count_call(0, 5);
     prof.set_context(1, 4);
     prof.charge(1, obs::ProfPath::kTimerTick, 10);
 
     EXPECT_EQ(prof.total(obs::ProfPath::kWorldSwitch), 150u);
     EXPECT_EQ(prof.total(obs::ProfPath::kTimerTick), 10u);
-    EXPECT_EQ(prof.total_cycles(), 185u);
-    EXPECT_EQ(prof.call_total(5).cycles, 25u);
+    EXPECT_EQ(prof.total(obs::ProfPath::kHypercall), 0u);  // counts only
+    EXPECT_EQ(prof.total_cycles(), 160u);
+    EXPECT_EQ(prof.call_total(5).cycles, 0u);
     EXPECT_EQ(prof.call_total(5).count, 1u);
     EXPECT_EQ(prof.call_total(6).count, 0u);
 
@@ -599,15 +587,15 @@ TEST(Profiler, CollapsedStackUsesFlamegraphFormat) {
     prof.enable(1);
     prof.set_context(0, 3);
     prof.charge(0, obs::ProfPath::kWorldSwitch, 150);
-    prof.charge_call(0, 5, 25);
+    prof.count_call(0, 5);
 
     std::ostringstream os;
     prof.write_collapsed(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("vm3;core0;world-switch 150"), std::string::npos)
         << text;
-    // No namer installed: numbered fallback leaf.
-    EXPECT_NE(text.find("vm3;core0;hypercall;call_5 25"), std::string::npos)
+    // No namer installed: numbered fallback leaf, which carries no cycles.
+    EXPECT_NE(text.find("vm3;core0;hypercall;call_5 0"), std::string::npos)
         << text;
 
     prof.set_call_namer([](unsigned n) {
@@ -615,12 +603,14 @@ TEST(Profiler, CollapsedStackUsesFlamegraphFormat) {
     });
     std::ostringstream named;
     prof.write_collapsed(named);
-    EXPECT_NE(named.str().find("hypercall;HF_VM_GET_INFO 25"),
+    EXPECT_NE(named.str().find("hypercall;HF_VM_GET_INFO 0"),
               std::string::npos)
         << named.str();
 
     const std::string top = prof.perf_top(sim::ClockSpec{1'000'000'000});
     EXPECT_NE(top.find("vm3/core0/world-switch"), std::string::npos) << top;
+    EXPECT_NE(top.find("vm3/core0/hypercall/HF_VM_GET_INFO"), std::string::npos)
+        << top;
 }
 
 TEST(Profiler, MergeCombinesSlotsAndCalls) {
@@ -628,20 +618,19 @@ TEST(Profiler, MergeCombinesSlotsAndCalls) {
     a.enable(1);
     a.set_context(0, 2);
     a.charge(0, obs::ProfPath::kStage2Walk, 40);
-    a.charge_call(0, 7, 9);
+    a.count_call(0, 7);
 
     obs::CycleProfiler b;
     b.enable(1);
     b.set_context(0, 2);
     b.charge(0, obs::ProfPath::kStage2Walk, 60);
-    b.charge_call(0, 7, 1);
+    b.count_call(0, 7);
 
     obs::CycleProfiler merged;  // merge() enables an empty target
     merged.merge(a);
     merged.merge(b);
     EXPECT_TRUE(merged.enabled());
     EXPECT_EQ(merged.total(obs::ProfPath::kStage2Walk), 100u);
-    EXPECT_EQ(merged.call_total(7).cycles, 10u);
     EXPECT_EQ(merged.call_total(7).count, 2u);
 }
 
@@ -651,7 +640,7 @@ TEST(Profiler, DispatchSamplingHonoursPeriod) {
     prof.set_sample_period(2);
     prof.set_context(0, 1);
     for (sim::SimTime t = 1; t <= 5; ++t) {
-        prof.charge(0, obs::ProfPath::kHypercall, 10);
+        prof.charge(0, obs::ProfPath::kTimerTick, 10);
         prof.on_dispatch(t * 100, 0);
     }
     // 5 dispatches, period 2: samples at the 2nd and 4th.
@@ -659,10 +648,82 @@ TEST(Profiler, DispatchSamplingHonoursPeriod) {
     EXPECT_EQ(prof.samples()[0].when, 200u);
     EXPECT_EQ(prof.samples()[1].when, 400u);
     // Counter samples are cumulative per path.
-    const auto hyp = static_cast<std::size_t>(obs::ProfPath::kHypercall);
-    EXPECT_EQ(prof.samples()[0].cycles[hyp], 20u);
-    EXPECT_EQ(prof.samples()[1].cycles[hyp], 40u);
+    const auto tick = static_cast<std::size_t>(obs::ProfPath::kTimerTick);
+    EXPECT_EQ(prof.samples()[0].cycles[tick], 20u);
+    EXPECT_EQ(prof.samples()[1].cycles[tick], 40u);
 }
+
+// Conservation: a core spends kernel and hypervisor cycles only through
+// Executor::charge, which also attributes and records them, so on every
+// core the paths summed over VM slots, and the recorded overhead spans,
+// equal CoreUsage::overhead exactly. Stage-2 walk cycles are outside the
+// identity: they include the nested-walk share of steady-state chunk
+// cycles, which CoreUsage counts as work. Hypercalls are counts only;
+// their cycles land on the handlers' paths. Sized so the guests' 10 Hz
+// virtual timers fire.
+class ProfilerConservation
+    : public ::testing::TestWithParam<std::tuple<core::SchedulerKind, arch::Isa>> {};
+
+TEST_P(ProfilerConservation, PathsSumToCoreOverhead) {
+    const auto [kind, isa] = GetParam();
+    core::NodeConfig cfg = core::Harness::default_config(kind, 7);
+    cfg.platform.isa = isa;
+    cfg.platform.profile = true;
+    cfg.platform.obs_mask = obs::to_mask(obs::Category::kWorkload);
+    core::Node node(cfg);
+    node.boot();
+    wl::WorkloadSpec s;
+    s.name = "conservation";
+    s.nthreads = 4;
+    s.supersteps = 4;
+    s.units_per_thread_step = 8000000;
+    s.profile.cycles_per_unit = 10;
+    wl::ParallelWorkload w(s);
+    node.run_workload(w, 60.0);
+    if (node.spm() != nullptr) {
+        ASSERT_GT(node.spm()->stats().vtimer_fires, 0u);
+    }
+
+    arch::Platform& platform = node.platform();
+    const obs::CycleProfiler& prof = platform.profiler();
+    EXPECT_EQ(prof.total(obs::ProfPath::kHypercall), 0u);
+    for (int c = 0; c < platform.ncores(); ++c) {
+        std::uint64_t attributed = 0;
+        for (const auto& slot : prof.slots()) {
+            if (slot.core != c) continue;
+            for (std::size_t p = 0; p < obs::kProfPathCount; ++p) {
+                if (static_cast<obs::ProfPath>(p) == obs::ProfPath::kStage2Walk) {
+                    continue;
+                }
+                attributed += slot.paths[p].cycles;
+            }
+        }
+        std::uint64_t recorded = 0;
+        for (const obs::Event& e : platform.recorder().events()) {
+            if (e.type == obs::EventType::kOverhead && e.core == c) {
+                recorded += e.end - e.start;
+            }
+        }
+        const sim::Cycles overhead = platform.core(c).exec().usage().overhead;
+        EXPECT_EQ(attributed, overhead) << "core " << c;
+        EXPECT_EQ(recorded, overhead) << "core " << c;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ProfilerConservation,
+    ::testing::Combine(::testing::Values(core::SchedulerKind::kNativeKitten,
+                                         core::SchedulerKind::kKittenPrimary,
+                                         core::SchedulerKind::kLinuxPrimary),
+                       ::testing::Values(arch::Isa::kArm, arch::Isa::kRiscv)),
+    [](const auto& info) {
+        std::string name = core::to_string(std::get<0>(info.param)) + "_" +
+                           arch::IsaOps::get(std::get<1>(info.param)).name;
+        for (char& ch : name) {
+            if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+        }
+        return name;
+    });
 
 // --- flight recorder ---------------------------------------------------------
 

@@ -10,7 +10,6 @@
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace hpcsec::sim {
 namespace {
@@ -383,35 +382,6 @@ TEST(Engine, RunUntilAdvancesIdleTime) {
     Engine e;
     e.run_until(12345);
     EXPECT_EQ(e.now(), 12345u);
-}
-
-// --- TraceLog -------------------------------------------------------------------
-
-TEST(TraceLog, DisabledByDefault) {
-    TraceLog log;
-    log.set_retain(true);
-    log.log(1, TraceCat::kIrq, 0, "hello");
-    EXPECT_TRUE(log.records().empty());
-}
-
-TEST(TraceLog, CategoryFiltering) {
-    TraceLog log;
-    log.set_retain(true);
-    log.enable(TraceCat::kIrq);
-    log.log(1, TraceCat::kIrq, 0, "irq event");
-    log.log(2, TraceCat::kSched, 0, "sched event");
-    EXPECT_EQ(log.records().size(), 1u);
-    EXPECT_EQ(log.count_matching("irq"), 1u);
-}
-
-TEST(TraceLog, AllMaskCatchesEverything) {
-    TraceLog log;
-    log.set_retain(true);
-    log.enable(TraceCat::kAll);
-    log.log(1, TraceCat::kVm, 2, "a");
-    log.log(2, TraceCat::kMmu, 3, "b");
-    EXPECT_EQ(log.records().size(), 2u);
-    EXPECT_EQ(log.records()[1].core, 3);
 }
 
 }  // namespace
