@@ -57,7 +57,10 @@ int main() {
         std::printf("\nunenrolled image refused: %s\n", e.what());
     }
 
-    // 3. Tear the job down; memory is scrubbed and reclaimed.
+    // 3. Tear the job down; memory is scrubbed and reclaimed. The job leaves
+    // a secret mid-frame first, where a word-0-only wipe would miss it.
+    constexpr arch::IpaAddr kSecretIpa = 0x1008;
+    node.spm()->vm_write64(job, kSecretIpa, 0x5ec2e7);
     node.destroy_dynamic_vm(job);
     std::printf("\ndestroyed vm%d; frames back to %llu (started at %llu)\n", job,
                 static_cast<unsigned long long>(node.platform().mem().allocated_frames()),
@@ -80,5 +83,12 @@ int main() {
                 node.spm()->vm(job2).mem_base == node.spm()->vm(job).mem_base
                     ? "yes"
                     : "no");
-    return 0;
+
+    // 6. The new job reads zeros where the old one left its secret.
+    std::uint64_t leftover = 0;
+    node.spm()->vm_read64(job2, kSecretIpa, leftover);
+    std::printf("previous job's secret at IPA %#llx: %s\n",
+                static_cast<unsigned long long>(kSecretIpa),
+                leftover == 0 ? "scrubbed" : "LEAKED (bug!)");
+    return leftover == 0 ? 0 : 1;
 }

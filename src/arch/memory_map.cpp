@@ -152,6 +152,14 @@ void MemoryMap::free_frames(PhysAddr base, std::uint64_t nframes) {
     }
     paint(owner_runs_, first, end, nullptr);
     allocated_frames_ -= nframes;
+    // Scrub. The store is sparse, so walk its words rather than the range:
+    // a 256 MiB VM is 32 M words, and the store holds only the non-zero
+    // words ever written.
+    const std::uint64_t lo = (first << kPageShift) / 8;
+    const std::uint64_t hi = (end << kPageShift) / 8;
+    std::erase_if(store_, [lo, hi](const auto& word) {
+        return word.first >= lo && word.first < hi;
+    });
     // Hygiene: a freed frame is no longer critical. Dropping the tag here
     // (rather than at the next tagging) keeps has_integrity_tags() exact,
     // which the hot-path gate depends on.
@@ -184,15 +192,16 @@ bool MemoryMap::in_tag_run(std::uint64_t page) const {
     return it != tag_runs_.end() && it->first <= page;
 }
 
-std::vector<PhysAddr> MemoryMap::frames_owned_by(VmId vm) const {
-    std::vector<PhysAddr> out;
-    for (const Run& r : owner_runs_) {
-        if (r.owner != vm) continue;
-        for (std::uint64_t page = r.first; page < r.end; ++page) {
-            out.push_back(page << kPageShift);
+void MemoryMap::free_owned_by(VmId vm) {
+    // Freeing a whole run erases it, so index i then holds the next run.
+    for (std::size_t i = 0; i < owner_runs_.size();) {
+        const Run r = owner_runs_[i];
+        if (r.owner == vm) {
+            free_frames(r.first << kPageShift, r.end - r.first);
+        } else {
+            ++i;
         }
     }
-    return out;
 }
 
 void MemoryMap::set_owner(PhysAddr base, std::uint64_t nframes, VmId owner) {

@@ -67,9 +67,16 @@ public:
     /// Throws std::runtime_error when no suitable contiguous range exists.
     PhysAddr alloc_frames(std::uint64_t nframes, VmId owner, World world);
 
-    /// Free previously allocated frames (ownership returns to "free").
-    /// Throws std::logic_error, changing nothing, if any frame is free.
+    /// Free previously allocated frames (ownership returns to "free") and
+    /// scrub them: every word of the range reads zero afterwards, so the
+    /// next owner never sees the last one's data. Throws std::logic_error,
+    /// changing nothing, if any frame is free.
     void free_frames(PhysAddr base, std::uint64_t nframes);
+
+    /// Free every frame `vm` owns, one owner run at a time. VM teardown
+    /// reclaims by current ownership: once FF-A donations have moved frames,
+    /// a VM's holdings differ from its boot window.
+    void free_owned_by(VmId vm);
 
     /// Transfer ownership of allocated frames (VM image donation etc.).
     /// Throws std::logic_error, changing nothing, if any frame is free.
@@ -119,11 +126,6 @@ public:
     void set_tag_change_hook(std::function<void()> hook) {
         tag_change_hook_ = std::move(hook);
     }
-
-    /// Frames currently owned by `vm`, ascending by PA — the deterministic
-    /// ground-truth enumeration VM teardown reclaims against (a VM's holdings
-    /// can differ from its boot window once FFA donations have moved frames).
-    [[nodiscard]] std::vector<PhysAddr> frames_owned_by(VmId vm) const;
 
     // --- functional backing store (sparse, 64-bit words) -------------------
 

@@ -21,12 +21,6 @@
 
 namespace hpcsec::arch {
 
-// Legacy ARMv8 constants; prefer PtFormat for new code.
-inline constexpr int kPtLevels = 4;
-inline constexpr int kPtBitsPerLevel = 9;
-inline constexpr std::uint64_t kPtEntries = 1ull << kPtBitsPerLevel;  // 512
-inline constexpr std::uint64_t kInputAddrBits = 48;
-
 /// Geometry of one translation-table format: how many radix levels, the
 /// index width per level (the root may be wider, as in Sv39x4's 2048-entry
 /// concatenated root), and the input-address size the walker enforces.
@@ -68,16 +62,6 @@ struct PtFormat {
     /// 41-bit guest-physical address space.
     [[nodiscard]] static constexpr PtFormat sv39x4() { return {3, 9, 11, 41}; }
 };
-
-/// Size of the region covered by one entry at `level` (ARMv8 default format).
-[[nodiscard]] constexpr std::uint64_t level_span(int level) {
-    return PtFormat::armv8_4k().span(level);
-}
-
-/// Index into the table at `level` for input address `a` (ARMv8 default).
-[[nodiscard]] constexpr std::uint64_t level_index(std::uint64_t a, int level) {
-    return PtFormat::armv8_4k().index(a, level);
-}
 
 struct WalkResult {
     FaultKind fault = FaultKind::kNone;

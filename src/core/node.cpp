@@ -166,9 +166,8 @@ void Node::boot_hafnium() {
     // (stage-2 construction, first VCPU transitions) is already audited.
     if (config_.check_mode != check::Mode::kOff) {
         auditor_ = std::make_unique<check::Auditor>(
-            *spm_,
-            check::Auditor::Options{config_.check_mode, config_.check_period,
-                                    config_.check_event_period});
+            *spm_, check::Auditor::Options{.mode = config_.check_mode,
+                                           .period = config_.check_period});
     }
 
     if (config_.scheduler == SchedulerKind::kKittenPrimary) {

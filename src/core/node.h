@@ -63,11 +63,11 @@ struct NodeConfig {
 
     /// Isolation-invariant auditor (src/check). kOff keeps the audit hooks
     /// detached (their cost is one predicted branch per site); kSampled
-    /// scans every `check_period` hypercalls or `check_event_period` sim
-    /// events; kStrict scans every hypercall and throws on a violation.
+    /// scans every `check_period` hypercalls or every
+    /// check::Auditor::Options::event_period sim events; kStrict scans every
+    /// hypercall and throws on a violation.
     check::Mode check_mode = check::Mode::kOff;
     int check_period = 64;
-    std::uint64_t check_event_period = 100'000;
 
     /// Attach a CallMetricsInterceptor at boot: per-call-number invocation
     /// and error counters published as "hf.call.*" / "hf.call_err.*".

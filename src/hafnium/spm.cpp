@@ -155,24 +155,11 @@ void Spm::destroy_vm(arch::VmId id) {
             throw std::logic_error("Spm::destroy_vm: VCPU still running");
         }
     }
-    // Revoke every grant the victim participates in (as owner or borrower).
+    // Revoke every grant the victim takes part in, as owner or borrower.
     for (auto it = grants_.begin(); it != grants_.end();) {
-        if (it->owner == id || it->borrower == id) {
-            vm(it->borrower).stage2().unmap(it->borrower_ipa,
-                                            it->pages * arch::kPageSize);
-            flush_stage2_tlbs(it->borrower);
-            if (it->exclusive && it->borrower == id) {
-                // The borrower of a lend died: the owner regains access.
-                vm(it->owner).stage2().protect(
-                    it->owner_ipa, it->pages * arch::kPageSize, arch::kPermRWX);
-            }
-            it = grants_.erase(it);
-            ++stats_.mem_revokes;
-        } else {
-            ++it;
-        }
+        it = it->owner == id || it->borrower == id ? revoke(it) : std::next(it);
     }
-    // Detach guest contexts, drop translations, scrub and free the frames.
+    // Detach guest contexts, drop translations, free the frames.
     for (int v = 0; v < victim.vcpu_count(); ++v) {
         set_guest_context(victim.vcpu(v), nullptr);
         victim.vcpu(v).set_state(VcpuState::kAborted);
@@ -190,26 +177,12 @@ void Spm::destroy_vm(arch::VmId id) {
         victim.stage2().unmap(in_base, size);
     }
     flush_stage2_tlbs(id);
-    // Reclaim by *current ownership*, not the boot window. FFA donations
+    // Free by *current ownership*, not the boot window. FF-A donations
     // move frames both ways after boot: frames donated away belong to
-    // another live partition now (scrubbing/freeing them here was the
-    // lifecycle twin of the reclaim-under-grant donate bug), and frames
-    // donated in would otherwise leak. Grants were revoked above, so no
-    // borrower window outlives the reclaim. Frames come back ascending and
-    // are freed one contiguous run at a time.
-    arch::MemoryMap& mem = platform_->mem();
-    const std::vector<arch::PhysAddr> frames = mem.frames_owned_by(id);
-    for (std::size_t i = 0; i < frames.size();) {
-        std::size_t j = i;
-        for (; j < frames.size() && frames[j] == frames[i] + (j - i) * arch::kPageSize;
-             ++j) {
-            // Sparse store: clearing word 0 of each frame suffices for the
-            // model (reads of freed memory return zero anyway after reuse).
-            mem.write64(frames[j], 0, victim.world());
-        }
-        mem.free_frames(frames[i], j - i);
-        i = j;
-    }
+    // another live partition now, and frames donated in would otherwise
+    // leak. Grants were revoked above, so no borrower window outlives the
+    // free, and free_frames scrubs every word.
+    platform_->mem().free_owned_by(id);
     if (critical_armed_) release_critical("stage2:" + victim.name());
     victim.destroyed = true;
 }
@@ -283,17 +256,7 @@ void Spm::force_stop_vcpu(Vcpu& vcpu, bool notify_primary) {
 }
 
 bool Spm::guest_access(Vcpu& vcpu, arch::IpaAddr ipa, arch::Access access) {
-    Vm& vm = vcpu.vm();
-    const arch::WalkResult w = vm.stage2().walk(ipa);
-    bool ok = w.fault == arch::FaultKind::kNone && perms_allow(w.perms, access);
-    if (ok) {
-        ok = platform_->mem().check_physical_access(w.out, vm.world()) ==
-             arch::FaultKind::kNone;
-    }
-    // DFITAGCHECK last: a stage-2 walk that *resolves* to a tagged frame is
-    // the integrity violation (the walk succeeding is what makes it an
-    // exploit rather than a plain fault).
-    if (ok) ok = tag_check(vm.id(), ipa, w.out, access);
+    const bool ok = stage2_access(vcpu.vm(), ipa, access).has_value();
     if (!ok) abort_vcpu(vcpu);
     return ok;
 }
@@ -943,163 +906,132 @@ bool valid_ipa_window(std::uint64_t base, std::uint64_t pages,
 
 HfResult Spm::on_mem_share(arch::CoreId, arch::VmId caller,
                            const abi::MemShareArgs& a) {
-    return mem_grant(caller, a, /*exclusive=*/false);
+    return mem_send(caller, a, MemSend::kShare);
 }
 
 HfResult Spm::on_mem_lend(arch::CoreId, arch::VmId caller,
                           const abi::MemLendArgs& a) {
-    // FFA_MEM_LEND: the owner relinquishes access until reclaim.
-    return mem_grant(caller, a, /*exclusive=*/true);
-}
-
-HfResult Spm::mem_grant(arch::VmId caller, const abi::MemShareArgs& a,
-                        bool exclusive) {
-    const arch::VmId target_id = a.to;
-    const arch::IpaAddr own_ipa = a.owner_ipa;
-    const std::uint64_t pages = a.pages;
-    const arch::IpaAddr borrower_ipa = a.borrower_ipa;
-    if (target_id == 0 || target_id > vms_.size()) return {HfError::kNotFound, 0};
-    if (target_id == caller || pages == 0) return {HfError::kInvalid, 0};
-    const std::uint64_t ipa_limit = platform_->isa_ops().stage2.input_limit();
-    if (!valid_ipa_window(own_ipa, pages, ipa_limit) ||
-        !valid_ipa_window(borrower_ipa, pages, ipa_limit)) {
-        return {HfError::kInvalid, 0};
-    }
-    Vm& to = vm(target_id);
-    if (to.destroyed) return {HfError::kNotFound, 0};
-
-    // The caller must own every frame it shares/lends.
-    const arch::WalkResult w0 = vm_translate(caller, own_ipa);
-    if (w0.fault != arch::FaultKind::kNone) return {HfError::kInvalid, 0};
-    for (std::uint64_t p = 0; p < pages; ++p) {
-        const arch::WalkResult w = vm_translate(caller, own_ipa + p * arch::kPageSize);
-        if (w.fault != arch::FaultKind::kNone) return {HfError::kInvalid, 0};
-        if (!platform_->mem().owned_span(w.out, arch::kPageSize, caller)) {
-            return {HfError::kDenied, 0};
-        }
-    }
-    // The borrower window must be a hole in the target's stage-2: map()
-    // refuses overlap, and this also rejects duplicate grants of the same
-    // window.
-    for (std::uint64_t p = 0; p < pages; ++p) {
-        if (to.stage2().walk(borrower_ipa + p * arch::kPageSize).fault ==
-            arch::FaultKind::kNone) {
-            return {HfError::kDenied, 0};
-        }
-    }
-    // Contiguity in PA space follows from per-VM contiguous allocation.
-    // sca-suppress(no-throw-guest-path): window validated above — aligned,
-    // in range, and unmapped in the target, so map() cannot throw.
-    to.stage2().map(borrower_ipa, w0.out, pages * arch::kPageSize, arch::kPermRW);
-    if (exclusive) {
-        // FFA_MEM_LEND: the owner relinquishes access until reclaim
-        // (block mappings split on demand).
-        // sca-suppress(no-throw-guest-path): aligned window, every page
-        // walk-checked mapped above, so protect() cannot throw.
-        vm(caller).stage2().protect(own_ipa, pages * arch::kPageSize,
-                                    arch::kPermNone);
-        flush_stage2_tlbs(caller);
-    }
-    // sca-suppress(hot-path-alloc): GrantList is arena-backed — growth
-    // bumps the trial arena, never the global heap.
-    grants_.push_back({caller, target_id, own_ipa, borrower_ipa, pages, exclusive});
-    ++stats_.mem_grants;
-    return {HfError::kOk, 0};
+    return mem_send(caller, a, MemSend::kLend);
 }
 
 HfResult Spm::on_mem_donate(arch::CoreId, arch::VmId caller,
                             const abi::MemDonateArgs& a) {
-    const arch::VmId target_id = a.to;
-    const arch::IpaAddr own_ipa = a.owner_ipa;
-    const std::uint64_t pages = a.pages;
-    const arch::IpaAddr borrower_ipa = a.borrower_ipa;
-    if (target_id == 0 || target_id > vms_.size()) return {HfError::kNotFound, 0};
-    if (target_id == caller || pages == 0) return {HfError::kInvalid, 0};
+    return mem_send(caller, a, MemSend::kDonate);
+}
+
+HfResult Spm::mem_send(arch::VmId caller, const abi::MemShareArgs& a,
+                       MemSend kind) {
+    if (a.to == 0 || a.to > vms_.size() || vm(a.to).destroyed) {
+        return {HfError::kNotFound, 0};
+    }
     const std::uint64_t ipa_limit = platform_->isa_ops().stage2.input_limit();
-    if (!valid_ipa_window(own_ipa, pages, ipa_limit) ||
-        !valid_ipa_window(borrower_ipa, pages, ipa_limit)) {
+    if (a.to == caller || a.pages == 0 ||
+        !valid_ipa_window(a.owner_ipa, a.pages, ipa_limit) ||
+        !valid_ipa_window(a.borrower_ipa, a.pages, ipa_limit)) {
         return {HfError::kInvalid, 0};
     }
-    Vm& to = vm(target_id);
-    if (to.destroyed) return {HfError::kNotFound, 0};
-
-    const arch::WalkResult w0 = vm_translate(caller, own_ipa);
-    if (w0.fault != arch::FaultKind::kNone) return {HfError::kInvalid, 0};
-    for (std::uint64_t p = 0; p < pages; ++p) {
-        const arch::WalkResult w = vm_translate(caller, own_ipa + p * arch::kPageSize);
-        if (w.fault != arch::FaultKind::kNone) return {HfError::kInvalid, 0};
-        if (!platform_->mem().owned_span(w.out, arch::kPageSize, caller)) {
-            return {HfError::kDenied, 0};
+    Vm& from = vm(caller);
+    Vm& to = vm(a.to);
+    const std::uint64_t bytes = a.pages * arch::kPageSize;
+    // One constituent per transaction: the owner window must translate to
+    // one PA run, because that run is what the borrower gets mapped.
+    const arch::PhysAddr pa = from.stage2().walk(a.owner_ipa).out;
+    for (std::uint64_t off = 0; off < bytes; off += arch::kPageSize) {
+        const arch::WalkResult w = from.stage2().walk(a.owner_ipa + off);
+        if (w.fault != arch::FaultKind::kNone || w.out != pa + off) {
+            return {HfError::kInvalid, 0};
         }
     }
-    // Frames under an active share/lend cannot be donated: the borrower
-    // would keep a live mapping to frames it no longer owns, and a later
-    // reclaim would find the donor's translation gone. Reclaim first.
+    arch::MemoryMap& mem = platform_->mem();
+    if (!mem.owned_span(pa, bytes, caller)) return {HfError::kDenied, 0};
+    // Frames under a live share or lend stay put until reclaimed: a second
+    // grant would hand a lent page out writable again, and a donation would
+    // leave the borrower mapping frames its lender no longer owns.
     for (const auto& g : grants_) {
-        if (g.owner == caller &&
-            own_ipa < g.owner_ipa + g.pages * arch::kPageSize &&
-            g.owner_ipa < own_ipa + pages * arch::kPageSize) {
+        if (g.owner == caller && a.owner_ipa < g.owner_ipa + g.pages * arch::kPageSize &&
+            g.owner_ipa < a.owner_ipa + bytes) {
             return {HfError::kDenied, 0};
         }
     }
-    // The new owner's window must be a hole in its stage-2 (map() refuses
-    // overlap).
-    for (std::uint64_t p = 0; p < pages; ++p) {
-        if (to.stage2().walk(borrower_ipa + p * arch::kPageSize).fault ==
-            arch::FaultKind::kNone) {
+    // The borrower window must be a hole in the target's stage-2: map()
+    // refuses overlap, and this also rejects duplicate grants of a window.
+    for (std::uint64_t off = 0; off < bytes; off += arch::kPageSize) {
+        if (to.stage2().walk(a.borrower_ipa + off).fault == arch::FaultKind::kNone) {
             return {HfError::kDenied, 0};
         }
     }
-    // TrustZone: frames cannot silently change worlds via donation.
-    if (platform_->mem().world_of(w0.out) != to.world()) {
+    // TrustZone: secure frames never reach a normal-world VM, and a
+    // donation never moves frames across worlds.
+    const arch::World world = mem.world_of(pa);
+    if (world != to.world() &&
+        (world == arch::World::kSecure || kind == MemSend::kDonate)) {
         return {HfError::kDenied, 0};
     }
-    // Ownership transfer: remove the donor's translation entirely, retag
-    // the frames, map them for the new owner.
-    // sca-suppress(no-throw-guest-path): window aligned (validated above),
-    // and unmap() is idempotent on holes, so it cannot throw.
-    vm(caller).stage2().unmap(own_ipa, pages * arch::kPageSize);
-    flush_stage2_tlbs(caller);
-    // sca-suppress(no-throw-guest-path): every frame walk-checked and
-    // owned_span-checked above, so the frames are allocated.
-    platform_->mem().set_owner(w0.out, pages, target_id);
+
+    if (kind == MemSend::kDonate) {
+        // Ownership transfer: the donor's translation goes entirely, then
+        // the frames are re-owned and mapped for the new owner.
+        // sca-suppress(no-throw-guest-path): window aligned (validated above),
+        // and unmap() is idempotent on holes, so it cannot throw.
+        from.stage2().unmap(a.owner_ipa, bytes);
+        flush_stage2_tlbs(caller);
+        // sca-suppress(no-throw-guest-path): owned_span above proved every
+        // frame of the run allocated, so set_owner() cannot throw.
+        mem.set_owner(pa, a.pages, a.to);
+    }
     // sca-suppress(no-throw-guest-path): window validated above — aligned,
     // in range, and unmapped in the target, so map() cannot throw.
-    to.stage2().map(borrower_ipa, w0.out, pages * arch::kPageSize, arch::kPermRWX,
-                    to.world() == arch::World::kSecure);
-    ++stats_.mem_donates;
+    to.stage2().map(a.borrower_ipa, pa, bytes,
+                    kind == MemSend::kDonate ? arch::kPermRWX : arch::kPermRW,
+                    world == arch::World::kSecure);
+    if (kind == MemSend::kDonate) {
+        ++stats_.mem_donates;
+        return {HfError::kOk, 0};
+    }
+    if (kind == MemSend::kLend) {
+        // The lender loses access until reclaim (block mappings split on
+        // demand).
+        // sca-suppress(no-throw-guest-path): aligned window, every page
+        // walk-checked mapped above, so protect() cannot throw.
+        from.stage2().protect(a.owner_ipa, bytes, arch::kPermNone);
+        flush_stage2_tlbs(caller);
+    }
+    // sca-suppress(hot-path-alloc): GrantList is arena-backed — growth
+    // bumps the trial arena, never the global heap.
+    grants_.push_back({caller, a.to, a.owner_ipa, a.borrower_ipa, a.pages,
+                       kind == MemSend::kLend});
+    ++stats_.mem_grants;
     return {HfError::kOk, 0};
 }
 
 HfResult Spm::on_mem_reclaim(arch::CoreId, arch::VmId caller,
                              const abi::MemReclaimArgs& a) {
-    const arch::VmId target_id = a.borrower;
-    const arch::IpaAddr own_ipa = a.owner_ipa;
-    for (auto it = grants_.begin(); it != grants_.end(); ++it) {
-        if (it->owner == caller && it->borrower == target_id &&
-            it->owner_ipa == own_ipa) {
-            // sca-suppress(no-throw-guest-path): grant records only hold
-            // windows mem_grant validated as aligned; unmap() is idempotent
-            // on holes, so it cannot throw.
-            vm(target_id).stage2().unmap(it->borrower_ipa, it->pages * arch::kPageSize);
-            flush_stage2_tlbs(target_id);
-            if (it->exclusive) {
-                // Lend reclaim: the owner regains access. The owner window
-                // stays mapped (perms-none) for the grant's lifetime:
-                // donation of granted frames is rejected, and no other
-                // hypercall unmaps the owner's own translation.
-                // sca-suppress(no-throw-guest-path): aligned, mapped window
-                // per the grant invariant above, so protect() cannot throw.
-                vm(caller).stage2().protect(it->owner_ipa,
-                                            it->pages * arch::kPageSize,
-                                            arch::kPermRWX);
-            }
-            grants_.erase(it);
-            ++stats_.mem_revokes;
-            return {HfError::kOk, 0};
-        }
+    const auto it = std::find_if(grants_.begin(), grants_.end(), [&](const ShareGrant& g) {
+        return g.owner == caller && g.borrower == a.borrower && g.owner_ipa == a.owner_ipa;
+    });
+    if (it == grants_.end()) return {HfError::kNotFound, 0};
+    revoke(it);
+    return {HfError::kOk, 0};
+}
+
+Spm::GrantList::iterator Spm::revoke(GrantList::iterator grant) {
+    const std::uint64_t bytes = grant->pages * arch::kPageSize;
+    // sca-suppress(no-throw-guest-path): grant records only hold windows
+    // mem_send validated as aligned; unmap() is idempotent on holes, so it
+    // cannot throw.
+    vm(grant->borrower).stage2().unmap(grant->borrower_ipa, bytes);
+    flush_stage2_tlbs(grant->borrower);
+    if (grant->exclusive) {
+        // The lender regains access. Its window stays mapped (perms-none)
+        // for the grant's lifetime: mem_send refuses to share, lend or
+        // donate granted frames, and no other hypercall unmaps the owner's
+        // own translation.
+        // sca-suppress(no-throw-guest-path): aligned, mapped window per the
+        // grant invariant above, so protect() cannot throw.
+        vm(grant->owner).stage2().protect(grant->owner_ipa, bytes, arch::kPermRWX);
     }
-    return {HfError::kNotFound, 0};
+    ++stats_.mem_revokes;
+    return grants_.erase(grant);
 }
 
 // --------------------------------------------------------------------------
@@ -1110,41 +1042,41 @@ arch::WalkResult Spm::vm_translate(arch::VmId id, arch::IpaAddr ipa) {
     return vm(id).stage2().walk(ipa);
 }
 
+std::optional<arch::PhysAddr> Spm::stage2_access(const Vm& vm, arch::IpaAddr ipa,
+                                                 arch::Access access) {
+    const arch::WalkResult w = vm.stage2().walk(ipa);
+    if (w.fault != arch::FaultKind::kNone || !perms_allow(w.perms, access) ||
+        platform_->mem().check_physical_access(w.out, vm.world()) !=
+            arch::FaultKind::kNone) {
+        return std::nullopt;
+    }
+    // DFITAGCHECK last: a stage-2 walk that *resolves* to a tagged frame is
+    // the integrity violation (the walk succeeding is what makes it an
+    // exploit rather than a plain fault). Reads check too: over-reads leak
+    // key material as surely as overwrites corrupt tables (heartbleed
+    // shape), and a blocked write leaves the tagged frame bit-identical,
+    // which is what lets recovery re-verify it and keep serving.
+    if (!tag_check(vm.id(), ipa, w.out, access)) return std::nullopt;
+    return w.out;
+}
+
 bool Spm::vm_read64(arch::VmId id, arch::IpaAddr ipa, std::uint64_t& out) {
-    const arch::WalkResult w = vm_translate(id, ipa);
-    if (w.fault != arch::FaultKind::kNone || !perms_allow(w.perms, arch::Access::kRead)) {
-        return false;
-    }
-    if (platform_->mem().check_physical_access(w.out, vm(id).world()) !=
-        arch::FaultKind::kNone) {
-        return false;
-    }
-    // Over-reads leak key material as surely as overwrites corrupt tables:
-    // the FFA-window read path tag-checks too (heartbleed shape).
-    if (!tag_check(id, ipa, w.out, arch::Access::kRead)) return false;
-    // sca-suppress(no-throw-guest-path): check_physical_access verified the
-    // same (frame, world) pair read64 re-checks, so it cannot throw here.
-    out = platform_->mem().read64(w.out, vm(id).world());
+    const Vm& reader = vm(id);
+    const auto pa = stage2_access(reader, ipa, arch::Access::kRead);
+    if (!pa) return false;
+    // sca-suppress(no-throw-guest-path): stage2_access verified the same
+    // (frame, world) pair read64 re-checks, so it cannot throw here.
+    out = platform_->mem().read64(*pa, reader.world());
     return true;
 }
 
 bool Spm::vm_write64(arch::VmId id, arch::IpaAddr ipa, std::uint64_t value) {
-    const arch::WalkResult w = vm_translate(id, ipa);
-    if (w.fault != arch::FaultKind::kNone ||
-        !perms_allow(w.perms, arch::Access::kWrite)) {
-        return false;
-    }
-    if (platform_->mem().check_physical_access(w.out, vm(id).world()) !=
-        arch::FaultKind::kNone) {
-        return false;
-    }
-    // DFITAGCHECK before the store mutates anything: a blocked write leaves
-    // the tagged frame bit-identical, which is what lets recovery re-verify
-    // it against the attestation hash and keep serving.
-    if (!tag_check(id, ipa, w.out, arch::Access::kWrite)) return false;
-    // sca-suppress(no-throw-guest-path): check_physical_access verified the
-    // same (frame, world) pair write64 re-checks, so it cannot throw here.
-    platform_->mem().write64(w.out, value, vm(id).world());
+    const Vm& writer = vm(id);
+    const auto pa = stage2_access(writer, ipa, arch::Access::kWrite);
+    if (!pa) return false;
+    // sca-suppress(no-throw-guest-path): stage2_access verified the same
+    // (frame, world) pair write64 re-checks, so it cannot throw here.
+    platform_->mem().write64(*pa, value, writer.world());
     return true;
 }
 
@@ -1221,11 +1153,7 @@ void Spm::release_critical(const std::string& name) {
         // An embargoed region failed re-verification: its frames stay out
         // of the allocator forever rather than risk reuse of corrupt state.
         if (it->embargoed) return;
-        platform_->mem().set_integrity_tag(it->base, it->pages, false);
-        const std::uint64_t words = it->pages * (arch::kPageSize / 8);
-        for (std::uint64_t w = 0; w < words; ++w) {
-            platform_->mem().write64(it->base + w * 8, 0, arch::World::kSecure);
-        }
+        // free_frames drops the tags (one TLB shootdown) and scrubs.
         platform_->mem().free_frames(it->base, it->pages);
         critical_.erase(it);
         return;

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,9 +88,9 @@ public:
     arch::VmId create_vm(const VmSpec& spec);
 
     /// Tear a dynamic (or boot-time secondary) partition down: every VCPU
-    /// must be off the cores; stage-2 mappings are removed, grants revoked,
-    /// frames scrubbed and returned to the allocator. Throws if the VM is
-    /// the primary/super-secondary or still running.
+    /// must be off the cores; grants are revoked, stage-2 mappings removed,
+    /// and the frames it owns returned to the allocator, which scrubs them.
+    /// Throws if the VM is the primary/super-secondary or still running.
     void destroy_vm(arch::VmId id);
 
     // --- the hypercall gate --------------------------------------------------
@@ -341,19 +342,32 @@ private:
                            const abi::VtimerSetArgs& a);
     HfResult on_vtimer_cancel(arch::CoreId core, arch::VmId caller,
                               const abi::VtimerCancelArgs& a);
-    HfResult mem_grant(arch::VmId caller, const abi::MemShareArgs& a,
-                       bool exclusive);
 
-    /// DFITAGCHECK on the SPM-mediated guest paths (guest_access,
-    /// vm_read64/vm_write64). True when the access is clean; a violation
-    /// counts, records, fires the hook and returns false. One predicted
-    /// branch when no frame is tagged.
+    enum class MemSend : std::uint8_t { kShare, kLend, kDonate };
+    /// The one FF-A memory transaction behind FFA_MEM_SHARE, _LEND and
+    /// _DONATE: the same checks, in the same order, for every kind
+    /// (docs/ABI.md, "Memory transactions"), then the kind's effects.
+    HfResult mem_send(arch::VmId caller, const abi::MemShareArgs& a, MemSend kind);
+    /// Undo one share or lend: unmap the borrower window, flush the
+    /// borrower's TLBs, give a lender its RWX back, count it. Returns the
+    /// next grant. FFA_MEM_RECLAIM and destroy_vm both revoke through here.
+    GrantList::iterator revoke(GrantList::iterator grant);
+
+    /// The stage-2 check every SPM-mediated guest access runs, in order:
+    /// walk, permissions, TrustZone world, DFITAGCHECK. Returns the PA, or
+    /// nullopt when any step faults.
+    std::optional<arch::PhysAddr> stage2_access(const Vm& vm, arch::IpaAddr ipa,
+                                                arch::Access access);
+    /// DFITAGCHECK, the last step of stage2_access. True when the access is
+    /// clean; a violation counts, records, fires the hook and returns false.
+    /// One predicted branch when no frame is tagged.
     bool tag_check(arch::VmId accessor, arch::IpaAddr ipa, arch::PhysAddr pa,
                    arch::Access access);
     /// Allocate + fill + measure + tag one critical region.
     void protect_new_region(const std::string& name, std::uint64_t pages);
-    /// Untag and free a critical region (per-VM stage-2 table block on
-    /// partition teardown). Embargoed regions keep their frames forever.
+    /// Free a critical region (per-VM stage-2 table block on partition
+    /// teardown); freeing drops its tags and scrubs it. Embargoed regions
+    /// keep their frames forever.
     void release_critical(const std::string& name);
     [[nodiscard]] crypto::Digest measure_region(arch::PhysAddr base,
                                                 std::uint64_t pages) const;

@@ -155,9 +155,59 @@ TEST(MemoryMapExtents, FirstFitReusesAnInteriorHole) {
         ASSERT_TRUE(o.has_value()) << "frame " << f;
         EXPECT_EQ(o->vm, want[f]) << "frame " << f;
     }
-    EXPECT_EQ(m.frames_owned_by(7),
-              (std::vector<PhysAddr>{a + 4 * kPageSize, a + 5 * kPageSize,
-                                     a + 10 * kPageSize, a + 11 * kPageSize}));
+    // free_owned_by frees both of 7's runs and nothing else.
+    m.free_owned_by(7);
+    EXPECT_EQ(m.allocated_frames(), 33u);
+    for (std::uint64_t f = 0; f < 16; ++f) {
+        const auto o = m.owner_of(a + f * kPageSize);
+        EXPECT_EQ(o.has_value(), want[f] != 7) << "frame " << f;
+        if (o) {
+            EXPECT_EQ(o->vm, want[f]) << "frame " << f;
+        }
+    }
+}
+
+// The first, second and last word of a frame.
+constexpr std::uint64_t kWordOffsets[] = {0, 8, kPageSize - 8};
+
+// Write a distinct non-zero value to those words of `frames` frames.
+void fill_words(MemoryMap& m, PhysAddr base, std::uint64_t frames) {
+    for (std::uint64_t f = 0; f < frames; ++f) {
+        for (const std::uint64_t off : kWordOffsets) {
+            m.write64(base + f * kPageSize + off, 0x100 + f * kPageSize + off,
+                      World::kNonSecure);
+        }
+    }
+}
+
+TEST(MemoryMapExtents, FreeFramesScrubsExactlyItsRange) {
+    MemoryMap m = make_map();
+    const PhysAddr a = m.alloc_frames(6, 1, World::kNonSecure);
+    fill_words(m, a, 6);
+    m.free_frames(a + 2 * kPageSize, 2);
+    for (std::uint64_t f = 0; f < 6; ++f) {
+        const bool freed = f == 2 || f == 3;
+        for (const std::uint64_t off : kWordOffsets) {
+            EXPECT_EQ(m.read64(a + f * kPageSize + off, World::kNonSecure),
+                      freed ? 0 : 0x100 + f * kPageSize + off)
+                << "frame " << f << " offset " << off;
+        }
+    }
+}
+
+TEST(MemoryMapExtents, RefusedFreeScrubsNothing) {
+    MemoryMap m = make_map();
+    const PhysAddr a = m.alloc_frames(6, 1, World::kNonSecure);
+    m.free_frames(a + 2 * kPageSize, 1);
+    fill_words(m, a, 6);
+    EXPECT_THROW(m.free_frames(a, 6), std::logic_error);
+    for (std::uint64_t f = 0; f < 6; ++f) {
+        for (const std::uint64_t off : kWordOffsets) {
+            EXPECT_EQ(m.read64(a + f * kPageSize + off, World::kNonSecure),
+                      0x100 + f * kPageSize + off)
+                << "frame " << f << " offset " << off;
+        }
+    }
 }
 
 TEST(MemoryMapExtents, PartlyFreeRangeIsRefusedWhole) {

@@ -6,12 +6,21 @@
 //   I3  non-secure VMs can never reach secure-world frames;
 //   I4  revoking a grant closes the window completely;
 //   I5  hypervisor frame ownership is never reachable from any VM.
+// Then the FF-A memory transactions (docs/ABI.md, "Memory transactions"):
+// one PA run per call, no second grant of granted frames, secure frames
+// stay in the secure world, freed frames read zero, and a generated
+// transaction soak under a strict auditor.
 // The whole suite is parameterized over (seed, ISA backend): the isolation
 // properties must hold identically on the ARM and RISC-V machine models.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <optional>
+
 #include "arch/isa.h"
 #include "arch/platform.h"
+#include "check/check.h"
 #include "hafnium/spm.h"
 #include "sim/rng.h"
 
@@ -54,7 +63,31 @@ struct IsolationFixture
         spm = std::make_unique<Spm>(platform, m);
         spm->boot();
     }
+
+    /// An IPA window above every RAM window on both ISAs.
+    static constexpr arch::IpaAddr kHole = 0x10'0000'0000ull;
+    static constexpr std::uint64_t kPage = arch::kPageSize;
+
+    Vm& tenant(int i) { return *spm->find_vm("tenant" + std::to_string(i)); }
+
+    /// FFA_MEM_SHARE, _LEND or _DONATE of `pages` pages at `own` in `from`
+    /// to `window` in `to`.
+    HfResult send(Call call, const Vm& from, const Vm& to, arch::IpaAddr own,
+                  std::uint64_t pages, arch::IpaAddr window) {
+        return spm->hypercall(0, from.id(), call, {to.id(), own, pages, window});
+    }
+
+    static bool mapped(const Vm& vm, arch::IpaAddr ipa) {
+        return vm.stage2().walk(ipa).fault == arch::FaultKind::kNone;
+    }
+
+    [[nodiscard]] std::optional<arch::VmId> owner(arch::PhysAddr pa) {
+        const auto o = platform.mem().owner_of(pa);
+        return o ? std::optional<arch::VmId>(o->vm) : std::nullopt;
+    }
 };
+
+constexpr std::array<Call, 3> kSends{Call::kMemShare, Call::kMemLend, Call::kMemDonate};
 
 TEST_P(IsolationFixture, I1_TranslationsStayWithinOwnership) {
     sim::Rng rng(seed());
@@ -155,6 +188,236 @@ TEST_P(IsolationFixture, I5_PageTableFramesNotGuestReachable) {
         const auto owner = platform.mem().owner_of(w.out);
         ASSERT_TRUE(owner.has_value());
         EXPECT_NE(owner->vm, arch::kHypervisorId);
+    }
+}
+
+// A window that is not one PA run is refused. The primary donates a
+// page to tenant0 just past its RAM, so tenant0's two pages at the seam map
+// its last frame and the donated one. Mapping the window as one run from
+// the first page would hand out tenant1's first frame, which follows
+// tenant0's RAM in PA.
+TEST_P(IsolationFixture, SeamWindowIsNotOneTransaction) {
+    Vm& p = spm->primary_vm();
+    Vm& t0 = tenant(0);
+    Vm& t1 = tenant(1);
+    ASSERT_EQ(t1.mem_base, t0.mem_base + t0.mem_bytes());
+    const arch::IpaAddr ram_end = t0.mem_bytes();
+    ASSERT_EQ(send(Call::kMemDonate, p, t0, p.ipa_base, 1, ram_end).error, HfError::kOk);
+    for (const Call call : kSends) {
+        SCOPED_TRACE(to_string(call));
+        EXPECT_EQ(send(call, t0, p, ram_end - kPage, 2, kHole).error, HfError::kInvalid);
+        EXPECT_FALSE(mapped(p, kHole));
+        EXPECT_FALSE(mapped(p, kHole + kPage));
+        EXPECT_EQ(owner(t1.mem_base), t1.id());
+        EXPECT_TRUE(mapped(t0, ram_end - kPage));
+        EXPECT_TRUE(mapped(t0, ram_end));
+        EXPECT_TRUE(spm->grants().empty());
+    }
+}
+
+// The same seam on tenant1, whose RAM is followed by free frames: donating
+// it must answer, not throw out of the SPM.
+TEST_P(IsolationFixture, SeamDonateBeforeFreeFramesAnswersInvalid) {
+    Vm& p = spm->primary_vm();
+    Vm& t1 = tenant(1);
+    const arch::IpaAddr ram_end = t1.mem_bytes();
+    const arch::PhysAddr after = t1.mem_base + t1.mem_bytes();
+    ASSERT_FALSE(owner(after).has_value());
+    ASSERT_EQ(send(Call::kMemDonate, p, t1, p.ipa_base, 1, ram_end).error, HfError::kOk);
+    HfResult r{};
+    ASSERT_NO_THROW(r = send(Call::kMemDonate, t1, p, ram_end - kPage, 2, kHole));
+    EXPECT_EQ(r.error, HfError::kInvalid);
+    EXPECT_FALSE(mapped(p, kHole));
+    EXPECT_TRUE(mapped(t1, ram_end - kPage));
+    EXPECT_EQ(owner(after - kPage), t1.id());
+    EXPECT_FALSE(owner(after).has_value());
+}
+
+// Pages under a live share or lend cannot be shared, lent or donated again
+// until reclaimed, even by a window that only overlaps.
+TEST_P(IsolationFixture, GrantedPagesCannotBeSentAgain) {
+    sim::Rng rng(seed() ^ 0x4a4);
+    Vm& p = spm->primary_vm();
+    Vm& t0 = tenant(0);
+    Vm& t1 = tenant(1);
+    for (const Call first : {Call::kMemShare, Call::kMemLend}) {
+        for (const Call second : kSends) {
+            SCOPED_TRACE(to_string(first) + " then " + to_string(second));
+            const arch::IpaAddr own = (1 + rng.next_below(1000)) * kPage;
+            ASSERT_EQ(send(first, t0, t1, own, 2, kHole).error, HfError::kOk);
+            EXPECT_EQ(send(second, t0, p, own + kPage, 2, kHole).error, HfError::kDenied);
+            EXPECT_EQ(send(second, t0, p, own - kPage, 2, kHole).error, HfError::kDenied);
+            EXPECT_FALSE(mapped(p, kHole));
+            EXPECT_EQ(spm->grants().size(), 1u);
+            ASSERT_TRUE(
+                spm->hypercall(0, t0.id(), Call::kMemReclaim, {t1.id(), own, 0, 0}).ok());
+        }
+    }
+}
+
+// Secure frames go only to a secure VM. Normal-world memory may still be
+// shared with a secure VM, but not donated to it.
+TEST_P(IsolationFixture, SecureFramesStayInTheSecureWorld) {
+    Vm& t0 = tenant(0);
+    Vm& t2 = tenant(2);
+    ASSERT_EQ(t2.world(), arch::World::kSecure);
+    for (const Call call : kSends) {
+        SCOPED_TRACE(to_string(call));
+        EXPECT_EQ(send(call, t2, t0, kPage, 1, kHole).error, HfError::kDenied);
+        EXPECT_FALSE(mapped(t0, kHole));
+    }
+    EXPECT_TRUE(spm->grants().empty());
+    EXPECT_EQ(send(Call::kMemDonate, t0, t2, kPage, 1, kHole).error, HfError::kDenied);
+    ASSERT_EQ(send(Call::kMemShare, t0, t2, kPage, 1, kHole).error, HfError::kOk);
+    ASSERT_TRUE(spm->vm_write64(t0.id(), kPage + 8, 0x5ec));
+    std::uint64_t v = 0;
+    ASSERT_TRUE(spm->vm_read64(t2.id(), kHole + 8, v));
+    EXPECT_EQ(v, 0x5ecu);
+
+    // Between two secure VMs the window keeps the frames' secure attribute.
+    VmSpec vault;
+    vault.name = "vault";
+    vault.role = VmRole::kSecondary;
+    vault.mem_bytes = 4ull << 20;
+    vault.vcpu_count = 1;
+    vault.world = arch::World::kSecure;
+    Vm& sv = spm->vm(spm->create_vm(vault));
+    check::Auditor auditor(*spm, {check::Mode::kStrict, 1, 0});
+    ASSERT_EQ(send(Call::kMemShare, t2, sv, kPage, 1, kHole).error, HfError::kOk);
+    EXPECT_TRUE(sv.stage2().walk(kHole).secure);
+    EXPECT_EQ(auditor.validate(), 0u);
+}
+
+// A destroyed VM's frames are scrubbed before anyone else gets them, in
+// either world: a VM re-created on the same frames reads zeros.
+TEST_P(IsolationFixture, RecreatedVmReadsZerosFromReusedFrames) {
+    sim::Rng rng(seed() ^ 0x6a6);
+    for (const int t : {1, 2}) {
+        Vm& old = tenant(t);
+        SCOPED_TRACE(old.name());
+        std::vector<arch::IpaAddr> written;
+        for (int f = 0; f < 8; ++f) {
+            const arch::IpaAddr frame = rng.next_below(old.mem_bytes() / kPage) * kPage;
+            for (const std::uint64_t off : {0ull, 8ull, 0xff8ull}) {
+                ASSERT_TRUE(spm->vm_write64(old.id(), frame + off, ~frame ^ off));
+                written.push_back(frame + off);
+            }
+        }
+        const VmSpec spec = old.spec();
+        const arch::PhysAddr base = old.mem_base;
+        spm->destroy_vm(old.id());
+        const Vm& fresh = spm->vm(spm->create_vm(spec));
+        ASSERT_EQ(fresh.mem_base, base);
+        for (const arch::IpaAddr ipa : written) {
+            std::uint64_t v = 1;
+            ASSERT_TRUE(spm->vm_read64(fresh.id(), ipa, v));
+            EXPECT_EQ(v, 0u) << "IPA 0x" << std::hex << ipa;
+        }
+    }
+}
+
+// A seeded FF-A transaction soak under a strict auditor: a few hundred
+// share, lend, donate and reclaim calls among the primary and the three
+// tenants, with windows drawn to straddle RAM ends and donated-in pages,
+// overlap live grants and cross worlds, and one destroy and re-create of a
+// tenant. Nothing may throw out of the SPM, the auditor must find nothing,
+// and every answer is one a memory transaction can give.
+TEST_P(IsolationFixture, TransactionSoakUnderStrictAudit) {
+    constexpr int kSteps = 600;
+    check::Auditor auditor(*spm, {check::Mode::kStrict, 1, 0});
+    sim::Rng rng(seed() ^ 0x50a4);
+    std::vector<std::pair<arch::VmId, arch::IpaAddr>> donated;  // pages received
+    arch::IpaAddr next_hole = kHole;
+    std::map<HfError, int> answers;
+
+    const auto pick = [&rng](const auto& v) { return v[rng.next_below(v.size())]; };
+    const auto ram_end = [](const Vm& vm) { return vm.ipa_base + vm.mem_bytes(); };
+    const auto inside = [&rng](const Vm& vm) {
+        return vm.ipa_base + rng.next_below(vm.mem_bytes() / kPage) * kPage;
+    };
+    // A page within two pages of a seam of `vm`'s: its RAM end, a page it
+    // received by donation, or a window of one of its live grants.
+    const auto near = [&](const Vm& vm) {
+        std::vector<arch::IpaAddr> spots;
+        for (const auto& [id, ipa] : donated) {
+            if (id == vm.id()) spots.push_back(ipa);
+        }
+        for (const auto& g : spm->grants()) {
+            if (g.owner == vm.id()) spots.push_back(g.owner_ipa);
+            if (g.borrower == vm.id()) spots.push_back(g.borrower_ipa);
+        }
+        const arch::IpaAddr spot =
+            spots.empty() || rng.next_below(2) == 0 ? ram_end(vm) : pick(spots);
+        return spot + rng.next_below(4) * kPage - 2 * kPage;
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+        if (step == kSteps / 2) {
+            Vm& victim = tenant(static_cast<int>(rng.next_below(3)));
+            const VmSpec spec = victim.spec();
+            ASSERT_NO_THROW(spm->destroy_vm(victim.id()));
+            ASSERT_NO_THROW((void)spm->create_vm(spec));
+            continue;
+        }
+        std::vector<arch::VmId> live;
+        for (arch::VmId id = 1; id <= static_cast<arch::VmId>(spm->vm_count()); ++id) {
+            if (!spm->vm(id).destroyed) live.push_back(id);
+        }
+        Vm& from = spm->vm(pick(live));
+        // Any id, so the caller itself and destroyed VMs come up too.
+        Vm& to = spm->vm(static_cast<arch::VmId>(1 + rng.next_below(spm->vm_count())));
+        const std::uint64_t op = rng.next_below(8);
+        HfResult r{};
+        if (op < 2) {
+            // Reclaim a live grant of the caller's, or a made-up one.
+            std::vector<Spm::ShareGrant> mine;
+            for (const auto& g : spm->grants()) {
+                if (g.owner == from.id()) mine.push_back(g);
+            }
+            const Spm::ShareGrant g =
+                !mine.empty() && rng.next_below(4) != 0
+                    ? pick(mine)
+                    : Spm::ShareGrant{from.id(), to.id(), near(from), 0, 1};
+            ASSERT_NO_THROW(r = spm->hypercall(0, from.id(), Call::kMemReclaim,
+                                               {g.borrower, g.owner_ipa, 0, 0}))
+                << "step " << step;
+        } else {
+            Call call = pick(kSends);
+            arch::IpaAddr own = near(from);
+            std::uint64_t pages = 1 + rng.next_below(3);
+            arch::IpaAddr window = rng.next_below(2) == 0 ? near(to) : next_hole;
+            if (op == 2) {
+                // Build a seam: donate a page to just past the target's RAM end.
+                call = Call::kMemDonate;
+                own = inside(from);
+                pages = 1;
+                window = ram_end(to);
+            } else if (op == 3) {
+                own = inside(from);  // an ordinary send
+                window = next_hole;
+            }
+            next_hole += 8 * kPage;
+            ASSERT_NO_THROW(r = send(call, from, to, own, pages, window))
+                << "step " << step << ": " << to_string(call) << " " << from.name()
+                << " -> " << to.name() << " own 0x" << std::hex << own << " pages "
+                << pages << " window 0x" << window;
+            if (call == Call::kMemDonate && r.ok()) {
+                for (std::uint64_t p = 0; p < pages; ++p) {
+                    donated.emplace_back(to.id(), window + p * kPage);
+                }
+            }
+        }
+        ASSERT_TRUE(r.error == HfError::kOk || r.error == HfError::kInvalid ||
+                    r.error == HfError::kDenied || r.error == HfError::kNotFound)
+            << "step " << step << ": " << to_string(r.error);
+        ++answers[r.error];
+    }
+    EXPECT_TRUE(auditor.failures().empty());
+    EXPECT_EQ(auditor.validate(), 0u);
+    // The sequence reaches every answer, so every rule gets exercised.
+    for (const HfError e :
+         {HfError::kOk, HfError::kInvalid, HfError::kDenied, HfError::kNotFound}) {
+        EXPECT_GT(answers[e], 0) << to_string(e);
     }
 }
 
