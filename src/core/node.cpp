@@ -194,23 +194,18 @@ void Node::boot_hafnium() {
     if (linux_) linux_->boot();
 
     // Guest personalities.
-    compute_guest_ = std::make_unique<kitten::KittenGuestOs>(
-        *spm_, *spm_->find_vm(kComputeVmName), config_.guest);
-    compute_guest_->start();
+    const arch::VmId compute_id = compute_vm()->id();
+    start_guest(compute_id);
     if (config_.with_super_secondary) {
-        login_guest_ = std::make_unique<linux_fwk::LinuxGuestOs>(
-            *spm_, *spm_->find_vm(kLoginVmName), config_.login);
+        login_guest_ = std::make_unique<linux_fwk::LinuxGuestOs>(*spm_, *login_vm(),
+                                                                 config_.login);
         login_guest_->start();
     }
 
     // The primary launches the super-secondary first ("it then immediately
     // launches the super-secondary VM instance"), then the compute VM.
-    const auto launch = [&](arch::VmId id) {
-        if (kitten_) kitten_->launch_vm(id);
-        if (linux_) linux_->launch_vm(id);
-    };
-    if (hafnium::Vm* login = login_vm()) launch(login->id());
-    launch(spm_->find_vm(kComputeVmName)->id());
+    if (hafnium::Vm* login = login_vm()) primary_os()->launch_vm(login->id());
+    primary_os()->launch_vm(compute_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,8 +242,16 @@ void Node::reprice_workload_cores(wl::ParallelWorkload& workload) {
     }
 }
 
-void Node::attach_guest_workload(kitten::KittenGuestOs& guest, hafnium::Vm& vm,
-                                 wl::ParallelWorkload& workload) {
+hafnium::Vm& Node::live_compute_vm(const char* caller) {
+    hafnium::Vm* vm = compute_vm();
+    if (vm == nullptr) {
+        throw std::logic_error(std::string(caller) + ": the compute VM has been retired");
+    }
+    return *vm;
+}
+
+void Node::attach(hafnium::Vm& vm, wl::ParallelWorkload& workload) {
+    kitten::KittenGuestOs& guest = *guest_of(vm.id());
     workload.set_mode(arch::TranslationMode::kTwoStage);
     for (int i = 0; i < workload.nthreads(); ++i) {
         guest.set_thread(i, &workload.thread(i));
@@ -266,50 +269,19 @@ void Node::attach_guest_workload(kitten::KittenGuestOs& guest, hafnium::Vm& vm,
         }
         reprice_workload_cores(workload);
     };
+    kick_vcpus(vm, workload.nthreads());
+    reattach_[name] = &workload;
 }
 
-void Node::register_reattach(const std::string& vm_name,
-                             wl::ParallelWorkload& workload) {
-    reattach_[vm_name] = [this, &workload](arch::VmId nid) {
-        kitten::KittenGuestOs* g = guest_of(nid);
-        if (g == nullptr) return;
-        attach_guest_workload(*g, spm_->vm(nid), workload);
-        kick_vcpus(spm_->vm(nid), workload.nthreads());
-    };
-}
-
-double Node::run_workload(wl::ParallelWorkload& workload, double timeout_s) {
-    if (!booted_) throw std::logic_error("Node::run_workload: boot first");
+double Node::run_to_finish(wl::ParallelWorkload& workload, double timeout_s) {
     auto& engine = platform_->engine();
     const sim::SimTime start = engine.now();
-
     workload.on_finished = [this, &engine, &workload](sim::SimTime) {
         // Kick the now-done spin chunks so they retire cleanly (each VCPU
         // blocks / each native thread parks), then stop the clock.
         reprice_workload_cores(workload);
         engine.stop();
     };
-
-    if (config_.scheduler == SchedulerKind::kNativeKitten) {
-        workload.set_mode(arch::TranslationMode::kNative);
-        std::vector<kitten::KThread*> threads;
-        for (int i = 0; i < workload.nthreads(); ++i) {
-            threads.push_back(&kitten_->add_app_thread(
-                i % platform_->ncores(), &workload.thread(i),
-                workload.spec().name + "-t" + std::to_string(i)));
-        }
-        workload.on_release = [this, threads, &workload] {
-            for (kitten::KThread* t : threads) {
-                if (t->ctx->remaining_units() > 0) kitten_->wake(*t);
-            }
-            reprice_workload_cores(workload);
-        };
-    } else {
-        attach_guest_workload(*compute_guest_, *compute_vm(), workload);
-        kick_vcpus(*compute_vm(), workload.nthreads());
-        register_reattach(compute_vm()->name(), workload);
-    }
-
     engine.run_until(start + engine.clock().from_seconds(timeout_s));
     reattach_.clear();
     if (!workload.finished()) {
@@ -319,39 +291,43 @@ double Node::run_workload(wl::ParallelWorkload& workload, double timeout_s) {
     return engine.clock().to_seconds(workload.finish_time() - start);
 }
 
+double Node::run_workload(wl::ParallelWorkload& workload, double timeout_s) {
+    if (!booted_) throw std::logic_error("Node::run_workload: boot first");
+    if (config_.scheduler != SchedulerKind::kNativeKitten) {
+        return run_workload_on(live_compute_vm("Node::run_workload").id(), workload,
+                               timeout_s);
+    }
+    workload.set_mode(arch::TranslationMode::kNative);
+    std::vector<kitten::KThread*> threads;
+    for (int i = 0; i < workload.nthreads(); ++i) {
+        threads.push_back(&kitten_->add_app_thread(
+            i % platform_->ncores(), &workload.thread(i),
+            workload.spec().name + "-t" + std::to_string(i)));
+    }
+    workload.on_release = [this, threads, &workload] {
+        for (kitten::KThread* t : threads) {
+            if (t->ctx->remaining_units() > 0) kitten_->wake(*t);
+        }
+        reprice_workload_cores(workload);
+    };
+    return run_to_finish(workload, timeout_s);
+}
+
 double Node::run_workload_on(arch::VmId vm_id, wl::ParallelWorkload& workload,
                              double timeout_s) {
     if (!booted_ || spm_ == nullptr) {
         throw std::logic_error("Node::run_workload_on: needs a booted hafnium node");
     }
-    kitten::KittenGuestOs* guest = guest_of(vm_id);
-    if (guest == nullptr) {
+    if (guest_of(vm_id) == nullptr) {
         throw std::invalid_argument("Node::run_workload_on: VM has no guest kernel");
     }
-    auto& engine = platform_->engine();
-    const sim::SimTime start = engine.now();
-    workload.on_finished = [this, &engine, &workload](sim::SimTime) {
-        reprice_workload_cores(workload);
-        engine.stop();
-    };
-    attach_guest_workload(*guest, spm_->vm(vm_id), workload);
-    kick_vcpus(spm_->vm(vm_id), workload.nthreads());
-    register_reattach(spm_->vm(vm_id).name(), workload);
-    engine.run_until(start + engine.clock().from_seconds(timeout_s));
-    reattach_.clear();
-    if (!workload.finished()) {
-        throw std::runtime_error("Node::run_workload_on: '" + workload.spec().name +
-                                 "' did not finish within the timeout");
-    }
-    return engine.clock().to_seconds(workload.finish_time() - start);
+    attach(spm_->vm(vm_id), workload);
+    return run_to_finish(workload, timeout_s);
 }
 
 void Node::run_selfish(wl::SelfishBenchmark& selfish, double seconds) {
     if (!booted_) throw std::logic_error("Node::run_selfish: boot first");
-    auto& engine = platform_->engine();
-    const sim::SimTime start = engine.now();
     wl::ParallelWorkload& w = selfish.workload();
-
     if (config_.scheduler == SchedulerKind::kNativeKitten) {
         w.set_mode(arch::TranslationMode::kNative);
         for (int i = 0; i < w.nthreads(); ++i) {
@@ -359,11 +335,9 @@ void Node::run_selfish(wl::SelfishBenchmark& selfish, double seconds) {
                                     "selfish-t" + std::to_string(i));
         }
     } else {
-        attach_guest_workload(*compute_guest_, *compute_vm(), w);
-        kick_vcpus(*compute_vm(), w.nthreads());
-        register_reattach(compute_vm()->name(), w);
+        attach(live_compute_vm("Node::run_selfish"), w);
     }
-    engine.run_until(start + engine.clock().from_seconds(seconds));
+    run_for(seconds);
     reattach_.clear();
 }
 
@@ -397,8 +371,8 @@ obs::MetricsSnapshot Node::publish_metrics() {
         set("linux.forwarded_irqs", static_cast<double>(s.forwarded_irqs));
         set("linux.noise_cycles", s.noise_cycles);
     }
-    if (compute_guest_) {
-        const auto& s = compute_guest_->stats();
+    if (kitten::KittenGuestOs* guest = compute_guest()) {
+        const auto& s = guest->stats();
         set("guest.ticks", static_cast<double>(s.ticks));
         set("guest.messages", static_cast<double>(s.messages));
     }
@@ -416,11 +390,30 @@ obs::MetricsSnapshot Node::publish_metrics() {
 // ---------------------------------------------------------------------------
 
 kitten::KittenGuestOs* Node::guest_of(arch::VmId id) {
-    if (hafnium::Vm* cvm = compute_vm(); cvm != nullptr && cvm->id() == id) {
-        return compute_guest_.get();
-    }
-    const auto it = dynamic_guests_.find(id);
-    return it == dynamic_guests_.end() ? nullptr : it->second.get();
+    const auto it = guests_.find(id);
+    return it == guests_.end() ? nullptr : it->second.get();
+}
+
+kitten::KittenGuestOs* Node::compute_guest() {
+    hafnium::Vm* vm = compute_vm();
+    return vm == nullptr ? nullptr : guest_of(vm->id());
+}
+
+void Node::start_guest(arch::VmId id) {
+    auto guest =
+        std::make_unique<kitten::KittenGuestOs>(*spm_, spm_->vm(id), config_.guest);
+    guest->start();
+    guests_[id] = std::move(guest);
+}
+
+arch::VmId Node::admit(const hafnium::VmSpec& spec, const std::string& chain_label) {
+    const arch::VmId id = spm_->create_vm(spec);
+    // Runtime measurements extend the chain like a TPM's runtime PCR; the
+    // digest is the one the SPM took of the image it admitted.
+    chain_.extend_digest(chain_label + spec.name, spm_->measurements().back().second);
+    start_guest(id);
+    primary_os()->launch_vm(id);
+    return id;
 }
 
 std::size_t Node::stage_image(SignedImage image) {
@@ -453,19 +446,7 @@ arch::VmId Node::launch_dynamic_vm(const SignedImage& image,
     spec.vcpu_count = vcpus;
     spec.world = world;
     spec.image = image.bytes;
-    const arch::VmId id = spm_->create_vm(spec);
-
-    // Runtime measurements extend the chain like a TPM's runtime PCR.
-    chain_.extend_digest("runtime:" + image.name,
-                         crypto::Sha256::hash(std::span<const std::uint8_t>(image.bytes)));
-
-    auto guest = std::make_unique<kitten::KittenGuestOs>(*spm_, spm_->vm(id),
-                                                         config_.guest);
-    guest->start();
-    dynamic_guests_[id] = std::move(guest);
-    if (kitten_) kitten_->launch_vm(id);
-    if (linux_) linux_->launch_vm(id);
-    return id;
+    return admit(spec, "runtime:");
 }
 
 void Node::destroy_dynamic_vm(arch::VmId id) { retire_vm(id); }
@@ -478,18 +459,15 @@ void Node::retire_vm(arch::VmId id) {
     if (spm_ == nullptr) throw std::logic_error("Node::retire_vm: no SPM");
     hafnium::Vm& vm = spm_->vm(id);
     if (vm.destroyed) return;
-    const bool was_compute = compute_vm() != nullptr && compute_vm()->id() == id;
     // Pull its VCPUs off the cores without requeueing them, then reap the
     // proxies (a kYield notification would let the scheduler re-enter the
     // VM before stop_vm runs).
     for (int v = 0; v < vm.vcpu_count(); ++v) {
         spm_->force_stop_vcpu(vm.vcpu(v), /*notify_primary=*/false);
     }
-    if (kitten_) kitten_->stop_vm(id);
-    if (linux_) linux_->stop_vm(id);
+    primary_os()->stop_vm(id);
     spm_->destroy_vm(id);
-    dynamic_guests_.erase(id);
-    if (was_compute) compute_guest_.reset();
+    guests_.erase(id);
 }
 
 arch::VmId Node::restart_vm(arch::VmId id) {
@@ -510,25 +488,13 @@ arch::VmId Node::restart_vm(arch::VmId id) {
             break;
         }
     }
-    const bool was_compute = compute_vm() != nullptr && compute_vm()->id() == id;
     retire_vm(id);
-
-    const arch::VmId nid = spm_->create_vm(spec);
-    chain_.extend_digest("restart:" + spec.name, spec.image_hash());
-    auto guest = std::make_unique<kitten::KittenGuestOs>(*spm_, spm_->vm(nid),
-                                                         config_.guest);
-    guest->start();
-    if (was_compute) {
-        compute_guest_ = std::move(guest);
-    } else {
-        dynamic_guests_[nid] = std::move(guest);
-    }
-    if (kitten_) kitten_->launch_vm(nid);
-    if (linux_) linux_->launch_vm(nid);
+    const arch::VmId nid = admit(spec, "restart:");
 
     // Resume whatever workload was attached to the partition when it died.
-    const auto it = reattach_.find(spec.name);
-    if (it != reattach_.end()) it->second(nid);
+    if (const auto it = reattach_.find(spec.name); it != reattach_.end()) {
+        attach(spm_->vm(nid), *it->second);
+    }
     return nid;
 }
 

@@ -100,6 +100,7 @@ public:
     // --- workload execution ----------------------------------------------------
     /// Run a parallel workload to completion on the compute partition
     /// (secondary VM, or bare metal natively). Returns elapsed seconds.
+    /// Throws std::logic_error once the compute VM has been retired.
     double run_workload(wl::ParallelWorkload& workload, double timeout_s = 600.0);
 
     /// Run a workload on a specific (e.g. dynamically created) VM.
@@ -107,6 +108,7 @@ public:
                            double timeout_s = 600.0);
 
     /// Run the selfish-detour spinner for `seconds` of simulated time.
+    /// Throws std::logic_error once the compute VM has been retired.
     void run_selfish(wl::SelfishBenchmark& selfish, double seconds);
 
     // --- dynamic partitioning (paper §VII future work) --------------------------
@@ -165,7 +167,8 @@ public:
     [[nodiscard]] check::Auditor* auditor() { return auditor_.get(); }
     [[nodiscard]] kitten::KittenKernel* kitten() { return kitten_.get(); }
     [[nodiscard]] linux_fwk::LinuxKernel* linux_kernel() { return linux_.get(); }
-    [[nodiscard]] kitten::KittenGuestOs* compute_guest() { return compute_guest_.get(); }
+    /// nullptr natively and once the compute VM has been retired.
+    [[nodiscard]] kitten::KittenGuestOs* compute_guest();
     [[nodiscard]] linux_fwk::LinuxGuestOs* login_guest() { return login_guest_.get(); }
     [[nodiscard]] hafnium::Vm* compute_vm();
     [[nodiscard]] hafnium::Vm* login_vm();
@@ -180,11 +183,23 @@ public:
 private:
     void boot_native();
     void boot_hafnium();
-    void attach_guest_workload(kitten::KittenGuestOs& guest, hafnium::Vm& vm,
-                               wl::ParallelWorkload& workload);
+    /// The one admission path behind launch_dynamic_vm and restart_vm:
+    /// create the partition in the SPM, extend the chain with
+    /// `chain_label + name` and the SPM's measurement, start its guest and
+    /// hand it to the primary. Returns the new VM id.
+    arch::VmId admit(const hafnium::VmSpec& spec, const std::string& chain_label);
+    /// Create and start the Kitten guest personality of VM `id`.
+    void start_guest(arch::VmId id);
+    /// The compute VM, or std::logic_error once it has been retired.
+    hafnium::Vm& live_compute_vm(const char* caller);
+    /// Mount the workload's threads on the VM's guest, kick its VCPUs and
+    /// record the workload so restart_vm reattaches it.
+    void attach(hafnium::Vm& vm, wl::ParallelWorkload& workload);
+    /// Run until the workload finishes; throws on timeout. Returns elapsed
+    /// seconds.
+    double run_to_finish(wl::ParallelWorkload& workload, double timeout_s);
     void kick_vcpus(hafnium::Vm& vm, int count);
     void reprice_workload_cores(wl::ParallelWorkload& workload);
-    void register_reattach(const std::string& vm_name, wl::ParallelWorkload& workload);
 
     NodeConfig config_;
     std::unique_ptr<arch::Platform> platform_;
@@ -197,14 +212,14 @@ private:
     std::unique_ptr<check::Auditor> auditor_;  ///< after spm_: detaches first
     std::unique_ptr<kitten::KittenKernel> kitten_;
     std::unique_ptr<linux_fwk::LinuxKernel> linux_;
-    std::unique_ptr<kitten::KittenGuestOs> compute_guest_;
+    /// Every Kitten guest personality: the compute VM's and the dynamic ones.
+    std::map<arch::VmId, std::unique_ptr<kitten::KittenGuestOs>> guests_;
     std::unique_ptr<linux_fwk::LinuxGuestOs> login_guest_;
     AttestationChain chain_;
     ImageVerifier verifier_;
-    std::map<arch::VmId, std::unique_ptr<kitten::KittenGuestOs>> dynamic_guests_;
-    /// Active-workload reattach hooks, keyed by VM name (ids change across
-    /// restarts, names do not). restart_vm invokes these after relaunch.
-    std::map<std::string, std::function<void(arch::VmId)>> reattach_;
+    /// Workloads attached to a partition, keyed by VM name (ids change
+    /// across restarts, names do not). restart_vm reattaches them.
+    std::map<std::string, wl::ParallelWorkload*> reattach_;
     std::vector<SignedImage> staged_images_;
     bool booted_ = false;
 };

@@ -19,6 +19,12 @@ class PrimaryOsItf {
 public:
     virtual ~PrimaryOsItf() = default;
 
+    /// Start scheduling a VM the SPM has admitted: one VCPU-proxy kernel
+    /// thread per VCPU, queued when the VCPU is ready.
+    virtual void launch_vm(arch::VmId vm) = 0;
+    /// Stop scheduling a VM: reap its VCPU proxies.
+    virtual void stop_vm(arch::VmId vm) = 0;
+
     /// A physical interrupt was routed to the primary on `core`. The EL2
     /// trap and world-switch costs have already been charged; the kernel
     /// must charge its own handler cost and then redispatch the core

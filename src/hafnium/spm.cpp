@@ -38,33 +38,13 @@ void Spm::boot() {
         if (spec.role == VmRole::kSecondary) ordered.push_back(&spec);
     }
 
-    auto& mem = platform_->mem();
-    for (std::size_t i = 0; i < ordered.size(); ++i) {
-        const VmSpec& spec = *ordered[i];
-        // Measured boot: hash every image before it is given memory.
-        measurements_.emplace_back(spec.name, spec.image_hash());
-        if (spec.expected_hash &&
-            !crypto::digest_equal(*spec.expected_hash, spec.image_hash())) {
-            throw std::runtime_error("Spm::boot: image hash mismatch for " + spec.name);
+    for (const VmSpec* spec : ordered) {
+        // Measured boot: a tampered image is refused before it gets memory.
+        if (spec->expected_hash &&
+            !crypto::digest_equal(*spec->expected_hash, spec->image_hash())) {
+            throw std::runtime_error("Spm::boot: image hash mismatch for " + spec->name);
         }
-
-        Vm* vm = platform_->arena().make<Vm>(static_cast<arch::VmId>(i + 1), spec,
-                                             platform_->arena(),
-                                             platform_->isa_ops().stage2);
-        const std::uint64_t nframes = spec.mem_bytes >> arch::kPageShift;
-        vm->mem_base = mem.alloc_frames(nframes, vm->id(), spec.world);
-        // Secondaries get a fully virtualized view (RAM at IPA 0); the
-        // primary and super-secondary are identity-mapped so device MMIO
-        // (below the DRAM base) fits into their address space.
-        vm->ipa_base = spec.role == VmRole::kSecondary ? 0 : vm->mem_base;
-        vm->stage2().map(vm->ipa_base, vm->mem_base, spec.mem_bytes, arch::kPermRWX,
-                         spec.world == arch::World::kSecure);
-        // Default incremental VCPU spread across cores.
-        for (int v = 0; v < vm->vcpu_count(); ++v) {
-            vm->vcpu(v).assigned_core = v % platform_->ncores();
-            vm->vcpu(v).set_audit(audit_);  // auditor may pre-date boot
-        }
-        vms_.push_back(vm);
+        admit(*spec);
     }
 
     // MMIO: "Hafnium already maps all the MMIO regions to the primary VM, so
@@ -122,26 +102,36 @@ arch::VmId Spm::create_vm(const VmSpec& spec) {
         throw std::runtime_error("Spm::create_vm: image hash mismatch");
     }
 
+    const arch::VmId id = admit(spec).id();
+    // Under integrity protection every partition's stage-2 table frames are
+    // tagged from the moment they exist — restarted VMs included.
+    if (critical_armed_) {
+        protect_new_region("stage2:" + spec.name, 1);
+    }
+    return id;
+}
+
+Vm& Spm::admit(const VmSpec& spec) {
     Vm* vm = platform_->arena().make<Vm>(static_cast<arch::VmId>(vms_.size() + 1),
                                          spec, platform_->arena(),
                                          platform_->isa_ops().stage2);
     const std::uint64_t nframes = spec.mem_bytes >> arch::kPageShift;
     vm->mem_base = platform_->mem().alloc_frames(nframes, vm->id(), spec.world);
-    vm->ipa_base = 0;
-    vm->stage2().map(0, vm->mem_base, spec.mem_bytes, arch::kPermRWX,
+    // Secondaries get a fully virtualized view (RAM at IPA 0); the primary
+    // and super-secondary are identity-mapped so device MMIO (below the
+    // DRAM base) fits into their address space.
+    vm->ipa_base = spec.role == VmRole::kSecondary ? 0 : vm->mem_base;
+    vm->stage2().map(vm->ipa_base, vm->mem_base, spec.mem_bytes, arch::kPermRWX,
                      spec.world == arch::World::kSecure);
+    // Default incremental VCPU spread across cores; the auditor may
+    // pre-date the VM.
     for (int v = 0; v < vm->vcpu_count(); ++v) {
         vm->vcpu(v).assigned_core = v % platform_->ncores();
         vm->vcpu(v).set_audit(audit_);
     }
     measurements_.emplace_back(spec.name, spec.image_hash());
     vms_.push_back(vm);
-    // Under integrity protection every partition's stage-2 table frames are
-    // tagged from the moment they exist — restarted VMs included.
-    if (critical_armed_) {
-        protect_new_region("stage2:" + spec.name, 1);
-    }
-    return vms_.back()->id();
+    return *vm;
 }
 
 void Spm::destroy_vm(arch::VmId id) {

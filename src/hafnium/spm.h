@@ -197,7 +197,8 @@ public:
     /// Cold path: call before taking a snapshot.
     void publish_metrics();
 
-    /// Boot-time image measurements, in manifest order (attestation input).
+    /// Image measurements in admission order (attestation input): entry
+    /// `id - 1` is VM `id`'s, for boot-time and runtime-created VMs alike.
     [[nodiscard]] const std::vector<std::pair<std::string, crypto::Digest>>&
     measurements() const {
         return measurements_;
@@ -266,6 +267,12 @@ public:
 
 private:
     friend struct hpcsec::check::CorruptionAccess;
+
+    /// The one admission path behind boot() and create_vm(): arena-make the
+    /// VM with the next id, allocate its frames, map its RAM (IPA 0 for
+    /// secondaries, identity otherwise), spread its VCPUs over the cores,
+    /// measure the image and register it. Callers check the spec first.
+    Vm& admit(const VmSpec& spec);
 
     /// The uniform gate body: descriptor lookup, caller validity, privilege
     /// mask, typed decode, handler. Charges nothing itself.

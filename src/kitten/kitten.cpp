@@ -96,13 +96,6 @@ KThread& KittenKernel::add_app_thread(arch::CoreId core, arch::Runnable* ctx,
     return *threads_.back();
 }
 
-KThread& KittenKernel::add_worker_thread(arch::CoreId core, arch::Runnable* ctx,
-                                         std::string name) {
-    KThread& t = add_app_thread(core, ctx, std::move(name));
-    t.kind = KThread::Kind::kWorker;
-    return t;
-}
-
 KThread& KittenKernel::add_control_task(arch::CoreId core, arch::Runnable* ctx,
                                         std::string name) {
     auto t = std::make_unique<KThread>();

@@ -54,15 +54,14 @@ public:
 
     // --- thread management ---------------------------------------------------
     KThread& add_app_thread(arch::CoreId core, arch::Runnable* ctx, std::string name);
-    KThread& add_worker_thread(arch::CoreId core, arch::Runnable* ctx, std::string name);
     KThread& add_control_task(arch::CoreId core, arch::Runnable* ctx, std::string name);
 
     /// Primary-VM only: create one VCPU-proxy kernel thread per VCPU of the
     /// target VM ("hafnium uses the same approach as the Linux implementation
     /// and creates a dedicated kernel thread for each of the VM's VCPUs").
-    void launch_vm(arch::VmId vm);
+    void launch_vm(arch::VmId vm) override;
     /// Tear the proxies down (the VM stops being scheduled).
-    void stop_vm(arch::VmId vm);
+    void stop_vm(arch::VmId vm) override;
 
     /// Move a VCPU proxy to another core ("CPU assignments can be configured
     /// and even modified during the secondary VM's execution").

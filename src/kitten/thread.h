@@ -18,7 +18,6 @@ struct KThread {
         kApp,        ///< workload thread (native configuration)
         kVcpuProxy,  ///< kernel thread holding a handle to one Hafnium VCPU
         kControl,    ///< VM-management control task
-        kWorker,     ///< background/service thread
     };
     enum class State : std::uint8_t { kReady, kRunning, kBlocked, kExited };
 
@@ -26,7 +25,7 @@ struct KThread {
     Kind kind = Kind::kApp;
     State state = State::kBlocked;
     arch::CoreId core = 0;              ///< affinity (Kitten pins threads)
-    arch::Runnable* ctx = nullptr;      ///< app/control/worker context
+    arch::Runnable* ctx = nullptr;      ///< app/control context
     hafnium::Vcpu* vcpu = nullptr;      ///< vcpu-proxy target
     std::uint64_t dispatches = 0;
 };

@@ -44,8 +44,8 @@ public:
     [[nodiscard]] bool booted() const { return booted_; }
 
     /// hf.ko: create one CFS kernel thread per VCPU of the target VM.
-    void launch_vm(arch::VmId vm);
-    void stop_vm(arch::VmId vm);
+    void launch_vm(arch::VmId vm) override;
+    void stop_vm(arch::VmId vm) override;
 
     SchedEntity& add_task(arch::CoreId core, arch::Runnable* ctx, std::string name);
     void wake_entity(SchedEntity& se);

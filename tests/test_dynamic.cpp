@@ -3,6 +3,8 @@
 // isolation invariants holding across churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/harness.h"
 #include "core/jobs.h"
 #include "core/node.h"
@@ -15,13 +17,15 @@ std::vector<std::uint8_t> seed(std::uint8_t fill) {
     return std::vector<std::uint8_t>(32, fill);
 }
 
-struct DynamicFixture : ::testing::Test {
+// Every fixture test runs under both primaries: admission, launch, run and
+// teardown go through the primary's launch_vm/stop_vm.
+struct DynamicFixture : ::testing::TestWithParam<SchedulerKind> {
     ImageSigner signer{seed(50)};
     NodeConfig cfg;
     std::unique_ptr<Node> node;
 
     void SetUp() override {
-        cfg = Harness::default_config(SchedulerKind::kKittenPrimary, 11);
+        cfg = Harness::default_config(GetParam(), 11);
         cfg.trusted_keys = {signer.public_key()};
         cfg.verify_signatures = false;  // boot-time compute VM unsigned here
         node = std::make_unique<Node>(cfg);
@@ -38,7 +42,7 @@ struct DynamicFixture : ::testing::Test {
     }
 };
 
-TEST_F(DynamicFixture, LaunchSignedVmAtRuntime) {
+TEST_P(DynamicFixture, LaunchSignedVmAtRuntime) {
     const int before = node->spm()->vm_count();
     const arch::VmId id =
         node->launch_dynamic_vm(make_signed("burst-job", signer), 64ull << 20, 2);
@@ -47,29 +51,33 @@ TEST_F(DynamicFixture, LaunchSignedVmAtRuntime) {
     EXPECT_EQ(vm.role(), hafnium::VmRole::kSecondary);
     EXPECT_EQ(vm.vcpu_count(), 2);
     EXPECT_TRUE(node->platform().mem().owned_span(vm.mem_base, vm.mem_bytes(), id));
-    // Measured into the runtime chain.
-    bool measured = false;
-    for (const auto& s : node->attestation().log()) {
-        measured |= s.name == "runtime:burst-job";
-    }
-    EXPECT_TRUE(measured);
+    // Measured into the runtime chain with the SPM's own measurement.
+    const auto& [spm_name, spm_digest] = node->spm()->measurements().at(id - 1);
+    EXPECT_EQ(spm_name, "burst-job");
+    const auto& log = node->attestation().log();
+    const auto entry = std::find_if(log.begin(), log.end(), [](const BootStage& s) {
+        return s.name == "runtime:burst-job";
+    });
+    ASSERT_NE(entry, log.end());
+    EXPECT_EQ(entry->measurement, spm_digest);
+    EXPECT_TRUE(node->attestation().replay_matches());
 }
 
-TEST_F(DynamicFixture, UnsignedLaunchRejected) {
+TEST_P(DynamicFixture, UnsignedLaunchRejected) {
     ImageSigner rogue(seed(51));  // key NOT enrolled
     EXPECT_THROW(
         node->launch_dynamic_vm(make_signed("evil", rogue), 64ull << 20, 2),
         std::runtime_error);
 }
 
-TEST_F(DynamicFixture, TamperedImageRejected) {
+TEST_P(DynamicFixture, TamperedImageRejected) {
     SignedImage img = make_signed("job", signer);
     img.bytes[17] ^= 0x80;
     EXPECT_THROW(node->launch_dynamic_vm(img, 64ull << 20, 2), std::runtime_error);
 }
 
-TEST_F(DynamicFixture, NoEnrolledKeysMeansNoDynamicVms) {
-    NodeConfig bare = Harness::default_config(SchedulerKind::kKittenPrimary, 12);
+TEST_P(DynamicFixture, NoEnrolledKeysMeansNoDynamicVms) {
+    NodeConfig bare = Harness::default_config(GetParam(), 12);
     Node node2(bare);
     node2.boot();
     EXPECT_THROW(
@@ -77,7 +85,7 @@ TEST_F(DynamicFixture, NoEnrolledKeysMeansNoDynamicVms) {
         std::runtime_error);
 }
 
-TEST_F(DynamicFixture, DynamicVmRunsWork) {
+TEST_P(DynamicFixture, DynamicVmRunsWork) {
     const arch::VmId id =
         node->launch_dynamic_vm(make_signed("job", signer), 64ull << 20, 4);
     wl::WorkloadSpec s;
@@ -92,7 +100,7 @@ TEST_F(DynamicFixture, DynamicVmRunsWork) {
     EXPECT_GT(secs, 0.0);
 }
 
-TEST_F(DynamicFixture, DestroyReclaimsMemory) {
+TEST_P(DynamicFixture, DestroyReclaimsMemory) {
     const auto frames_before = node->platform().mem().allocated_frames();
     const arch::VmId id =
         node->launch_dynamic_vm(make_signed("ephemeral", signer), 64ull << 20, 2);
@@ -110,7 +118,7 @@ TEST_F(DynamicFixture, DestroyReclaimsMemory) {
     EXPECT_FALSE(node->spm()->vm_read64(id, 0x1000, v));
 }
 
-TEST_F(DynamicFixture, DestroyWhileRunningIsForcedOffCores) {
+TEST_P(DynamicFixture, DestroyWhileRunningIsForcedOffCores) {
     const arch::VmId id =
         node->launch_dynamic_vm(make_signed("spinner", signer), 64ull << 20, 4);
     wl::ParallelWorkload w(wl::spinner_spec(4));
@@ -128,7 +136,7 @@ TEST_F(DynamicFixture, DestroyWhileRunningIsForcedOffCores) {
     node->run_for(0.2);  // node keeps ticking fine afterwards
 }
 
-TEST_F(DynamicFixture, MemoryReuseAcrossChurnStaysIsolated) {
+TEST_P(DynamicFixture, MemoryReuseAcrossChurnStaysIsolated) {
     // Launch/destroy repeatedly; a later VM reusing earlier frames must not
     // see stale data (frames are scrubbed). One Lamport key signs exactly
     // one image, so each generation gets its own provisioned signer.
@@ -147,11 +155,11 @@ TEST_F(DynamicFixture, MemoryReuseAcrossChurnStaysIsolated) {
     EXPECT_EQ(leaked, 0u) << "stale data leaked across partition churn";
 }
 
-TEST_F(DynamicFixture, CannotDestroyPrimary) {
+TEST_P(DynamicFixture, CannotDestroyPrimary) {
     EXPECT_THROW(node->spm()->destroy_vm(arch::kPrimaryVmId), std::invalid_argument);
 }
 
-TEST_F(DynamicFixture, DuplicateNameRejected) {
+TEST_P(DynamicFixture, DuplicateNameRejected) {
     (void)node->launch_dynamic_vm(make_signed("dup", signer), 32ull << 20, 1);
     ImageSigner signer2(seed(52));
     node->verifier().enroll(signer2.public_key());
@@ -160,8 +168,17 @@ TEST_F(DynamicFixture, DuplicateNameRejected) {
         std::invalid_argument);
 }
 
-TEST_F(DynamicFixture, CreateAndDestroyViaJobChannel) {
+INSTANTIATE_TEST_SUITE_P(Primaries, DynamicFixture,
+                         ::testing::Values(SchedulerKind::kKittenPrimary,
+                                           SchedulerKind::kLinuxPrimary),
+                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
+                             return to_string(info.param);
+                         });
+
+TEST(DynamicJobChannel, CreateAndDestroyViaJobChannel) {
     // Full paper workflow: login VM stages a job and manages it remotely.
+    // JobControl drives a Kitten primary, so this node is always Kitten.
+    ImageSigner signer(seed(50));
     NodeConfig jcfg = Harness::default_config(SchedulerKind::kKittenPrimary, 13);
     jcfg.with_super_secondary = true;
     jcfg.trusted_keys = {signer.public_key()};

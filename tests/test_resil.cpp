@@ -4,7 +4,9 @@
 // configuration — all under the strict isolation auditor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "check/check.h"
 #include "core/harness.h"
@@ -13,6 +15,7 @@
 #include "resil/chaos.h"
 #include "resil/resil.h"
 #include "workloads/randomaccess.h"
+#include "workloads/selfish.h"
 #include "workloads/workload.h"
 
 namespace hpcsec {
@@ -107,6 +110,8 @@ TEST_F(RunningFixture, WatchdogDetectsCrashAndRestarts) {
     sup.start();
 
     const arch::VmId old_id = node.compute_vm()->id();
+    const crypto::Digest boot_measurement =
+        node.spm()->measurements().at(old_id - 1).second;
     node.spm()->abort_vcpu(node.compute_vm()->vcpu(0));
     node.run_for(1.0);
 
@@ -116,6 +121,15 @@ TEST_F(RunningFixture, WatchdogDetectsCrashAndRestarts) {
     // Restart allocated a fresh partition id; the old one stays retired.
     EXPECT_NE(sup.current_id("compute"), old_id);
     EXPECT_TRUE(node.spm()->vm(old_id).destroyed);
+    // The chain records the relaunch with the image measured at boot.
+    const auto& log = node.attestation().log();
+    const auto restart =
+        std::find_if(log.begin(), log.end(), [](const core::BootStage& s) {
+            return s.name == "restart:compute";
+        });
+    ASSERT_NE(restart, log.end());
+    EXPECT_EQ(restart->measurement, boot_measurement);
+    EXPECT_TRUE(node.attestation().replay_matches());
 }
 
 TEST_F(RunningFixture, WatchdogDetectsHungVcpu) {
@@ -235,6 +249,26 @@ TEST(Recovery, CrashedWorkloadCompletesAfterRestartUnderStrictCheck) {
     ASSERT_NE(node.auditor(), nullptr);
     ASSERT_NO_THROW(node.auditor()->validate());
     EXPECT_TRUE(node.auditor()->failures().empty());
+}
+
+// Quarantine (retire_vm, a ContainmentEngine kill, a spent restart budget)
+// leaves the node without a compute VM: the run calls refuse, not crash.
+TEST(Recovery, RunCallsThrowOnceComputeVmIsRetired) {
+    for (SchedulerKind kind :
+         {SchedulerKind::kKittenPrimary, SchedulerKind::kLinuxPrimary}) {
+        SCOPED_TRACE(core::to_string(kind));
+        Node node(Harness::default_config(kind, 71));
+        node.boot();
+        node.retire_vm(node.compute_vm()->id());
+        EXPECT_EQ(node.compute_vm(), nullptr);
+        EXPECT_EQ(node.compute_guest(), nullptr);
+
+        wl::ParallelWorkload work(wl::spinner_spec(4));
+        EXPECT_THROW((void)node.run_workload(work, 1.0), std::logic_error);
+        wl::SelfishBenchmark selfish(4, node.platform().engine().clock());
+        EXPECT_THROW(node.run_selfish(selfish, 0.1), std::logic_error);
+        node.run_for(0.1);  // the primary keeps ticking
+    }
 }
 
 // --- job-channel hardening ---------------------------------------------------
