@@ -11,6 +11,7 @@
 #include "core/harness.h"
 #include "core/node.h"
 #include "gbench_json.h"
+#include "hafnium/abi.h"
 #include "hafnium/spm.h"
 #include "obs/recorder.h"
 #include "resil/resil.h"
@@ -128,6 +129,28 @@ void BM_PageTableWalkBlock(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PageTableWalkBlock);
+
+// The auditor's stage-2 scan shape: a 256 MiB window of 2 MiB blocks, eight
+// of them split by a one-page permission change. Reports one callback per
+// maximal run.
+void BM_PageTableForEachMapping(benchmark::State& state) {
+    constexpr std::uint64_t kBlock = 2ull << 20;
+    arch::PageTable pt;
+    pt.map(0x4000'0000, 0x8000'0000, 256ull << 20, arch::kPermRWX);
+    for (std::uint64_t b = 0; b < 8; ++b) {
+        pt.protect(0x4000'0000 + (16 * b + 3) * kBlock + 5 * arch::kPageSize,
+                   arch::kPageSize, arch::kPermR);
+    }
+    std::uint64_t callbacks = 0;
+    for (auto _ : state) {
+        pt.for_each_mapping(
+            [&callbacks](const arch::PageTable::MappingView&) { ++callbacks; });
+        benchmark::DoNotOptimize(callbacks);
+    }
+    state.counters["callbacks_per_scan"] =
+        static_cast<double>(callbacks) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_PageTableForEachMapping);
 
 void BM_MmuTranslateTwoStageCold(benchmark::State& state) {
     arch::MemoryMap mem;
@@ -256,6 +279,40 @@ void BM_HypercallAuditStrict(benchmark::State& state) {
     state.counters["audits"] = static_cast<double>(auditor.audits());
 }
 BENCHMARK(BM_HypercallAuditStrict);
+
+// Strict audit after FF-A traffic has split the compute VM's 2 MiB blocks:
+// three lends still live, two donations, and three lends already reclaimed,
+// whose blocks are whole again.
+void BM_HypercallAuditStrictSplit(benchmark::State& state) {
+    SpmBench b;
+    constexpr arch::VmId kPrimary = 1;
+    constexpr arch::VmId kCompute = 2;
+    constexpr std::uint64_t kBlock = 2ull << 20;
+    constexpr arch::IpaAddr kHole = 0x80'0000'0000ull;  // above every RAM window
+    bool ok = true;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        const arch::IpaAddr own = (4 * i + 1) * kBlock + 3 * arch::kPageSize;
+        const arch::IpaAddr window = kHole + i * kBlock;
+        if (i >= 3 && i < 5) {
+            ok &= hf::mem_donate(b.spm, 0, kCompute, kPrimary, own, 1, window).ok();
+            continue;
+        }
+        ok &= hf::mem_lend(b.spm, 0, kCompute, kPrimary, own, 1 + i % 2, window).ok();
+        if (i >= 5) ok &= hf::mem_reclaim(b.spm, 0, kCompute, kPrimary, own).ok();
+    }
+    if (!ok) {
+        state.SkipWithError("FF-A setup failed");
+        return;
+    }
+    check::Auditor auditor(b.spm, {check::Mode::kStrict});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            b.spm.hypercall(0, 1, hafnium::Call::kVmGetInfo, {2, 0, 0, 0}));
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["audits"] = static_cast<double>(auditor.audits());
+}
+BENCHMARK(BM_HypercallAuditStrictSplit);
 
 // The structured recorder must cost one predicted branch per call site when
 // its category is masked off (ISSUE acceptance: instrumentation is free in

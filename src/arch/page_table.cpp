@@ -1,6 +1,7 @@
 #include "arch/page_table.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace hpcsec::arch {
 
@@ -13,25 +14,55 @@ constexpr std::uint64_t kBlockSpanMiB2 = 1ull << 21;
 constexpr bool block_span(std::uint64_t span) {
     return span == kBlockSpanGiB || span == kBlockSpanMiB2;
 }
-}  // namespace
 
-struct PageTable::Entry {
-    enum class Kind : std::uint8_t { kInvalid, kTable, kLeaf } kind = Kind::kInvalid;
-    std::uint64_t out = 0;       // leaf: output base
-    std::uint8_t perms = kPermNone;
-    bool secure = false;
-    std::unique_ptr<Node> child;  // table: next level
-};
+// Descriptor bits (see the header). Two leaves with equal attributes whose
+// outputs are contiguous differ by exactly their span.
+constexpr std::uint64_t kValid = 1ull << 0;
+constexpr std::uint64_t kTable = 1ull << 1;
+constexpr unsigned kPermShift = 2;
+constexpr std::uint64_t kPermBits = std::uint64_t{kPermRWX} << kPermShift;
+constexpr std::uint64_t kSecure = 1ull << 5;
+
+constexpr std::uint64_t leaf(std::uint64_t out, std::uint8_t perms, bool secure) {
+    return kValid | (out & ~kPageMask) |
+           (static_cast<std::uint64_t>(perms & kPermRWX) << kPermShift) |
+           (secure ? kSecure : 0);
+}
+constexpr bool is_leaf(std::uint64_t d) { return (d & (kValid | kTable)) == kValid; }
+constexpr std::uint64_t out_of(std::uint64_t d) { return d & ~kPageMask; }
+constexpr std::uint8_t perms_of(std::uint64_t d) {
+    return static_cast<std::uint8_t>((d & kPermBits) >> kPermShift);
+}
+constexpr bool secure_of(std::uint64_t d) { return (d & kSecure) != 0; }
+
+/// The one argument check of map/unmap/protect: page aligned, and inside
+/// the input range without letting in_base + size wrap past the limit.
+void check_range(const PtFormat& fmt, std::uint64_t in_base, std::uint64_t size,
+                 std::uint64_t out_base, const char* op) {
+    if ((in_base | out_base | size) & kPageMask) {
+        throw std::invalid_argument(std::string("PageTable::") + op +
+                                    ": unaligned arguments");
+    }
+    const std::uint64_t limit = fmt.input_limit();
+    if (size > limit || in_base > limit - size) {
+        throw std::invalid_argument(std::string("PageTable::") + op +
+                                    ": input beyond address range");
+    }
+}
+}  // namespace
 
 struct PageTable::Node {
     // Sized per level at construction: the format's root may be wider than
-    // the inner levels (Sv39x4's 2048-entry concatenated root).
-    std::vector<Entry> entries;
+    // the inner levels (Sv39x4's 2048-entry concatenated root). `child` is
+    // empty at the last level, which holds only pages.
+    std::vector<std::uint64_t> desc;
+    std::vector<std::unique_ptr<Node>> child;
 };
 
 std::unique_ptr<PageTable::Node> PageTable::make_node(int level) const {
     auto node = std::make_unique<Node>();
-    node->entries.resize(fmt_.entries(level));
+    node->desc.resize(fmt_.entries(level));
+    if (level < fmt_.levels - 1) node->child.resize(fmt_.entries(level));
     return node;
 }
 
@@ -41,32 +72,27 @@ PageTable::~PageTable() = default;
 PageTable::PageTable(PageTable&&) noexcept = default;
 PageTable& PageTable::operator=(PageTable&&) noexcept = default;
 
-PageTable::Node* PageTable::ensure_child(Node& parent, std::uint64_t index,
+PageTable::Node& PageTable::ensure_child(Node& parent, std::uint64_t index,
                                          int child_level) {
-    Entry& e = parent.entries[index];
-    if (e.kind == Entry::Kind::kLeaf) {
+    std::uint64_t& d = parent.desc[index];
+    if (is_leaf(d)) {
         throw std::logic_error("PageTable: mapping overlaps existing block entry");
     }
-    if (e.kind == Entry::Kind::kInvalid) {
-        e.kind = Entry::Kind::kTable;
+    if (d == 0) {
+        d = kValid | kTable;
         // sca-suppress(hot-path-alloc): table nodes are built on the
         // control-plane map/donate/share calls; steady state has no
         // stage-2 churn.
-        e.child = make_node(child_level);
+        parent.child[index] = make_node(child_level);
         ++node_count_;
     }
-    return e.child.get();
+    return *parent.child[index];
 }
 
 void PageTable::map(std::uint64_t in_base, std::uint64_t out_base, std::uint64_t size,
                     std::uint8_t perms, bool secure, bool force_pages) {
     if (size == 0) return;
-    if ((in_base | out_base | size) & kPageMask) {
-        throw std::invalid_argument("PageTable::map: unaligned arguments");
-    }
-    if (in_base + size > fmt_.input_limit()) {
-        throw std::invalid_argument("PageTable::map: input beyond address range");
-    }
+    check_range(fmt_, in_base, size, out_base, "map");
     map_range(*root_, 0, in_base, out_base, size, perms, secure, force_pages);
 }
 
@@ -77,7 +103,6 @@ void PageTable::map_range(Node& node, int level, std::uint64_t in, std::uint64_t
     std::uint64_t remaining = size;
     while (remaining > 0) {
         const std::uint64_t idx = fmt_.index(in, level);
-        Entry& e = node.entries[idx];
         const std::uint64_t entry_base = in & ~(span - 1);
         const std::uint64_t within = in - entry_base;
         const std::uint64_t chunk = std::min(remaining, span - within);
@@ -90,19 +115,19 @@ void PageTable::map_range(Node& node, int level, std::uint64_t in, std::uint64_t
             !force_pages && level < fmt_.levels - 1 && block_span(span) &&
             within == 0 && chunk == span && (out & (span - 1)) == 0;
 
-        if (level == fmt_.levels - 1 || block_allowed) {
-            if (e.kind != Entry::Kind::kInvalid) {
+        if (level == fmt_.levels - 1 || (block_allowed && node.desc[idx] == 0)) {
+            if (node.desc[idx] != 0) {
                 throw std::logic_error("PageTable: mapping overlaps existing entry");
             }
-            e.kind = Entry::Kind::kLeaf;
-            e.out = out;
-            e.perms = perms;
-            e.secure = secure;
+            node.desc[idx] = leaf(out, perms, secure);
             ++mapping_count_;
-            mapped_bytes_ += (level == fmt_.levels - 1) ? kPageSize : span;
+            mapped_bytes_ += span;
         } else {
-            Node* child = ensure_child(node, idx, level + 1);
-            map_range(*child, level + 1, in, out, chunk, perms, secure, force_pages);
+            // A block over a table that unmaps left empty fills that table
+            // and folds below, like the last hole of a split block does.
+            map_range(ensure_child(node, idx, level + 1), level + 1, in, out, chunk,
+                      perms, secure, force_pages);
+            if (!force_pages) defrag(node, idx, level);
         }
         in += chunk;
         out += chunk;
@@ -112,73 +137,82 @@ void PageTable::map_range(Node& node, int level, std::uint64_t in, std::uint64_t
 
 void PageTable::unmap(std::uint64_t in_base, std::uint64_t size) {
     if (size == 0) return;
-    if ((in_base | size) & kPageMask) {
-        throw std::invalid_argument("PageTable::unmap: unaligned arguments");
-    }
+    check_range(fmt_, in_base, size, 0, "unmap");
     unmap_range(*root_, 0, in_base, size);
 }
 
-void PageTable::split_block(Entry& e, int level) {
+void PageTable::split_block(Node& node, std::uint64_t index, int level) {
     // Break-before-make: replace a block leaf with a table of next-level
     // leaves covering the same range (what a real hypervisor does before
     // changing a sub-range of a block mapping).
-    if (e.kind != Entry::Kind::kLeaf || level >= fmt_.levels - 1) {
-        throw std::logic_error("PageTable::split_block: not a splittable block");
-    }
     // sca-suppress(hot-path-alloc): block splits happen on control-plane
     // unmap/remap calls, not per-event steady state.
     auto child = make_node(level + 1);
+    const std::uint64_t block = node.desc[index];
     const std::uint64_t child_span = fmt_.span(level + 1);
     const std::uint64_t child_entries = fmt_.entries(level + 1);
     for (std::uint64_t i = 0; i < child_entries; ++i) {
-        Entry& sub = child->entries[i];
-        sub.kind = Entry::Kind::kLeaf;
-        sub.out = e.out + i * child_span;
-        sub.perms = e.perms;
-        sub.secure = e.secure;
+        child->desc[i] = block + i * child_span;
     }
-    e.kind = Entry::Kind::kTable;
-    e.out = 0;
-    e.child = std::move(child);
+    node.desc[index] = kValid | kTable;
+    node.child[index] = std::move(child);
     ++node_count_;
     mapping_count_ += child_entries - 1;  // one block leaf became N leaves
 }
 
+void PageTable::defrag(Node& node, std::uint64_t index, int level) {
+    // The inverse of split_block: a table under a block-sized entry whose
+    // leaves run contiguously from a block-aligned output, with equal
+    // attributes, becomes that block again. Translations do not change, so
+    // no TLB entry goes stale.
+    const std::uint64_t span = fmt_.span(level);
+    if (!block_span(span)) return;
+    const std::vector<std::uint64_t>& sub = node.child[index]->desc;
+    const std::uint64_t first = sub.front();
+    if (!is_leaf(first) || (out_of(first) & (span - 1)) != 0) return;
+    const std::uint64_t child_span = fmt_.span(level + 1);
+    for (std::uint64_t i = 1; i < sub.size(); ++i) {
+        if (sub[i] != first + i * child_span) return;
+    }
+    mapping_count_ -= sub.size() - 1;
+    node.desc[index] = first;
+    node.child[index].reset();
+    --node_count_;
+}
+
 void PageTable::unmap_range(Node& node, int level, std::uint64_t in, std::uint64_t size) {
+    // Removing entries never makes a table uniform, so unmap has nothing
+    // to defrag.
     const std::uint64_t span = fmt_.span(level);
     std::uint64_t remaining = size;
     while (remaining > 0) {
         const std::uint64_t idx = fmt_.index(in, level);
-        Entry& e = node.entries[idx];
+        std::uint64_t& d = node.desc[idx];
         const std::uint64_t entry_base = in & ~(span - 1);
         const std::uint64_t within = in - entry_base;
         const std::uint64_t chunk = std::min(remaining, span - within);
 
-        if (e.kind == Entry::Kind::kLeaf) {
-            const std::uint64_t leaf_bytes =
-                (level == fmt_.levels - 1) ? kPageSize : span;
-            if (within != 0 || chunk != leaf_bytes) {
+        if (is_leaf(d)) {
+            if (within != 0 || chunk != span) {
                 // Partial unmap of a block: split and recurse.
-                split_block(e, level);
-                unmap_range(*e.child, level + 1, in, chunk);
+                split_block(node, idx, level);
+                unmap_range(*node.child[idx], level + 1, in, chunk);
             } else {
-                e = Entry{};
+                d = 0;
                 --mapping_count_;
-                mapped_bytes_ -= leaf_bytes;
+                mapped_bytes_ -= span;
             }
-        } else if (e.kind == Entry::Kind::kTable) {
-            unmap_range(*e.child, level + 1, in, chunk);
+        } else if (d != 0) {
+            unmap_range(*node.child[idx], level + 1, in, chunk);
         }
-        // kInvalid: nothing mapped here; unmap is idempotent.
+        // Invalid: nothing mapped here; unmap is idempotent.
         in += chunk;
         remaining -= chunk;
     }
 }
 
 void PageTable::protect(std::uint64_t in_base, std::uint64_t size, std::uint8_t perms) {
-    if ((in_base | size) & kPageMask) {
-        throw std::invalid_argument("PageTable::protect: unaligned arguments");
-    }
+    check_range(fmt_, in_base, size, 0, "protect");
     protect_range(*root_, 0, in_base, size, perms);
 }
 
@@ -188,25 +222,20 @@ void PageTable::protect_range(Node& node, int level, std::uint64_t in,
     std::uint64_t remaining = size;
     while (remaining > 0) {
         const std::uint64_t idx = fmt_.index(in, level);
-        Entry& e = node.entries[idx];
+        std::uint64_t& d = node.desc[idx];
         const std::uint64_t entry_base = in & ~(span - 1);
         const std::uint64_t within = in - entry_base;
         const std::uint64_t chunk = std::min(remaining, span - within);
 
-        if (e.kind == Entry::Kind::kLeaf) {
-            const std::uint64_t leaf_bytes =
-                (level == fmt_.levels - 1) ? kPageSize : span;
-            if (within != 0 || chunk != leaf_bytes) {
-                // Partial protect of a block: split and recurse.
-                split_block(e, level);
-                protect_range(*e.child, level + 1, in, chunk, perms);
-            } else {
-                e.perms = perms;
-            }
-        } else if (e.kind == Entry::Kind::kTable) {
-            protect_range(*e.child, level + 1, in, chunk, perms);
+        if (d == 0) throw std::logic_error("PageTable::protect: range not mapped");
+        if (is_leaf(d) && within == 0 && chunk == span) {
+            d = leaf(out_of(d), perms, secure_of(d));
         } else {
-            throw std::logic_error("PageTable::protect: range not mapped");
+            // Partial protect of a block: split, recurse, and fold back if
+            // the new perms made the table uniform again.
+            if (is_leaf(d)) split_block(node, idx, level);
+            protect_range(*node.child[idx], level + 1, in, chunk, perms);
+            defrag(node, idx, level);
         }
         in += chunk;
         remaining -= chunk;
@@ -222,25 +251,21 @@ WalkResult PageTable::walk(std::uint64_t addr) const {
     const Node* node = root_.get();
     for (int level = 0; level < fmt_.levels; ++level) {
         ++r.table_accesses;
-        const Entry& e = node->entries[fmt_.index(addr, level)];
-        switch (e.kind) {
-            case Entry::Kind::kInvalid:
-                r.fault = FaultKind::kTranslation;
-                r.level = level;
-                return r;
-            case Entry::Kind::kLeaf: {
-                const std::uint64_t span =
-                    (level == fmt_.levels - 1) ? kPageSize : fmt_.span(level);
-                r.out = e.out + (addr & (span - 1));
-                r.perms = e.perms;
-                r.secure = e.secure;
-                r.level = level;
-                return r;
-            }
-            case Entry::Kind::kTable:
-                node = e.child.get();
-                break;
+        const std::uint64_t idx = fmt_.index(addr, level);
+        const std::uint64_t d = node->desc[idx];
+        if (d & kTable) {
+            node = node->child[idx].get();
+            continue;
         }
+        r.level = level;
+        if (d == 0) {
+            r.fault = FaultKind::kTranslation;
+            return r;
+        }
+        r.out = out_of(d) + (addr & (fmt_.span(level) - 1));
+        r.perms = perms_of(d);
+        r.secure = secure_of(d);
+        return r;
     }
     r.fault = FaultKind::kTranslation;  // unreachable with well-formed tables
     return r;
@@ -248,28 +273,39 @@ WalkResult PageTable::walk(std::uint64_t addr) const {
 
 void PageTable::for_each_mapping(
     const std::function<void(const MappingView&)>& fn) const {
-    visit_mappings(*root_, 0, 0, fn);
+    MappingView run;  // size 0: no run open yet
+    visit_mappings(*root_, 0, 0, run, fn);
+    if (run.size != 0) fn(run);
 }
 
 void PageTable::visit_mappings(
-    const Node& node, int level, std::uint64_t in_base,
+    const Node& node, int level, std::uint64_t in_base, MappingView& run,
     const std::function<void(const MappingView&)>& fn) const {
     const std::uint64_t span = fmt_.span(level);
-    const std::uint64_t nentries = fmt_.entries(level);
-    for (std::uint64_t i = 0; i < nentries; ++i) {
-        const Entry& e = node.entries[i];
-        const std::uint64_t in = in_base + i * span;
-        switch (e.kind) {
-            case Entry::Kind::kInvalid:
-                break;
-            case Entry::Kind::kLeaf:
-                fn({in, e.out, (level == fmt_.levels - 1) ? kPageSize : span,
-                    e.perms, e.secure});
-                break;
-            case Entry::Kind::kTable:
-                visit_mappings(*e.child, level + 1, in, fn);
-                break;
+    const std::uint64_t* d = node.desc.data();
+    const std::uint64_t n = node.desc.size();
+    for (std::uint64_t i = 0; i < n;) {
+        if (d[i] == 0) {
+            ++i;
+            continue;
         }
+        if (d[i] & kTable) {
+            visit_mappings(*node.child[i], level + 1, in_base + i * span, run, fn);
+            ++i;
+            continue;
+        }
+        // Extend over the leaves of this node that continue the run.
+        std::uint64_t j = i + 1;
+        while (j < n && d[j] == d[j - 1] + span) ++j;
+        const std::uint64_t in = in_base + i * span;
+        if (run.size != 0 && in == run.in_base + run.size &&
+            d[i] == leaf(run.out_base + run.size, run.perms, run.secure)) {
+            run.size += (j - i) * span;
+        } else {
+            if (run.size != 0) fn(run);
+            run = {in, out_of(d[i]), (j - i) * span, perms_of(d[i]), secure_of(d[i])};
+        }
+        i = j;
     }
 }
 

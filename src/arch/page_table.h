@@ -9,6 +9,12 @@
 // Block mappings are supported wherever the format has a 1 GiB or 2 MiB
 // entry span (ARM levels 1/2; Sv39 giga/megapages), mirroring how Hafnium
 // maps VM memory with the largest possible blocks.
+//
+// Each entry is one 64-bit descriptor, as in hardware and in Hafnium's mm
+// layer: 0 is invalid, bit 0 valid, bit 1 table, bits 2-4 the perms, bit 5
+// the secure attribute, and a leaf's page-aligned output address above.
+// A split block is folded back into its block once its table is uniform
+// again (Hafnium's mm_vm_defrag), so transient carve-outs leave no leaves.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +89,13 @@ public:
 
     [[nodiscard]] const PtFormat& format() const { return fmt_; }
 
+    // map, unmap and protect throw std::invalid_argument, changing nothing,
+    // unless the range is page aligned and lies inside the input range.
+
     /// Map [in_base, in_base+size) to [out_base, ...) with `perms`.
     /// Uses 1 GiB / 2 MiB blocks where alignment allows unless
-    /// `force_pages` is set. Overlapping an existing mapping throws.
+    /// `force_pages` is set (such a map also never folds a table back into
+    /// a block). Overlapping an existing mapping throws.
     void map(std::uint64_t in_base, std::uint64_t out_base, std::uint64_t size,
              std::uint8_t perms, bool secure = false, bool force_pages = false);
 
@@ -96,14 +106,16 @@ public:
     void unmap(std::uint64_t in_base, std::uint64_t size);
 
     /// Change permissions on a mapped range (page granularity; splits
-    /// blocks as needed). Throws if any page in the range is unmapped.
+    /// blocks as needed, and folds them back once uniform again). Throws if
+    /// any page in the range is unmapped.
     void protect(std::uint64_t in_base, std::uint64_t size, std::uint8_t perms);
 
     /// Walk the tables for one input address.
     [[nodiscard]] WalkResult walk(std::uint64_t addr) const;
 
-    /// One terminal (page or block) mapping, as reported by
-    /// for_each_mapping. Adjacent entries are NOT coalesced.
+    /// One maximal run of terminal (page or block) mappings, as reported by
+    /// for_each_mapping: contiguous in input and output, with equal perms
+    /// and secure bit.
     struct MappingView {
         std::uint64_t in_base = 0;
         std::uint64_t out_base = 0;
@@ -112,27 +124,28 @@ public:
         bool secure = false;
     };
 
-    /// Enumerate every terminal mapping in input-address order (audit /
-    /// introspection path; cold). The callback must not mutate this table.
+    /// Enumerate the mappings as maximal runs, in input-address order, one
+    /// callback per run (audit / introspection path). The callback must not
+    /// mutate this table.
     void for_each_mapping(const std::function<void(const MappingView&)>& fn) const;
 
     /// Number of live table nodes (root included) — i.e. translation-table
     /// memory footprint in page units.
     [[nodiscard]] std::uint64_t node_count() const { return node_count_; }
 
-    /// Number of terminal (page or block) mappings.
+    /// Number of terminal (page or block) entries.
     [[nodiscard]] std::uint64_t mapping_count() const { return mapping_count_; }
 
     /// Total bytes covered by terminal mappings.
     [[nodiscard]] std::uint64_t mapped_bytes() const { return mapped_bytes_; }
 
 private:
-    struct Entry;
     struct Node;
 
     [[nodiscard]] std::unique_ptr<Node> make_node(int level) const;
-    Node* ensure_child(Node& parent, std::uint64_t index, int child_level);
-    void split_block(Entry& e, int level);
+    Node& ensure_child(Node& parent, std::uint64_t index, int child_level);
+    void split_block(Node& node, std::uint64_t index, int level);
+    void defrag(Node& node, std::uint64_t index, int level);
     void map_range(Node& node, int level, std::uint64_t in, std::uint64_t out,
                    std::uint64_t size, std::uint8_t perms, bool secure,
                    bool force_pages);
@@ -140,6 +153,7 @@ private:
     void protect_range(Node& node, int level, std::uint64_t in, std::uint64_t size,
                        std::uint8_t perms);
     void visit_mappings(const Node& node, int level, std::uint64_t in_base,
+                        MappingView& run,
                         const std::function<void(const MappingView&)>& fn) const;
 
     PtFormat fmt_;

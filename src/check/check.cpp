@@ -33,7 +33,8 @@ constexpr int kIrqIdLimit = 256;
 }
 
 /// A run of stage-2 terminal mappings, contiguous in IPA and PA with equal
-/// attributes, tagged with its VM.
+/// attributes and inside one region (or one unbacked stretch), tagged with
+/// its VM.
 struct PaMapping {
     arch::VmId vm = 0;
     arch::IpaAddr ipa = 0;
@@ -42,6 +43,22 @@ struct PaMapping {
     std::uint8_t perms = arch::kPermNone;
     bool secure = false;
 };
+
+/// The stretch of PA space from some address that one region decides: the
+/// region holding it up to that region's end, or, when the address is
+/// unbacked (`region` null), up to the next region's base.
+struct Piece {
+    const arch::MemRegion* region = nullptr;
+    arch::PhysAddr end = 0;
+};
+
+[[nodiscard]] Piece piece_at(const arch::MemoryMap& mem, arch::PhysAddr pa) {
+    for (const arch::MemRegion& r : mem.regions()) {  // sorted by base
+        if (pa < r.base) return {nullptr, r.base};
+        if (pa < r.end()) return {&r, r.end()};
+    }
+    return {nullptr, ~arch::PhysAddr{0}};
+}
 
 /// A share/lend grant resolved to the PA range it covers.
 struct GrantRange {
@@ -276,22 +293,20 @@ void Auditor::check_stage2() {
     for (int id = 1; id <= spm_->vm_count(); ++id) {
         hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
         if (vm.destroyed) continue;
-        // Coalesce leaves contiguous in IPA and PA, with equal attributes and
-        // inside one region: block splits leave thousands of 4 KiB leaves.
-        PaMapping run;
-        const arch::MemRegion* region = nullptr;
+        // The table reports maximal runs; cut each where the PA crosses into
+        // another region, or out of the unbacked stretch between two.
         vm.stage2().for_each_mapping([&](const arch::PageTable::MappingView& m) {
-            if (run.size != 0 && region != nullptr && m.in_base == run.ipa + run.size &&
-                m.out_base == run.pa + run.size && m.out_base < region->end() &&
-                m.perms == run.perms && m.secure == run.secure) {
-                run.size += m.size;
-                return;
+            const arch::PhysAddr run_end = m.out_base + m.size;
+            for (arch::PhysAddr pa = m.out_base; pa < run_end;) {
+                const Piece piece = piece_at(mem, pa);
+                const arch::PhysAddr end = std::min(run_end, piece.end);
+                check_mapping(vm,
+                              {vm.id(), m.in_base + (pa - m.out_base), pa, end - pa,
+                               m.perms, m.secure},
+                              piece.region);
+                pa = end;
             }
-            if (run.size != 0) check_mapping(vm, run, region);
-            run = {vm.id(), m.in_base, m.out_base, m.size, m.perms, m.secure};
-            region = mem.find_region(m.out_base);
         });
-        if (run.size != 0) check_mapping(vm, run, region);
     }
 
     // Exclusivity sweep: writable RAM present in two different VMs' tables

@@ -155,17 +155,12 @@ void Spm::destroy_vm(arch::VmId id) {
         victim.vcpu(v).set_state(VcpuState::kAborted);
     }
     guest_os_.erase(id);
-    // Unmap the victim's *entire* stage-2, not just the boot window:
+    // Drop the victim's *entire* stage-2, not just the boot window:
     // donated-in windows live outside [ipa_base, ipa_base + mem_bytes) and
     // would otherwise survive as dangling translations onto freed frames.
-    std::vector<std::pair<arch::IpaAddr, std::uint64_t>> mappings;
-    victim.stage2().for_each_mapping(
-        [&mappings](const arch::PageTable::MappingView& m) {
-            mappings.emplace_back(m.in_base, m.size);
-        });
-    for (const auto& [in_base, size] : mappings) {
-        victim.stage2().unmap(in_base, size);
-    }
+    // MMUs hold the PageTable object, not its nodes, so their pointers stay
+    // valid and every walk now faults.
+    victim.stage2() = arch::PageTable(victim.stage2().format());
     flush_stage2_tlbs(id);
     // Free by *current ownership*, not the boot window. FF-A donations
     // move frames both ways after boot: frames donated away belong to

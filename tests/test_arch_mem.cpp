@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "arch/memory_map.h"
 #include "arch/mmu.h"
@@ -554,6 +557,290 @@ TEST_P(PageTableProperty, RandomDisjointMappingsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageTableProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// map/unmap/protect refuse a range past the input limit (or one whose end
+// wraps) instead of letting the index mask alias it onto low addresses.
+TEST(PageTable, OutOfRangeCallsLeaveLowAddressesAlone) {
+    for (const PtFormat fmt : {PtFormat::armv8_4k(), PtFormat::sv39x4()}) {
+        SCOPED_TRACE(fmt.input_bits);
+        const std::uint64_t limit = fmt.input_limit();
+        PageTable pt(fmt);
+        pt.map(0, 0x8000'0000, kPageSize, kPermRW);
+        EXPECT_THROW(pt.unmap(limit, kPageSize), std::invalid_argument);
+        EXPECT_THROW(pt.protect(limit, kPageSize, kPermNone), std::invalid_argument);
+        EXPECT_THROW(pt.unmap(limit - kPageSize, 2 * kPageSize), std::invalid_argument);
+        const WalkResult w = pt.walk(0);
+        EXPECT_EQ(w.fault, FaultKind::kNone);
+        EXPECT_EQ(w.out, 0x8000'0000u);
+        EXPECT_EQ(w.perms, kPermRW);
+        EXPECT_EQ(pt.mapping_count(), 1u);
+
+        PageTable fresh(fmt);
+        EXPECT_THROW(fresh.map(0xFFFF'FFFF'FFFF'F000, 0x9000'0000, 2 * kPageSize, kPermRW),
+                     std::invalid_argument);
+        EXPECT_EQ(fresh.walk(0).fault, FaultKind::kTranslation);
+        EXPECT_EQ(fresh.mapping_count(), 0u);
+    }
+}
+
+// --- PageTable folding and runs, on every format --------------------------------
+
+struct NamedFormat {
+    const char* name;
+    PtFormat fmt;
+};
+
+constexpr NamedFormat kFormats[] = {
+    {"armv8_4k", PtFormat::armv8_4k()},
+    {"sv39", PtFormat::sv39()},
+    {"sv39x4", PtFormat::sv39x4()},
+};
+
+constexpr std::uint64_t kGiB = 1ull << 30;
+constexpr std::uint64_t k2MiB = 2ull << 20;
+
+class PageTableFold : public ::testing::TestWithParam<NamedFormat> {};
+
+// Carving pages out of a block and restoring them folds the block back: the
+// walk ends at the block level again and the split tables are gone.
+TEST_P(PageTableFold, RestoredBlockWalksAtItsBlockLevelAgain) {
+    const PtFormat fmt = GetParam().fmt;
+    PageTable pt(fmt);
+    pt.map(kGiB, 0x4000'0000, kGiB, kPermRWX);
+    pt.map(2 * kGiB, 0x8000'0000, 2 * k2MiB, kPermRW, /*secure=*/true);
+    const int giga = pt.walk(kGiB).level;
+    const int mega = pt.walk(2 * kGiB + k2MiB).level;
+    ASSERT_EQ(fmt.span(giga), kGiB);
+    ASSERT_EQ(fmt.span(mega), k2MiB);
+    const std::uint64_t nodes = pt.node_count();
+    const std::uint64_t maps = pt.mapping_count();
+
+    // Protect to none and back: the 1 GiB block splits twice, then folds.
+    const IpaAddr lent = kGiB + 5 * kPageSize;
+    pt.protect(lent, 3 * kPageSize, kPermNone);
+    EXPECT_EQ(pt.walk(lent).perms, kPermNone);
+    EXPECT_EQ(pt.walk(lent).level, fmt.levels - 1);
+    EXPECT_EQ(pt.node_count(), nodes + 2);
+    pt.protect(lent, 3 * kPageSize, kPermRWX);
+    EXPECT_EQ(pt.walk(lent).level, giga);
+    EXPECT_EQ(pt.walk(lent + 8).out, 0x4000'0000u + 5 * kPageSize + 8);
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(pt.mapping_count(), maps);
+
+    // Unmap a page and map it back to the same frame (a donation and its
+    // return): the 2 MiB block folds once the hole is filled.
+    const IpaAddr donated = 2 * kGiB + k2MiB + 7 * kPageSize;
+    pt.unmap(donated, kPageSize);
+    EXPECT_EQ(pt.node_count(), nodes + 1);
+    pt.map(donated, 0x8000'0000 + k2MiB + 7 * kPageSize, kPageSize, kPermRW,
+           /*secure=*/true);
+    const WalkResult w = pt.walk(donated);
+    EXPECT_EQ(w.level, mega);
+    EXPECT_EQ(w.out, 0x8000'0000u + k2MiB + 7 * kPageSize);
+    EXPECT_TRUE(w.secure);
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(pt.mapping_count(), maps);
+    EXPECT_EQ(pt.mapped_bytes(), kGiB + 2 * k2MiB);
+}
+
+// Tables that are not one block's worth of uniform leaves stay split.
+TEST_P(PageTableFold, NonUniformTablesStaySplit) {
+    const PtFormat fmt = GetParam().fmt;
+    const int page = fmt.levels - 1;
+    PageTable pt(fmt);
+
+    // A donated hole, refilled from another frame.
+    pt.map(0, 0x4000'0000, k2MiB, kPermRW);
+    pt.unmap(3 * kPageSize, kPageSize);
+    pt.map(3 * kPageSize, 0x9000'0000, kPageSize, kPermRW);
+    EXPECT_EQ(pt.walk(0).level, page);
+    EXPECT_EQ(pt.walk(3 * kPageSize).out, 0x9000'0000u);
+
+    // The right frame comes back, but with a differing secure bit.
+    pt.map(k2MiB, 0x4020'0000, k2MiB, kPermRW);
+    pt.unmap(k2MiB + 9 * kPageSize, kPageSize);
+    pt.map(k2MiB + 9 * kPageSize, 0x4020'0000 + 9 * kPageSize, kPageSize, kPermRW,
+           /*secure=*/true);
+    EXPECT_EQ(pt.walk(k2MiB).level, page);
+    EXPECT_TRUE(pt.walk(k2MiB + 9 * kPageSize).secure);
+
+    // Contiguous, uniform leaves whose output is one page off a 2 MiB
+    // boundary, and 2 MiB blocks whose output is off a 1 GiB boundary.
+    pt.map(2 * k2MiB, 0x4040'1000, k2MiB, kPermRW);
+    pt.map(kGiB, 0x4020'0000, kGiB, kPermRW);
+    const int mega = pt.walk(kGiB).level;
+    ASSERT_EQ(fmt.span(mega), k2MiB);
+    const std::uint64_t nodes = pt.node_count();
+    pt.protect(2 * k2MiB, kPageSize, kPermR);
+    pt.protect(2 * k2MiB, kPageSize, kPermRW);
+    pt.protect(kGiB, kPageSize, kPermR);
+    pt.protect(kGiB, kPageSize, kPermRW);
+    EXPECT_EQ(pt.walk(2 * k2MiB).level, page);
+    EXPECT_EQ(pt.walk(kGiB).level, mega);
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(pt.mapping_count(), 4 * 512u);
+}
+
+// A block-sized map over a table that unmaps emptied is not an overlap: it
+// fills the table, which folds into the block.
+TEST_P(PageTableFold, BlockMapsOverAnEmptiedTable) {
+    const PtFormat fmt = GetParam().fmt;
+    PageTable pt(fmt);
+    pt.map(0, 0x4000'0000, k2MiB, kPermRW);
+    const int mega = pt.walk(0).level;
+    const std::uint64_t nodes = pt.node_count();
+    pt.unmap(kPageSize, kPageSize);  // splits the block
+    pt.unmap(0, k2MiB);
+    EXPECT_EQ(pt.mapping_count(), 0u);
+    ASSERT_NO_THROW(pt.map(0, 0x5000'0000, k2MiB, kPermRWX));
+    const WalkResult w = pt.walk(kPageSize + 8);
+    EXPECT_EQ(w.level, mega);
+    EXPECT_EQ(w.out, 0x5000'0000u + kPageSize + 8);
+    EXPECT_EQ(w.perms, kPermRWX);
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(pt.mapping_count(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, PageTableFold, ::testing::ValuesIn(kFormats),
+                         [](const ::testing::TestParamInfo<NamedFormat>& info) {
+                             return std::string(info.param.name);
+                         });
+
+// Random map (blocks and pages), unmap and protect calls over a 1 GiB window
+// and the two 2 MiB blocks after it, each checked against a per-page model.
+class PageTableModel
+    : public ::testing::TestWithParam<std::tuple<NamedFormat, std::uint64_t>> {};
+
+TEST_P(PageTableModel, MatchesPerPageReference) {
+    const PtFormat fmt = std::get<0>(GetParam()).fmt;
+    sim::Rng rng(std::get<1>(GetParam()));
+    constexpr IpaAddr kBase = kGiB;
+    constexpr std::uint64_t kPages = (kGiB + 2 * k2MiB) / kPageSize;
+    constexpr std::uint64_t kLinear = 3 * kGiB;  // default output offset
+
+    struct Ref {
+        bool mapped = false;
+        std::uint64_t out = 0;
+        std::uint8_t perms = kPermNone;
+        bool secure = false;
+    };
+    std::vector<Ref> model(kPages);
+    std::uint64_t model_pages = 0;
+    PageTable pt(fmt);
+
+    const auto page_of = [&](IpaAddr in) { return (in - kBase) / kPageSize; };
+    const auto count_mapped = [&](IpaAddr in, std::uint64_t size) {
+        std::uint64_t n = 0;
+        for (std::uint64_t p = page_of(in); p < page_of(in + size); ++p) {
+            n += model[p].mapped;
+        }
+        return n;
+    };
+
+    for (int step = 0; step < 150; ++step) {
+        // Pick a range: the whole 1 GiB window, a few 2 MiB blocks, or a few
+        // pages near a block boundary.
+        IpaAddr in = kBase;
+        std::uint64_t size = kGiB;
+        const std::uint64_t shape = rng.next_below(10);
+        if (shape >= 1 && shape <= 3) {
+            in = kBase + rng.next_below(kPages * kPageSize / k2MiB) * k2MiB;
+            size = (1 + rng.next_below(4)) * k2MiB;
+        } else if (shape >= 4) {
+            const IpaAddr hot[] = {kBase, kBase + kGiB - k2MiB, kBase + kGiB,
+                                   kBase + kGiB + k2MiB,
+                                   kBase + rng.next_below(512) * k2MiB};
+            in = hot[rng.next_below(5)] + rng.next_below(512) * kPageSize;
+            size = (1 + rng.next_below(64)) * kPageSize;
+        }
+        size = std::min(size, kBase + kPages * kPageSize - in);
+        const std::uint64_t mapped = count_mapped(in, size);
+        const std::uint64_t pages = size / kPageSize;
+
+        std::uint64_t kind = rng.next_below(3);  // 0 map, 1 unmap, 2 protect
+        if (kind == 0 && mapped != 0) kind = mapped == pages ? 2 : 1;
+        if (kind == 2 && mapped != pages) kind = mapped == 0 ? 0 : 1;
+        SCOPED_TRACE(::testing::Message() << "step " << step << " kind " << kind << " in 0x"
+                                          << std::hex << in << " size 0x" << size);
+        const std::uint8_t kPermChoice[] = {kPermRWX, kPermRWX, kPermRW, kPermR, kPermNone};
+        if (kind == 0) {
+            const std::uint64_t out =
+                rng.next_below(4) != 0
+                    ? in + kLinear
+                    : (8 * kGiB + rng.next_below(4096) * k2MiB) | (in & (k2MiB - 1));
+            const std::uint8_t perms = kPermChoice[rng.next_below(4)];
+            const bool secure = rng.next_below(5) == 0;
+            const bool force_pages = rng.next_below(4) == 0;
+            pt.map(in, out, size, perms, secure, force_pages);
+            for (std::uint64_t i = 0; i < pages; ++i) {
+                model[page_of(in) + i] = {true, out + i * kPageSize, perms, secure};
+            }
+            model_pages += pages;
+        } else if (kind == 1) {
+            pt.unmap(in, size);
+            for (std::uint64_t i = 0; i < pages; ++i) model[page_of(in) + i].mapped = false;
+            model_pages -= mapped;
+        } else {
+            const std::uint8_t perms = kPermChoice[rng.next_below(5)];
+            pt.protect(in, size, perms);
+            for (std::uint64_t i = 0; i < pages; ++i) model[page_of(in) + i].perms = perms;
+        }
+
+        // Every touched page walks as the model says.
+        for (std::uint64_t i = 0; i < pages; ++i) {
+            const Ref& r = model[page_of(in) + i];
+            const WalkResult w = pt.walk(in + i * kPageSize);
+            ASSERT_EQ(w.fault == FaultKind::kNone, r.mapped) << "page " << i;
+            if (!r.mapped) continue;
+            ASSERT_EQ(w.out, r.out) << "page " << i;
+            ASSERT_EQ(w.perms, r.perms) << "page " << i;
+            ASSERT_EQ(w.secure, r.secure) << "page " << i;
+        }
+
+        // The runs are sorted, disjoint and maximal, and cover exactly the
+        // model's pages; the counters match a recount of terminal entries.
+        std::vector<PageTable::MappingView> runs;
+        pt.for_each_mapping([&](const PageTable::MappingView& m) { runs.push_back(m); });
+        std::uint64_t run_pages = 0;
+        std::uint64_t entries = 0;
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+            const PageTable::MappingView& m = runs[k];
+            ASSERT_GT(m.size, 0u);
+            ASSERT_GE(m.in_base, kBase);
+            ASSERT_LE(m.in_base + m.size, kBase + kPages * kPageSize);
+            if (k > 0) {
+                const PageTable::MappingView& prev = runs[k - 1];
+                ASSERT_LE(prev.in_base + prev.size, m.in_base) << "run " << k;
+                ASSERT_FALSE(prev.in_base + prev.size == m.in_base &&
+                             prev.out_base + prev.size == m.out_base &&
+                             prev.perms == m.perms && prev.secure == m.secure)
+                    << "run " << k << " continues run " << k - 1;
+            }
+            for (std::uint64_t off = 0; off < m.size; off += kPageSize) {
+                const Ref& r = model[page_of(m.in_base + off)];
+                ASSERT_TRUE(r.mapped) << "run " << k;
+                ASSERT_EQ(r.out, m.out_base + off) << "run " << k;
+                ASSERT_EQ(r.perms, m.perms) << "run " << k;
+                ASSERT_EQ(r.secure, m.secure) << "run " << k;
+            }
+            run_pages += m.size / kPageSize;
+            for (IpaAddr a = m.in_base; a < m.in_base + m.size; ++entries) {
+                a += fmt.span(pt.walk(a).level);
+            }
+        }
+        ASSERT_EQ(run_pages, model_pages);
+        ASSERT_EQ(pt.mapping_count(), entries);
+        ASSERT_EQ(pt.mapped_bytes(), model_pages * kPageSize);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormatsAndSeeds, PageTableModel,
+    ::testing::Combine(::testing::ValuesIn(kFormats), ::testing::Values(1, 2, 3, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<NamedFormat, std::uint64_t>>& info) {
+        return std::string(std::get<0>(info.param).name) + "_seed" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 // --- TLB ------------------------------------------------------------------------
 

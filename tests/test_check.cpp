@@ -312,17 +312,20 @@ TEST(CheckGrants, SharedPagesAreNotExclusivityFindings) {
 
 /// A bare SPM whose 1 GiB primary sits at the 1 GiB-aligned DRAM base, so
 /// its stage-2 identity map is one 1 GiB block, plus one 32 MiB tenant.
+/// `secure_ram_bytes` carves a secure region from the top of DRAM.
 struct OneBlockSpm {
     arch::Platform platform;
     hafnium::Spm spm;
 
-    explicit OneBlockSpm(arch::Isa isa) : platform(config(isa)), spm(platform, manifest()) {
+    explicit OneBlockSpm(arch::Isa isa, std::uint64_t secure_ram_bytes = 0)
+        : platform(config(isa, secure_ram_bytes)), spm(platform, manifest()) {
         spm.boot();
     }
 
-    static arch::PlatformConfig config(arch::Isa isa) {
+    static arch::PlatformConfig config(arch::Isa isa, std::uint64_t secure_ram_bytes) {
         arch::PlatformConfig c = arch::PlatformConfig::pine_a64();
         c.isa = isa;
+        c.secure_ram_bytes = secure_ram_bytes;
         return c;
     }
 
@@ -398,6 +401,50 @@ TEST_P(ExactAudit, OverlapRunningPastItsGrantIsFlagged) {
     EXPECT_EQ(auditor.count(Rule::kStage2Exclusive), 1u) << auditor.report();
     EXPECT_NE(auditor.report().find("PA " + hex_pa(pa + 2 * arch::kPageSize) +
                                     " writable"),
+              std::string::npos)
+        << auditor.report();
+}
+
+// A rogue run that starts on the unbacked page below DRAM and continues into
+// the primary's RAM. The unbacked piece ends at the next region's base, so
+// the primary's frame is still checked for ownership.
+TEST_P(ExactAudit, RunFromUnbackedPaIntoRamIsCheckedOnBothSides) {
+    OneBlockSpm node(GetParam());
+    const hafnium::Vm& primary = node.spm.primary_vm();
+    const arch::PhysAddr below = primary.mem_base - arch::kPageSize;
+    ASSERT_EQ(node.platform.mem().find_region(below), nullptr);
+    check::CorruptionAccess::map_rogue_window(node.spm, node.spm.find_vm("tenant")->id(),
+                                              below, 2);
+    Auditor auditor(node.spm, {Mode::kSampled});
+    auditor.validate();
+    const std::string report = auditor.report();
+    EXPECT_NE(report.find("maps unbacked PA " + hex_pa(below) + " "), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("maps PA " + hex_pa(primary.mem_base) + " owned by vm " +
+                          std::to_string(primary.id()) + " without a grant"),
+              std::string::npos)
+        << report;
+}
+
+// A normal-world rogue run whose PA crosses from dram-ns into dram-secure:
+// the piece past the region end is checked against the secure region.
+TEST_P(ExactAudit, RunCrossingIntoSecureRamIsATrustZoneFinding) {
+    OneBlockSpm node(GetParam(), /*secure_ram_bytes=*/128ull << 20);
+    const arch::MemRegion* secure = nullptr;
+    for (const arch::MemRegion& r : node.platform.mem().regions()) {
+        if (r.kind == arch::RegionKind::kRam && r.world == arch::World::kSecure) {
+            secure = &r;
+        }
+    }
+    ASSERT_NE(secure, nullptr);
+    ASSERT_NE(node.platform.mem().find_region(secure->base - arch::kPageSize), nullptr);
+    check::CorruptionAccess::map_rogue_window(node.spm, node.spm.find_vm("tenant")->id(),
+                                              secure->base - arch::kPageSize, 2);
+    Auditor auditor(node.spm, {Mode::kSampled});
+    auditor.validate();
+    EXPECT_GE(auditor.count(Rule::kTrustZone), 1u) << auditor.report();
+    EXPECT_NE(auditor.report().find("normal-world VM maps secure RAM at PA " +
+                                    hex_pa(secure->base)),
               std::string::npos)
         << auditor.report();
 }
