@@ -5,8 +5,9 @@
 // with no observation vs the profiling interceptor attached, the recorder
 // instant with the flight rings disarmed vs armed, and the raw profiler
 // charge hook both ways. Written to BENCH_obs_overhead.json (schema
-// checked by tools/lint.py) so regressions in the one-predicted-branch
-// discipline show up in the perf trajectory, not in code review.
+// checked by the tools/sca rule `bench-report-schema`) so regressions in
+// the one-predicted-branch discipline show up in the perf trajectory, not
+// in code review.
 #include <benchmark/benchmark.h>
 
 #include "arch/platform.h"

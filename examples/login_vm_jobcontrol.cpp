@@ -4,7 +4,8 @@
 // the full job-control path: login VM -> secure mailbox channel -> Kitten
 // control task -> Hafnium hypercalls. Demonstrates ping, VM query, VCPU
 // migration, and stop/relaunch of the compute VM — plus the privilege
-// boundary (the login VM cannot call HF_VCPU_RUN itself).
+// boundary (the login VM cannot call HF_VCPU_RUN itself). Exits 1 when any
+// request times out or answers a nonzero status.
 #include <cstdio>
 
 #include "core/harness.h"
@@ -39,14 +40,17 @@ int main() {
     // Now the sanctioned path: the job-control channel.
     core::JobControl jobs(node);
 
+    bool failed = false;
     auto request = [&](core::JobCommand cmd, const char* what) {
         const auto reply = jobs.request(cmd, 3.0);
         if (reply) {
             std::printf("  %-28s -> status=%lld value=%#llx\n", what,
                         static_cast<long long>(reply->status),
                         static_cast<unsigned long long>(reply->value));
+            if (reply->status != 0) failed = true;
         } else {
             std::printf("  %-28s -> TIMEOUT\n", what);
+            failed = true;
         }
     };
 
@@ -82,5 +86,5 @@ int main() {
     std::printf("\ncontrol task processed %llu commands; SPM saw %llu messages\n",
                 static_cast<unsigned long long>(jobs.commands_processed()),
                 static_cast<unsigned long long>(node.spm()->stats().messages));
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -100,7 +100,6 @@ public:
     [[nodiscard]] bool occupied() const { return state_ != State::kIdle; }
     [[nodiscard]] Runnable* current() const { return current_; }
     [[nodiscard]] CoreId core() const { return core_; }
-    [[nodiscard]] sim::SimTime busy_until() const { return busy_until_; }
 
     /// Invoked (from event context) when the current runnable's units reach
     /// zero. The runnable has been detached; the core is idle.

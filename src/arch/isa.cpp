@@ -12,7 +12,6 @@ namespace {
 const IsaOps kArmOps{
     Isa::kArm,
     "arm",
-    "arm,cortex-a53",
     El::kEl0,
     El::kEl1,
     El::kEl2,
@@ -25,7 +24,6 @@ const IsaOps kArmOps{
 const IsaOps kRiscvOps{
     Isa::kRiscv,
     "riscv",
-    "riscv,rv64gch",
     El::kEl0,
     El::kEl1,
     El::kEl2,

@@ -45,8 +45,7 @@ struct IrqLayout {
 /// lifetime and the table can be consulted on hot paths without a lock.
 struct IsaOps {
     Isa isa;
-    const char* name;            ///< "arm" / "riscv" (the --isa token)
-    const char* cpu_compatible;  ///< device-tree cpu node compatible string
+    const char* name;  ///< "arm" / "riscv" (the --isa token)
 
     // Privilege-level mapping onto the generic El ladder.
     El user_level = El::kEl0;

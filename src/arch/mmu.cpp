@@ -18,7 +18,6 @@ Translation Mmu::translate(VirtAddr va, Access access) {
     // permission check still applies, exactly as on the TLB-hit path below.
     const std::uint64_t in_page = page_index(va);
     if (in_page == l0_.in_page && l0_.epoch == tlb_.flush_epoch()) {
-        ++l0_hits_;
         tlb_.note_front_hit();
         Translation t;
         if (!perms_allow(l0_.perms, access)) {
@@ -153,7 +152,6 @@ Translation Mmu::translate_uncached(VirtAddr va, Access access) {
 bool Mmu::read64(VirtAddr va, std::uint64_t& value) {
     const Translation t = translate(va, Access::kRead);
     if (t.fault != FaultKind::kNone) return false;
-    if (dcache_ != nullptr) dcache_->access(t.pa, /*is_write=*/false);
     value = mem_->read64(t.pa, world_);
     return true;
 }
@@ -161,7 +159,6 @@ bool Mmu::read64(VirtAddr va, std::uint64_t& value) {
 bool Mmu::write64(VirtAddr va, std::uint64_t value) {
     const Translation t = translate(va, Access::kWrite);
     if (t.fault != FaultKind::kNone) return false;
-    if (dcache_ != nullptr) dcache_->access(t.pa, /*is_write=*/true);
     mem_->write64(t.pa, value, world_);
     return true;
 }

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "arch/cache.h"
 #include "arch/memory_map.h"
 #include "arch/page_table.h"
 #include "arch/tlb.h"
@@ -52,14 +51,6 @@ public:
     Tlb& tlb() { return tlb_; }
     const Tlb& tlb() const { return tlb_; }
 
-    /// Translations served by the L0 single-entry cache (subset of TLB hits).
-    [[nodiscard]] std::uint64_t l0_hits() const { return l0_hits_; }
-
-    /// Optional data-cache observer: functional accesses probe it (pure
-    /// observability; the statistical perf model is independent).
-    void set_dcache(CacheHierarchy* dcache) { dcache_ = dcache; }
-    [[nodiscard]] CacheHierarchy* dcache() const { return dcache_; }
-
 private:
     Translation translate_uncached(VirtAddr va, Access access);
 
@@ -82,8 +73,6 @@ private:
     World world_ = World::kNonSecure;
     Tlb tlb_;
     L0Entry l0_;
-    std::uint64_t l0_hits_ = 0;
-    CacheHierarchy* dcache_ = nullptr;
 };
 
 }  // namespace hpcsec::arch

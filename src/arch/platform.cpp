@@ -152,27 +152,6 @@ Platform::Platform(PlatformConfig config, std::uint64_t seed)
             break;
         }
     }
-
-    build_device_tree();
-}
-
-void Platform::build_device_tree() {
-    dt_.set("compatible", config_.name);
-    auto& cpus = dt_.add_child("cpus");
-    for (int i = 0; i < config_.ncores; ++i) {
-        auto& cpu = cpus.add_child("cpu@" + std::to_string(i));
-        cpu.set("reg", static_cast<std::uint64_t>(i));
-        cpu.set("compatible", std::string(ops_->cpu_compatible));
-        cpu.set("clock-frequency", config_.clock_hz);
-    }
-    auto& memory = dt_.add_child("memory");
-    memory.set("reg", std::vector<std::uint64_t>{config_.ram_base, config_.ram_bytes});
-    auto& soc = dt_.add_child("soc");
-    for (const auto& d : config_.devices) {
-        auto& dev = soc.add_child(d.name);
-        dev.set("reg", std::vector<std::uint64_t>{d.base, d.size});
-        if (d.spi >= 0) dev.set("interrupts", static_cast<std::uint64_t>(d.spi));
-    }
 }
 
 CoreUsage Platform::total_usage() const {

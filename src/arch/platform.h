@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "arch/core.h"
-#include "arch/devicetree.h"
 #include "arch/irq_controller.h"
 #include "arch/isa.h"
 #include "arch/memory_map.h"
@@ -109,11 +108,6 @@ public:
         return cores_[id];
     }
 
-    /// Hardware description tree (memory, cpus, devices) as firmware would
-    /// hand it to the first boot stage.
-    [[nodiscard]] const DtNode& device_tree() const { return dt_; }
-    DtNode& device_tree() { return dt_; }
-
     /// Console UART (attached to the first uart-named device), if any.
     [[nodiscard]] Uart* uart() { return uart_.get(); }
 
@@ -125,8 +119,6 @@ public:
     void publish_metrics();
 
 private:
-    void build_device_tree();
-
     PlatformConfig config_;
     sim::Engine engine_;
     sim::Rng rng_;
@@ -141,7 +133,6 @@ private:
     Core* cores_ = nullptr;  ///< contiguous array of config_.ncores, arena-owned
     std::unique_ptr<SecureMonitor> monitor_;
     std::unique_ptr<Uart> uart_;
-    DtNode dt_{"/"};
 };
 
 }  // namespace hpcsec::arch

@@ -69,16 +69,6 @@ void Tlb::flush_vmid(VmId vmid) {
     }
 }
 
-void Tlb::flush_asid(VmId vmid, Asid asid) {
-    ++stats_.flushes;
-    ++flush_epoch_;
-    for (auto& s : sets_) {
-        for (auto& e : s.ways) {
-            if (e.valid && e.vmid == vmid && e.asid == asid) e.valid = false;
-        }
-    }
-}
-
 void Tlb::flush_page(VmId vmid, std::uint64_t in_page) {
     ++flush_epoch_;
     for (auto& e : sets_[set_of(in_page)].ways) {

@@ -2,7 +2,7 @@
 //
 // Caches *combined* final translations (input page -> output page), the way
 // modern ARM cores cache two-stage walks. Flush semantics follow the ARM
-// TLBI instructions we need: full flush, by-VMID, and by-ASID. Replacement
+// TLBI instructions we need: full flush, by-VMID, and by-page. Replacement
 // is deterministic round-robin so simulations are reproducible.
 #pragma once
 
@@ -47,7 +47,6 @@ public:
 
     void flush_all();
     void flush_vmid(VmId vmid);
-    void flush_asid(VmId vmid, Asid asid);
     void flush_page(VmId vmid, std::uint64_t in_page);
 
     /// Monotonic count of flush operations of any scope. Front-side caches
@@ -60,7 +59,6 @@ public:
     void note_front_hit() { ++stats_.hits; }
 
     [[nodiscard]] const TlbStats& stats() const { return stats_; }
-    void reset_stats() { stats_ = {}; }
 
     [[nodiscard]] std::size_t valid_entries() const;
     [[nodiscard]] std::size_t capacity() const { return sets_.size() * ways_; }

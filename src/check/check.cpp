@@ -455,8 +455,9 @@ void Auditor::check_accounting() {
     }
 
     // Reconcile against the published obs metrics: what publish_metrics
-    // exports must match the live counters (tools/lint.py separately proves
-    // every Stats field is published at all).
+    // exports must match the live counters (the tools/sca rule
+    // `stats-publish-coverage` separately proves every Stats field is
+    // published at all).
     spm_->publish_metrics();
     auto& m = spm_->platform().metrics();
     const auto reconcile = [&](const char* name, std::uint64_t value) {

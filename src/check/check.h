@@ -24,7 +24,8 @@
 namespace hpcsec::check {
 
 /// Every invariant the auditor enforces. Keep to_string in check.cpp in
-/// sync (tools/lint.py fails the build otherwise).
+/// sync (the tools/sca rule `enum-string-coverage` fails the build
+/// otherwise).
 enum class Rule : std::uint8_t {
     kStage2Exclusive,  ///< writable frame in >1 VM without a covering grant
     kStage2Ownership,  ///< VM maps a frame it neither owns nor borrows

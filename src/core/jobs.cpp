@@ -1,8 +1,23 @@
 #include "core/jobs.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace hpcsec::core {
+
+namespace {
+
+/// True when the request names a partition the control task may schedule:
+/// a plain secondary that has not been torn down. The primary and the
+/// login VM host the channel itself and are never job targets. Checked on
+/// the wire value, so an id past VmId's range cannot alias a low one.
+bool live_secondary(hafnium::Spm& spm, std::uint64_t id) {
+    if (id == 0 || id > static_cast<std::uint64_t>(spm.vm_count())) return false;
+    const hafnium::Vm& vm = spm.vm(static_cast<arch::VmId>(id));
+    return vm.role() == hafnium::VmRole::kSecondary && !vm.destroyed;
+}
+
+}  // namespace
 
 void ControlTaskCtx::enqueue(JobCommand cmd) {
     // sca-suppress(hot-path-alloc): job-control commands are control-plane
@@ -151,31 +166,35 @@ void JobControl::execute(const JobCommand& cmd) {
         case JobOp::kPing:
             reply.value = 0x706f6e67;  // "pong"
             break;
-        case JobOp::kLaunchVm: {
-            const auto id = static_cast<arch::VmId>(cmd.vm);
-            if (id == 0 || id > static_cast<arch::VmId>(spm.vm_count())) {
-                reply.status = -1;
-                break;
-            }
-            kernel.launch_vm(id);
-            break;
-        }
-        case JobOp::kStopVm: {
-            const auto id = static_cast<arch::VmId>(cmd.vm);
-            if (id == 0 || id > static_cast<arch::VmId>(spm.vm_count())) {
-                reply.status = -1;
-                break;
-            }
-            kernel.stop_vm(id);
-            break;
-        }
+        case JobOp::kLaunchVm:
+        case JobOp::kStopVm:
         case JobOp::kMigrateVcpu:
-            reply.status = kernel.migrate_vcpu(static_cast<arch::VmId>(cmd.vm),
-                                               static_cast<int>(cmd.vcpu),
-                                               static_cast<arch::CoreId>(cmd.arg))
-                               ? 0
-                               : -1;
+        case JobOp::kDestroyVm: {
+            if (!live_secondary(spm, cmd.vm)) {
+                reply.status = -1;
+                break;
+            }
+            const auto id = static_cast<arch::VmId>(cmd.vm);
+            constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+            if (cmd.op == JobOp::kLaunchVm) {
+                kernel.launch_vm(id);
+            } else if (cmd.op == JobOp::kStopVm) {
+                kernel.stop_vm(id);
+            } else if (cmd.op == JobOp::kDestroyVm) {
+                try {
+                    node_->destroy_dynamic_vm(id);
+                } catch (const std::exception&) {
+                    reply.status = -1;
+                }
+            } else if (cmd.vcpu > kIntMax || cmd.arg > kIntMax ||
+                       !kernel.migrate_vcpu(id, static_cast<int>(cmd.vcpu),
+                                            static_cast<arch::CoreId>(cmd.arg))) {
+                // Words past int range are refused, not narrowed onto a
+                // low VCPU index or core.
+                reply.status = -1;
+            }
             break;
+        }
         case JobOp::kCreateVm: {
             // arg = staged-image index, vcpu = vcpu count, vm = mem MiB.
             const auto& staged = node_->staged_images();
@@ -190,14 +209,6 @@ void JobControl::execute(const JobCommand& cmd) {
                 reply.value = node_->launch_dynamic_vm(staged[cmd.arg], mem, vcpus);
             } catch (const std::exception&) {
                 reply.status = -2;  // signature/resource failure
-            }
-            break;
-        }
-        case JobOp::kDestroyVm: {
-            try {
-                node_->destroy_dynamic_vm(static_cast<arch::VmId>(cmd.vm));
-            } catch (const std::exception&) {
-                reply.status = -1;
             }
             break;
         }

@@ -41,8 +41,8 @@ enum class Call : std::uint32_t {
 [[nodiscard]] std::string to_string(Call c);
 
 /// Number of distinct hypercalls in the ABI. Must match the number of Call
-/// enumerators and the number of rows in Spm::call_table() (tools/lint.py
-/// cross-checks both).
+/// enumerators and the number of rows in Spm::call_table() (the tools/sca
+/// rule `dispatch-table-complete` cross-checks both).
 inline constexpr std::size_t kCallCount = 19;
 
 /// One past the highest call number; sizes the O(1) dispatch lookup table.

@@ -57,64 +57,4 @@ const VmSpec* Manifest::super_secondary() const {
     return nullptr;
 }
 
-arch::DtNode Manifest::to_devicetree() const {
-    arch::DtNode root("hypervisor");
-    root.set("compatible", std::string("hafnium,hafnium"));
-    int index = 1;
-    for (const auto& vm : vms) {
-        auto& node = root.add_child("vm" + std::to_string(index++));
-        node.set("debug_name", vm.name);
-        node.set("role", to_string(vm.role));
-        node.set("mem_size", vm.mem_bytes);
-        node.set("vcpu_count", static_cast<std::uint64_t>(vm.vcpu_count));
-        node.set("world", std::string(vm.world == arch::World::kSecure ? "secure"
-                                                                       : "non-secure"));
-        if (!vm.devices.empty()) {
-            std::string devs;
-            for (const auto& d : vm.devices) {
-                if (!devs.empty()) devs += ",";
-                devs += d;
-            }
-            node.set("devices", devs);
-        }
-        node.set("image_hash", crypto::to_hex(vm.image_hash()));
-    }
-    return root;
-}
-
-Manifest Manifest::from_devicetree(const arch::DtNode& node) {
-    Manifest m;
-    for (const auto& child : node.children()) {
-        VmSpec spec;
-        spec.name = child->get_string("debug_name").value_or(child->name());
-        const std::string role = child->get_string("role").value_or("secondary");
-        if (role == "primary") {
-            spec.role = VmRole::kPrimary;
-        } else if (role == "super-secondary") {
-            spec.role = VmRole::kSuperSecondary;
-        } else {
-            spec.role = VmRole::kSecondary;
-        }
-        spec.mem_bytes = child->get_u64("mem_size").value_or(0);
-        spec.vcpu_count = static_cast<int>(child->get_u64("vcpu_count").value_or(1));
-        spec.world = child->get_string("world").value_or("non-secure") == "secure"
-                         ? arch::World::kSecure
-                         : arch::World::kNonSecure;
-        if (const auto devs = child->get_string("devices")) {
-            std::size_t pos = 0;
-            while (pos <= devs->size()) {
-                const std::size_t comma = devs->find(',', pos);
-                const std::string d = comma == std::string::npos
-                                          ? devs->substr(pos)
-                                          : devs->substr(pos, comma - pos);
-                if (!d.empty()) spec.devices.push_back(d);
-                if (comma == std::string::npos) break;
-                pos = comma + 1;
-            }
-        }
-        m.vms.push_back(std::move(spec));
-    }
-    return m;
-}
-
 }  // namespace hpcsec::hafnium

@@ -3,8 +3,7 @@
 // Hafnium requires "that secure partitions and VM images be defined at boot
 // time" — this manifest is the model of that contract. It is handed to the
 // SPM before any OS runs; the SPM carves memory, builds stage-2 tables and
-// creates VCPUs from it. The manifest can round-trip through the device-tree
-// representation, mirroring Hafnium's FDT manifest format.
+// creates VCPUs from it.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/devicetree.h"
 #include "arch/types.h"
 #include "crypto/sha256.h"
 
@@ -60,11 +58,6 @@ struct Manifest {
 
     [[nodiscard]] const VmSpec* primary() const;
     [[nodiscard]] const VmSpec* super_secondary() const;
-
-    /// Device-tree encoding ("hypervisor" node with per-VM children), the
-    /// shape Hafnium's FDT manifest uses.
-    [[nodiscard]] arch::DtNode to_devicetree() const;
-    static Manifest from_devicetree(const arch::DtNode& node);
 };
 
 }  // namespace hpcsec::hafnium

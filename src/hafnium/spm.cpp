@@ -314,7 +314,6 @@ void Spm::handle_phys_irq(arch::CoreId core, int irq) {
             // swallows the tick.
             const sim::Cycles service =
                 gos != nullptr ? gos->on_virq(*rv, virt_timer) : 0;
-            ++rv->injected_virqs;
             ++stats_.virq_injections;
             platform_->recorder().instant(platform_->engine().now(),
                                           obs::EventType::kVirqInject, core,
@@ -469,7 +468,6 @@ sim::Cycles Spm::drain_virqs(Vcpu& vcpu) {
     sim::Cycles cost = 0;
     while (auto next = vcpu.vgic.next_deliverable()) {
         vcpu.vgic.pending.erase(*next);
-        ++vcpu.injected_virqs;
         ++stats_.virq_injections;
         platform_->recorder().instant(platform_->engine().now(),
                                       obs::EventType::kVirqInject,

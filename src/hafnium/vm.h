@@ -127,7 +127,6 @@ public:
     sim::SimTime last_enter = 0;  ///< when the SPM last entered this VCPU
     std::uint64_t runs = 0;
     std::uint64_t preemptions = 0;
-    std::uint64_t injected_virqs = 0;
 
 private:
     Vm* vm_;

@@ -1,9 +1,9 @@
 // Buddy allocator — Kitten's kmem physical-page allocator.
 //
 // Kitten manages each memory pool with a classic binary-buddy system; the
-// kernel model uses one to place mailboxes, channel buffers and aspace
-// regions inside the VM's own IPA window. Offsets returned are relative to
-// the pool base.
+// kernel model uses one (`KittenKernel::kmem()`) to place the job channel's
+// mailbox pages inside the VM's own IPA window. Offsets returned are
+// relative to the pool base.
 #pragma once
 
 #include <cstdint>

@@ -28,26 +28,6 @@ void KittenKernel::boot() {
     if (is_primary_vm() && !spm_->booted()) {
         throw std::logic_error("KittenKernel::boot: SPM must boot first");
     }
-    // Build the kernel address space: identity map of the kernel's own
-    // memory window (native: all of DRAM; primary VM: its identity-mapped
-    // partition), with the kmem heap as a distinct RW region.
-    {
-        arch::VirtAddr base;
-        std::uint64_t bytes;
-        if (is_primary_vm()) {
-            const hafnium::Vm& self = spm_->primary_vm();
-            base = self.ipa_base;
-            bytes = self.mem_bytes();
-        } else {
-            base = platform_->config().ram_base;
-            bytes = platform_->config().ram_bytes;
-        }
-        const std::uint64_t heap_bytes = kmem_.pool_bytes();
-        const arch::VirtAddr heap_base = base + bytes - heap_bytes;
-        kas_.add_idmap("kernel-idmap", base, bytes - heap_bytes,
-                       arch::kPermRWX);
-        kas_.add_idmap("kmem-heap", heap_base, heap_bytes, arch::kPermRW);
-    }
     for (int c = 0; c < platform_->ncores(); ++c) {
         arch::Core& core = platform_->core(c);
         if (!is_primary_vm()) {
@@ -115,6 +95,7 @@ void KittenKernel::launch_vm(arch::VmId vm_id) {
     hafnium::Vm& vm = spm_->vm(vm_id);
     for (int v = 0; v < vm.vcpu_count(); ++v) {
         hafnium::Vcpu& vcpu = vm.vcpu(v);
+        if (proxy_for(vcpu) != nullptr) continue;  // already launched
         auto t = std::make_unique<KThread>();
         t->name = vm.name() + "-vcpu" + std::to_string(v);
         t->kind = KThread::Kind::kVcpuProxy;
@@ -147,7 +128,8 @@ bool KittenKernel::migrate_vcpu(arch::VmId vm_id, int vcpu, arch::CoreId new_cor
     if (new_core < 0 || new_core >= platform_->ncores()) return false;
     for (auto& t : threads_) {
         if (t->kind == KThread::Kind::kVcpuProxy && t->vcpu != nullptr &&
-            t->vcpu->vm().id() == vm_id && t->vcpu->index() == vcpu) {
+            t->vcpu->vm().id() == vm_id && t->vcpu->index() == vcpu &&
+            t->state != KThread::State::kExited) {
             if (t->state == KThread::State::kRunning) return false;  // stop it first
             auto& q = runq_[static_cast<std::size_t>(t->core)];
             for (auto it = q.begin(); it != q.end(); ++it) {

@@ -23,7 +23,6 @@
 #include "arch/platform.h"
 #include "hafnium/interfaces.h"
 #include "hafnium/spm.h"
-#include "kitten/aspace.h"
 #include "kitten/buddy.h"
 #include "kitten/thread.h"
 
@@ -59,6 +58,8 @@ public:
     /// Primary-VM only: create one VCPU-proxy kernel thread per VCPU of the
     /// target VM ("hafnium uses the same approach as the Linux implementation
     /// and creates a dedicated kernel thread for each of the VM's VCPUs").
+    /// A VCPU that already has a live proxy keeps it, so a repeated launch
+    /// adds no threads.
     void launch_vm(arch::VmId vm) override;
     /// Tear the proxies down (the VM stops being scheduled).
     void stop_vm(arch::VmId vm) override;
@@ -75,18 +76,9 @@ public:
         return threads_;
     }
     [[nodiscard]] KThread* find_thread(const std::string& name);
-    [[nodiscard]] KThread* current_on(arch::CoreId core) {
-        return current_[static_cast<std::size_t>(core)];
-    }
 
     /// Kernel heap (buddy-managed, offsets within the kernel's own memory).
     BuddyAllocator& kmem() { return kmem_; }
-
-    /// The kernel address space built at boot: the ARM64 port's idmap over
-    /// the kernel's physical window plus the kmem heap region. Stage 1 of
-    /// the kernel's own translation regime (stage 2, when present, belongs
-    /// to the SPM).
-    [[nodiscard]] const Aspace& kernel_aspace() const { return kas_; }
 
     // --- PrimaryOsItf ---------------------------------------------------------
     void on_interrupt(arch::CoreId core, int irq) override;
@@ -128,7 +120,6 @@ private:
     std::vector<std::deque<KThread*>> runq_;   // per core
     std::vector<KThread*> current_;            // per core
     BuddyAllocator kmem_{1ull << 24, arch::kPageSize};  // 16 MiB kernel heap
-    Aspace kas_{"kitten-kernel"};
     Stats stats_;
 };
 

@@ -12,7 +12,6 @@ void CfsRunqueue::enqueue(SchedEntity& se, bool wakeup) {
         // front of VCPU threads.
         const double credit = tun_.sched_latency_cycles / 2.0;
         se.vruntime = std::max(se.vruntime, min_vruntime_ - credit);
-        ++se.wakeups;
     }
     se.state = SchedEntity::State::kQueued;
     tree_.insert(&se);
@@ -25,7 +24,6 @@ SchedEntity* CfsRunqueue::pick_next() {
     SchedEntity* se = *tree_.begin();
     tree_.erase(tree_.begin());
     se->state = SchedEntity::State::kRunning;
-    ++se->dispatches;
     min_vruntime_ = std::max(min_vruntime_, se->vruntime);
     return se;
 }

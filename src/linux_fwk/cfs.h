@@ -33,8 +33,6 @@ struct SchedEntity {
     double vruntime = 0.0;  ///< weight-normalized virtual runtime (cycles)
     arch::Runnable* ctx = nullptr;
     hafnium::Vcpu* vcpu = nullptr;
-    std::uint64_t dispatches = 0;
-    std::uint64_t wakeups = 0;
 };
 
 /// One per core (no load balancing in the model; entities are pinned, which

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -45,7 +44,6 @@ public:
             const std::size_t aligned = align_up(c.used, align);
             if (aligned + bytes <= c.cap) {
                 c.used = aligned + bytes;
-                ++allocations_;
                 return c.mem.get() + aligned;
             }
         }
@@ -94,7 +92,6 @@ public:
         dtors_ = nullptr;
         for (Chunk& c : chunks_) c.used = 0;
         active_ = 0;
-        allocations_ = 0;
     }
 
     /// Live bytes across all chunks (current high-water of this cycle).
@@ -110,7 +107,6 @@ public:
         return total;
     }
     [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-    [[nodiscard]] std::uint64_t allocation_count() const { return allocations_; }
 
 private:
     struct Chunk {
@@ -138,7 +134,6 @@ private:
             Chunk& c = chunks_[active_];
             if (bytes <= c.cap) {
                 c.used = bytes;
-                ++allocations_;
                 return c.mem.get();
             }
         }
@@ -151,7 +146,6 @@ private:
         c.used = bytes;
         chunks_.push_back(std::move(c));
         active_ = chunks_.size() - 1;
-        ++allocations_;
         return chunks_.back().mem.get();
     }
 
@@ -159,7 +153,6 @@ private:
     std::size_t active_ = 0;
     std::size_t next_chunk_bytes_;
     std::size_t max_chunk_bytes_;
-    std::uint64_t allocations_ = 0;
     DtorRec* dtors_ = nullptr;
 };
 

@@ -276,10 +276,11 @@ TEST(Node, MakeImageIsDeterministicPerName) {
 
 // --- JobControl end-to-end ------------------------------------------------------------
 
-struct JobFixture : ::testing::Test {
+struct JobFixture : ::testing::TestWithParam<arch::Isa> {
     NodeConfig cfg = [] {
         NodeConfig c = Harness::default_config(SchedulerKind::kKittenPrimary, 5);
         c.with_super_secondary = true;
+        c.platform.isa = GetParam();
         return c;
     }();
     Node node{cfg};
@@ -289,9 +290,35 @@ struct JobFixture : ::testing::Test {
         node.boot();
         jobs = std::make_unique<JobControl>(node);
     }
+
+    std::int64_t status_of(JobOp op, std::uint64_t vm, std::uint64_t vcpu = 0,
+                           std::uint64_t arg = 0) {
+        JobCommand cmd;
+        cmd.op = op;
+        cmd.vm = vm;
+        cmd.vcpu = vcpu;
+        cmd.arg = arg;
+        const auto reply = jobs->request(cmd, 3.0);
+        return reply ? reply->status : kStatusTimeout;
+    }
+
+    /// VCPU-proxy threads the Kitten primary still schedules.
+    int live_proxies() {
+        int n = 0;
+        for (const auto& t : node.kitten()->threads()) {
+            if (t->kind == kitten::KThread::Kind::kVcpuProxy &&
+                t->state != kitten::KThread::State::kExited) {
+                ++n;
+            }
+        }
+        return n;
+    }
 };
 
-TEST_F(JobFixture, PingPong) {
+constexpr JobOp kVmTargetedOps[] = {JobOp::kLaunchVm, JobOp::kStopVm,
+                                    JobOp::kMigrateVcpu, JobOp::kDestroyVm};
+
+TEST_P(JobFixture, PingPong) {
     JobCommand cmd;
     cmd.op = JobOp::kPing;
     const auto reply = jobs->request(cmd, 3.0);
@@ -301,7 +328,7 @@ TEST_F(JobFixture, PingPong) {
     EXPECT_EQ(jobs->commands_processed(), 1u);
 }
 
-TEST_F(JobFixture, QueryVmReturnsPackedInfo) {
+TEST_P(JobFixture, QueryVmReturnsPackedInfo) {
     JobCommand cmd;
     cmd.op = JobOp::kQueryVm;
     cmd.vm = node.compute_vm()->id();
@@ -311,7 +338,7 @@ TEST_F(JobFixture, QueryVmReturnsPackedInfo) {
     EXPECT_EQ(reply->value & 0xffff, 4u);  // vcpus
 }
 
-TEST_F(JobFixture, MigrateVcpuViaChannel) {
+TEST_P(JobFixture, MigrateVcpuViaChannel) {
     JobCommand cmd;
     cmd.op = JobOp::kMigrateVcpu;
     cmd.vm = node.compute_vm()->id();
@@ -323,7 +350,7 @@ TEST_F(JobFixture, MigrateVcpuViaChannel) {
     EXPECT_EQ(node.compute_vm()->vcpu(2).assigned_core, 0);
 }
 
-TEST_F(JobFixture, BadVmIdReportsError) {
+TEST_P(JobFixture, BadVmIdReportsError) {
     JobCommand cmd;
     cmd.op = JobOp::kStopVm;
     cmd.vm = 99;
@@ -332,7 +359,7 @@ TEST_F(JobFixture, BadVmIdReportsError) {
     EXPECT_EQ(reply->status, -1);
 }
 
-TEST_F(JobFixture, MultipleSequentialRequests) {
+TEST_P(JobFixture, MultipleSequentialRequests) {
     for (int i = 0; i < 3; ++i) {
         JobCommand cmd;
         cmd.op = JobOp::kPing;
@@ -341,6 +368,73 @@ TEST_F(JobFixture, MultipleSequentialRequests) {
     }
     EXPECT_EQ(jobs->commands_processed(), 3u);
 }
+
+TEST_P(JobFixture, OnlySecondariesAreVmTargets) {
+    // The primary and the login VM host the channel; an id past VmId's
+    // range must not alias the compute VM's.
+    const int proxies = live_proxies();
+    const std::uint64_t targets[] = {arch::kPrimaryVmId, node.login_vm()->id(),
+                                     0x10000u + node.compute_vm()->id()};
+    for (const JobOp op : kVmTargetedOps) {
+        for (const std::uint64_t vm : targets) {
+            EXPECT_EQ(status_of(op, vm), -1)
+                << "op " << static_cast<int>(op) << " vm " << vm;
+        }
+    }
+    EXPECT_EQ(live_proxies(), proxies);
+}
+
+TEST_P(JobFixture, RetiredVmIsNoLongerATarget) {
+    const arch::VmId compute = node.compute_vm()->id();
+    node.retire_vm(compute);
+    const int proxies = live_proxies();
+    for (const JobOp op : kVmTargetedOps) {
+        EXPECT_EQ(status_of(op, compute), -1) << "op " << static_cast<int>(op);
+    }
+    EXPECT_EQ(live_proxies(), proxies);
+}
+
+TEST_P(JobFixture, LaunchKeepsOneProxyPerVcpu) {
+    const arch::VmId compute = node.compute_vm()->id();
+    const int proxies = live_proxies();
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(status_of(JobOp::kLaunchVm, compute), 0);
+        EXPECT_EQ(live_proxies(), proxies) << "launch " << i;
+    }
+    EXPECT_EQ(status_of(JobOp::kStopVm, compute), 0);
+    EXPECT_EQ(live_proxies(), proxies - 4);
+    EXPECT_EQ(status_of(JobOp::kLaunchVm, compute), 0);
+    EXPECT_EQ(live_proxies(), proxies);
+}
+
+TEST_P(JobFixture, MigrateArgumentsDoNotAlias) {
+    // 2^32 + 1 must not name VCPU 1, nor 2^32 + 3 core 3.
+    const arch::VmId compute = node.compute_vm()->id();
+    const arch::CoreId before = node.compute_vm()->vcpu(1).assigned_core;
+    EXPECT_EQ(status_of(JobOp::kMigrateVcpu, compute, (1ull << 32) + 1, 3), -1);
+    EXPECT_EQ(status_of(JobOp::kMigrateVcpu, compute, 1, (1ull << 32) + 3), -1);
+    EXPECT_EQ(node.compute_vm()->vcpu(1).assigned_core, before);
+}
+
+TEST_P(JobFixture, MigrateAfterRelaunchMovesTheLiveProxy) {
+    const arch::VmId compute = node.compute_vm()->id();
+    ASSERT_EQ(status_of(JobOp::kStopVm, compute), 0);
+    ASSERT_EQ(status_of(JobOp::kLaunchVm, compute), 0);
+    EXPECT_EQ(status_of(JobOp::kMigrateVcpu, compute, /*vcpu=*/1, /*arg=*/3), 0);
+    const hafnium::Vcpu& vcpu = node.compute_vm()->vcpu(1);
+    EXPECT_EQ(vcpu.assigned_core, 3);
+    for (const auto& t : node.kitten()->threads()) {
+        if (t->vcpu == &vcpu && t->state != kitten::KThread::State::kExited) {
+            EXPECT_EQ(t->core, 3) << t->name;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothIsas, JobFixture,
+                         ::testing::Values(arch::Isa::kArm, arch::Isa::kRiscv),
+                         [](const ::testing::TestParamInfo<arch::Isa>& info) {
+                             return arch::to_string(info.param);
+                         });
 
 TEST(JobControl, RequiresKittenPrimaryWithLogin) {
     Node bare(Harness::default_config(SchedulerKind::kKittenPrimary, 2));

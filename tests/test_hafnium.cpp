@@ -94,21 +94,6 @@ TEST(Manifest, PrimaryMustBeNonSecure) {
     EXPECT_FALSE(m.validate().empty());
 }
 
-TEST(Manifest, DeviceTreeRoundTrip) {
-    Manifest m;
-    VmSpec ss = super_secondary_spec();
-    ss.devices = {"uart0", "emac"};
-    m.vms = {primary_spec(), ss, secondary_spec("compute", 32ull << 20, 2)};
-    const arch::DtNode dt = m.to_devicetree();
-    const Manifest back = Manifest::from_devicetree(dt);
-    ASSERT_EQ(back.vms.size(), 3u);
-    EXPECT_EQ(back.vms[0].role, VmRole::kPrimary);
-    EXPECT_EQ(back.vms[1].name, "login");
-    EXPECT_EQ(back.vms[1].devices, (std::vector<std::string>{"uart0", "emac"}));
-    EXPECT_EQ(back.vms[2].vcpu_count, 2);
-    EXPECT_EQ(back.vms[2].mem_bytes, 32ull << 20);
-}
-
 // --- SPM boot ------------------------------------------------------------------
 
 struct SpmFixture : ::testing::Test {

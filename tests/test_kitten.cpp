@@ -1,10 +1,9 @@
-// Kitten LWK tests: buddy allocator, aspaces, native scheduling behaviour,
+// Kitten LWK tests: buddy allocator, native scheduling behaviour,
 // primary-VM personality mechanics, and the guest personality.
 #include <gtest/gtest.h>
 
 #include "arch/platform.h"
 #include "hafnium/spm.h"
-#include "kitten/aspace.h"
 #include "kitten/buddy.h"
 #include "kitten/guest.h"
 #include "kitten/kitten.h"
@@ -96,44 +95,6 @@ TEST(Buddy, RandomizedAllocFreeConservesBytes) {
     std::uint64_t expect = 0;
     for (const auto& [off, sz] : live) expect += sz;
     EXPECT_EQ(b.allocated_bytes(), expect);
-}
-
-// --- Aspace -----------------------------------------------------------------------
-
-TEST(Aspace, AddAndWalkRegion) {
-    Aspace as("app");
-    ASSERT_TRUE(as.add_region({"text", 0x40'0000, 0x2000, 0x8000'0000, arch::kPermRX}));
-    const arch::WalkResult w = as.walk(0x40'1000);
-    EXPECT_EQ(w.fault, arch::FaultKind::kNone);
-    EXPECT_EQ(w.out, 0x8000'1000u);
-    EXPECT_EQ(w.perms, arch::kPermRX);
-}
-
-TEST(Aspace, RejectsOverlap) {
-    Aspace as("app");
-    ASSERT_TRUE(as.add_region({"a", 0x1000, 0x3000, 0x8000'0000, arch::kPermRW}));
-    EXPECT_FALSE(as.add_region({"b", 0x2000, 0x2000, 0x9000'0000, arch::kPermRW}));
-    EXPECT_EQ(as.regions().size(), 1u);
-}
-
-TEST(Aspace, RejectsUnaligned) {
-    Aspace as("app");
-    EXPECT_FALSE(as.add_region({"a", 0x1001, 0x1000, 0x8000'0000, arch::kPermRW}));
-}
-
-TEST(Aspace, RemoveRegionUnmaps) {
-    Aspace as("app");
-    ASSERT_TRUE(as.add_region({"a", 0x1000, 0x1000, 0x8000'0000, arch::kPermRW}));
-    ASSERT_TRUE(as.remove_region(0x1000));
-    EXPECT_EQ(as.walk(0x1000).fault, arch::FaultKind::kTranslation);
-    EXPECT_FALSE(as.remove_region(0x1000));
-}
-
-TEST(Aspace, IdmapConvenience) {
-    Aspace as("kernel");
-    ASSERT_TRUE(as.add_idmap("idmap", 0x4000'0000, 1ull << 20, arch::kPermRWX));
-    EXPECT_EQ(as.walk(0x4008'0000).out, 0x4008'0000u);
-    EXPECT_EQ(as.find_region(0x4008'0000)->name, "idmap");
 }
 
 // --- Native Kitten ------------------------------------------------------------------
@@ -229,20 +190,6 @@ TEST_F(NativeKitten, FindThreadByName) {
     kernel.add_app_thread(0, &w, "needle");
     EXPECT_NE(kernel.find_thread("needle"), nullptr);
     EXPECT_EQ(kernel.find_thread("missing"), nullptr);
-}
-
-TEST_F(NativeKitten, BootBuildsKernelIdmap) {
-    kernel.boot();
-    const Aspace& kas = kernel.kernel_aspace();
-    EXPECT_EQ(kas.regions().size(), 2u);
-    // Identity translation over DRAM.
-    const arch::VirtAddr probe = platform.config().ram_base + 0x1234000;
-    EXPECT_EQ(kas.walk(probe).out, probe);
-    // The heap region is RW (not executable) at the top of the window.
-    const arch::VirtAddr heap_end =
-        platform.config().ram_base + platform.config().ram_bytes - arch::kPageSize;
-    EXPECT_EQ(kas.walk(heap_end).perms, arch::kPermRW);
-    EXPECT_EQ(kas.find_region(heap_end)->name, "kmem-heap");
 }
 
 TEST_F(NativeKitten, TicklessConfigProducesNoTicks) {

@@ -219,9 +219,10 @@ TEST_F(LinuxPrimary, AddTaskRunsUnderCfs) {
     burst.refill(1'000'000);
     SchedEntity& se = kernel->add_task(1, &burst, "user-job");
     kernel->wake_entity(se);
+    const double vruntime_at_wake = se.vruntime;
     run_seconds(0.5);
     EXPECT_EQ(burst.remaining_units(), 0.0);
-    EXPECT_GT(se.dispatches, 0u);
+    EXPECT_GT(se.vruntime, vruntime_at_wake);  // CFS charged its runtime
 }
 
 // --- LinuxGuestOs (super-secondary personality) ------------------------------------
