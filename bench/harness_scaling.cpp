@@ -72,12 +72,10 @@ int main(int argc, char** argv) {
 
     obs::BenchReport report("harness_scaling");
     const Run serial = run_once(spec, trials, 1);
-    double best_speedup = 1.0;
     bool identical = true;
     for (const int j : {1, jobs}) {
         const Run r = j == 1 ? serial : run_once(spec, trials, j);
         const double speedup = serial.wall_s / r.wall_s;
-        if (j != 1) best_speedup = speedup;
         identical = identical && r.raw == serial.raw &&
                     r.metrics_json == serial.metrics_json;
         std::printf("%-8d %12.3f %16.3e %10.2f\n", j, r.wall_s,

@@ -2,8 +2,7 @@
 // dispatch, the typed hf:: wrapper path, the interceptor chain off/on, and
 // the unknown-call reject path. Written to BENCH_hypercall_abi.json so the
 // perf trajectory keeps the costs measured, not asserted. The table gate
-// costs about 2.8x the monolithic switch it replaced (a few ns per call;
-// docs/PERFORMANCE.md, "Hypercall dispatch").
+// costs a few ns per call (docs/PERFORMANCE.md, "Hypercall dispatch").
 #include <benchmark/benchmark.h>
 
 #include "arch/platform.h"

@@ -82,7 +82,7 @@ BENCHMARK(BM_EventQueueCancelHeavy);
 
 // Tick storm: the periodic-cadence pattern kernels generate — N cores each
 // re-arming a fixed-period timer forever, with shared periods so deadlines
-// collide. Every re-arm goes through Engine::at, as GenericTimer's do.
+// collide. Every re-arm goes through Engine::at: the one-shot heap path.
 void BM_EngineTickStorm(benchmark::State& state) {
     const int kCores = static_cast<int>(state.range(0));
     constexpr sim::SimTime kHorizon = 200'000;
@@ -108,6 +108,58 @@ void BM_EngineTickStorm(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EngineTickStorm)->Arg(8)->Arg(64)->Arg(256);
+
+// Deadline re-arm storm: what a Linux-primary tick does to each core's three
+// engine deadlines (docs/PERFORMANCE.md, "Re-armable deadlines"). Every tick
+// exits the VCPU, disarming its vtimer and its chunk completion, then
+// re-enters it, re-arming both, and re-arms itself. Chunks outlast a tick,
+// so most end by preemption. 4 cores is the benchmark node; 28 is the
+// thunderx2 preset, where every dispatch scans 84 keys.
+void BM_EngineDeadlineRearm(benchmark::State& state) {
+    const auto cores = static_cast<std::size_t>(state.range(0));
+    constexpr sim::SimTime kHorizon = 400'000;
+    constexpr sim::Cycles kTick = 1'000;
+    constexpr sim::Cycles kChunk = 1'300;
+    constexpr sim::Cycles kVtimer = 7'000;
+    std::int64_t events = 0;
+    for (auto _ : state) {
+        sim::Engine e;
+        e.reserve_deadlines(3 * cores);
+        std::vector<sim::SimTime> vtimer(cores);
+        const auto arm = [&e](sim::DeadlineId d, sim::SimTime when, int priority) {
+            if (when <= kHorizon) e.arm(d, when, priority);
+        };
+        for (std::size_t c = 0; c < cores; ++c) {
+            // Ids are registration order: tick 3c, vtimer 3c+1, chunk 3c+2.
+            const auto tick = static_cast<sim::DeadlineId>(3 * c);
+            const sim::DeadlineId vt = tick + 1;
+            const sim::DeadlineId chunk = tick + 2;
+            e.add_deadline([&e, &vtimer, arm, c, tick, vt, chunk] {
+                e.disarm(vt);
+                e.disarm(chunk);
+                arm(chunk, e.now() + kChunk, sim::kPrioCompletion);
+                arm(vt, vtimer[c], sim::kPrioInterrupt);
+                arm(tick, e.now() + kTick, sim::kPrioInterrupt);
+            });
+            e.add_deadline([&e, &vtimer, arm, c, vt] {
+                vtimer[c] = e.now() + kVtimer;
+                arm(vt, vtimer[c], sim::kPrioInterrupt);
+            });
+            e.add_deadline([&e, arm, chunk] {
+                arm(chunk, e.now() + kChunk, sim::kPrioCompletion);
+            });
+            vtimer[c] = kVtimer + 31 * c;
+            arm(tick, 100 + 37 * c, sim::kPrioInterrupt);
+            arm(vt, vtimer[c], sim::kPrioInterrupt);
+            arm(chunk, 100 + 37 * c + kChunk / 2, sim::kPrioCompletion);
+        }
+        e.run();
+        events = static_cast<std::int64_t>(e.events_executed());
+        benchmark::DoNotOptimize(events);
+    }
+    state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK(BM_EngineDeadlineRearm)->Arg(4)->Arg(28);
 
 void BM_PageTableWalk4Level(benchmark::State& state) {
     arch::PageTable pt;

@@ -7,6 +7,7 @@
 // injection, exactly as on real hardware.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 
@@ -23,6 +24,10 @@ namespace hpcsec::arch {
 class Core {
 public:
     using IrqHandler = std::function<void(int irq)>;
+
+    /// Engine deadlines each core registers: two timer channels and the
+    /// executor's.
+    static constexpr std::size_t kDeadlines = 3;
 
     Core(sim::Engine& engine, const PerfModel& perf, IrqController& irqc,
          MemoryMap& mem, CoreId id, const IrqLayout& layout);

@@ -7,7 +7,10 @@
 namespace hpcsec::arch {
 
 Executor::Executor(sim::Engine& engine, const PerfModel& perf, CoreId core)
-    : engine_(&engine), perf_(&perf), core_(core) {}
+    : engine_(&engine),
+      perf_(&perf),
+      core_(core),
+      deadline_(engine.add_deadline([this] { on_deadline(); })) {}
 
 void Executor::charge(sim::Cycles overhead, obs::ProfPath path) {
     if (state_ == State::kRunning) {
@@ -23,11 +26,8 @@ void Executor::charge(sim::Cycles overhead, obs::ProfPath path) {
         recorder_->span(start, busy_until_, obs::EventType::kOverhead, core_,
                         static_cast<std::int64_t>(path));
     }
-    if (state_ == State::kPendingBegin) {
-        // Push the pending start out past the new charge.
-        engine_->cancel(pending_event_);
-        schedule_start();
-    }
+    // Push the pending start out past the new charge.
+    if (state_ == State::kPendingBegin) schedule_start();
 }
 
 void Executor::begin(Runnable* r) {
@@ -38,7 +38,7 @@ void Executor::begin(Runnable* r) {
         throw std::logic_error("Executor::begin: core already running");
     }
     if (state_ == State::kPendingBegin) {
-        engine_->cancel(pending_event_);
+        engine_->disarm(deadline_);
         state_ = State::kIdle;
     }
     current_ = r;
@@ -52,9 +52,17 @@ void Executor::begin(Runnable* r) {
 }
 
 void Executor::schedule_start() {
-    pending_event_ =
-        engine_->at(std::max(busy_until_, engine_->now()),
-                    [this] { start_chunk(); }, sim::kPrioKernel);
+    engine_->arm(deadline_, std::max(busy_until_, engine_->now()), sim::kPrioKernel);
+}
+
+// One deadline serves both events, which are never pending together: the
+// start while a begin waits out charged time, the completion while running.
+void Executor::on_deadline() {
+    if (state_ == State::kPendingBegin) {
+        start_chunk();
+    } else {
+        finish_chunk();
+    }
 }
 
 void Executor::start_chunk() {
@@ -68,14 +76,11 @@ void Executor::start_chunk() {
 
     const double remaining = r->remaining_units();
     if (!std::isfinite(remaining) || remaining > 1e15) {
-        // Run-forever loop: no completion event; only preemption stops it.
-        pending_event_ = sim::EventId{};
-        return;
+        return;  // run-forever loop: no completion; only preemption stops it
     }
     const double cycles = remaining * rate_ + static_cast<double>(chunk_transient_);
     const auto delay = static_cast<sim::Cycles>(std::ceil(cycles));
-    pending_event_ =
-        engine_->after(delay, [this] { finish_chunk(); }, sim::kPrioCompletion);
+    engine_->arm(deadline_, engine_->now() + delay, sim::kPrioCompletion);
 }
 
 Runnable* Executor::preempt() {
@@ -83,14 +88,14 @@ Runnable* Executor::preempt() {
         case State::kIdle:
             return nullptr;
         case State::kPendingBegin: {
-            engine_->cancel(pending_event_);
+            engine_->disarm(deadline_);
             Runnable* r = current_;
             current_ = nullptr;
             state_ = State::kIdle;
             return r;
         }
         case State::kRunning: {
-            if (pending_event_.valid()) engine_->cancel(pending_event_);
+            engine_->disarm(deadline_);
             const sim::SimTime now = engine_->now();
             Runnable* r = current_;
             const sim::Cycles effective = close_chunk(r, now);
@@ -164,7 +169,6 @@ void Executor::finish_chunk() {
     close_chunk(r, now);
     current_ = nullptr;
     state_ = State::kIdle;
-    pending_event_ = sim::EventId{};
     busy_until_ = std::max(busy_until_, now);
 
     r->advance(r->remaining_units(), now);

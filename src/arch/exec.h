@@ -133,8 +133,9 @@ private:
     enum class State { kIdle, kPendingBegin, kRunning };
 
     void schedule_start();
-    void start_chunk();  // start event body
-    void finish_chunk(); // completion event body
+    void on_deadline();  // the engine deadline's body
+    void start_chunk();
+    void finish_chunk();
     sim::Cycles close_chunk(Runnable* r, sim::SimTime now);
 
     sim::Engine* engine_;
@@ -143,7 +144,7 @@ private:
 
     State state_ = State::kIdle;
     Runnable* current_ = nullptr;
-    sim::EventId pending_event_{};     // start or completion event
+    sim::DeadlineId deadline_;         // pending start or chunk completion
     sim::SimTime busy_until_ = 0;      // end of charged kernel time
     sim::SimTime chunk_start_ = 0;
     sim::Cycles chunk_transient_ = 0;  // transient charged to current chunk

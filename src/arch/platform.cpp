@@ -121,6 +121,7 @@ Platform::Platform(PlatformConfig config, std::uint64_t seed)
     // core state without a unique_ptr hop per access, and teardown is the
     // arena's O(1) reset.
     cores_ = arena_->allocate_array<Core>(static_cast<std::size_t>(config_.ncores));
+    engine_.reserve_deadlines(Core::kDeadlines * static_cast<std::size_t>(config_.ncores));
     std::vector<Core*> core_ptrs;
     core_ptrs.reserve(static_cast<std::size_t>(config_.ncores));
     for (int i = 0; i < config_.ncores; ++i) {

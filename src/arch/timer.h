@@ -29,6 +29,9 @@ public:
     GenericTimer(sim::Engine& engine, IrqController& irqc, CoreId core,
                  const IrqLayout& layout);
 
+    GenericTimer(const GenericTimer&) = delete;
+    GenericTimer& operator=(const GenericTimer&) = delete;
+
     /// System counter value (== simulated cycles; counter freq == CPU clock).
     [[nodiscard]] sim::SimTime counter() const;
 
@@ -52,9 +55,8 @@ private:
     IrqLayout layout_;
 
     struct Channel {
-        sim::EventId event;
+        sim::DeadlineId id = 0;  ///< armed exactly while the channel is
         sim::SimTime deadline = sim::kTimeNever;
-        bool armed = false;
         std::uint64_t fired = 0;
     };
     std::array<Channel, 2> ch_;

@@ -237,7 +237,6 @@ void KittenKernel::dispatch(arch::CoreId core) {
         if (t->kind == KThread::Kind::kVcpuProxy) {
             t->state = KThread::State::kRunning;
             current_[static_cast<std::size_t>(core)] = t;
-            ++t->dispatches;
             ++stats_.dispatches;
             platform_->recorder().instant(platform_->engine().now(),
                                           obs::EventType::kContextSwitch, core,
@@ -257,7 +256,6 @@ void KittenKernel::dispatch(arch::CoreId core) {
         // App / control / worker context runs directly.
         t->state = KThread::State::kRunning;
         current_[static_cast<std::size_t>(core)] = t;
-        ++t->dispatches;
         ++stats_.dispatches;
         platform_->recorder().instant(platform_->engine().now(),
                                       obs::EventType::kContextSwitch, core,

@@ -27,7 +27,6 @@ struct KThread {
     arch::CoreId core = 0;              ///< affinity (Kitten pins threads)
     arch::Runnable* ctx = nullptr;      ///< app/control context
     hafnium::Vcpu* vcpu = nullptr;      ///< vcpu-proxy target
-    std::uint64_t dispatches = 0;
 };
 
 }  // namespace hpcsec::kitten

@@ -14,7 +14,7 @@ EventId EventQueue::schedule(SimTime when, int priority, EventFn fn) {
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.emplace_back();
     }
-    const std::uint64_t order = next_order_++;
+    const std::uint64_t order = take_order();
     Entry& e = slab_[slot];
     e.when = when;
     e.order = order;

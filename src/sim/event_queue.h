@@ -4,14 +4,18 @@
 // runs are bit-reproducible regardless of container internals.
 //
 // Implementation: a slab of recycled entries indexed by a 4-ary heap. The
-// hot path (schedule/pop tens of millions of times per trial) does no
-// per-event container allocation once the slab is warm: scheduling reuses a
-// free slot and popping moves the callback out. Each entry records its heap
-// position, so cancellation removes the entry at once in O(log n) of the
-// live events — the heap never holds dead entries, which keeps it as small
-// as the set of pending events (single digits per node in practice). The
-// 4-ary layout halves the tree depth of a binary heap and keeps children of
-// a node on one cache line of indices.
+// hot path (schedule/pop many times per trial) does no per-event container
+// allocation once the slab is warm: scheduling reuses a free slot and
+// popping moves the callback out. Each entry records its heap position, so
+// cancellation removes the entry at once in O(log n) of the live events —
+// the heap never holds dead entries. The per-core deadlines that are armed,
+// cancelled and re-armed all the time (timer channels, executor chunks)
+// are not here: they are sim::Engine deadlines that share this queue's
+// insertion sequence. The heap holds the one-shot events (kernel worker
+// wakes, watchdogs, fault injection, the job channel), so it stays small
+// and still scales to thousands of pending events. The 4-ary layout halves
+// the tree depth of a binary heap and keeps children of a node on one cache
+// line of indices.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,20 @@ struct EventId {
 
 using EventFn = std::function<void()>;
 
+/// Dispatch order of a pending event: earlier `when` first, then lower
+/// `priority`, then the earlier insertion `order`.
+struct EventKey {
+    SimTime when = 0;
+    int priority = 0;
+    std::uint64_t order = 0;
+
+    friend bool operator<(const EventKey& a, const EventKey& b) {
+        if (a.when != b.when) return a.when < b.when;
+        if (a.priority != b.priority) return a.priority < b.priority;
+        return a.order < b.order;
+    }
+};
+
 class EventQueue {
 public:
     /// Lower `priority` runs first among events with equal timestamps.
@@ -50,6 +68,14 @@ public:
     [[nodiscard]] SimTime next_time() const {
         return heap_.empty() ? kTimeNever : slab_[heap_[0]].when;
     }
+
+    /// Key of the next event. Precondition: !empty().
+    [[nodiscard]] EventKey top_key() const { return key(heap_[0]); }
+
+    /// Take the next insertion order for an event keyed outside the queue
+    /// (an Engine deadline), so it ties with scheduled events by who came
+    /// first.
+    std::uint64_t take_order() { return next_order_++; }
 
     /// Pop and return the next event. Precondition: !empty().
     struct Popped {
@@ -75,12 +101,13 @@ private:
         std::uint32_t pos = 0;  ///< index of this slot in heap_ while pending
     };
 
+    [[nodiscard]] EventKey key(std::uint32_t slot) const {
+        const Entry& e = slab_[slot];
+        return {e.when, e.priority, e.order};
+    }
+
     [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-        const Entry& ea = slab_[a];
-        const Entry& eb = slab_[b];
-        if (ea.when != eb.when) return ea.when < eb.when;
-        if (ea.priority != eb.priority) return ea.priority < eb.priority;
-        return ea.order < eb.order;
+        return key(a) < key(b);
     }
 
     /// Put `slot` at heap index `pos` and record the index in its entry.

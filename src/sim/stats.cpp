@@ -81,13 +81,13 @@ RunningStats Sample::stats() const {
 }
 
 LogHistogram::LogHistogram(double lo, double base, std::size_t nbuckets)
-    : lo_(lo), base_(base), counts_(nbuckets, 0) {}
+    : lo_(lo), base_(base), log_base_(std::log(base)), counts_(nbuckets, 0) {}
 
 void LogHistogram::add(double x) {
     ++total_;
     std::size_t i = 0;
     if (x > lo_) {
-        i = static_cast<std::size_t>(std::log(x / lo_) / std::log(base_)) + 1;
+        i = static_cast<std::size_t>(std::log(x / lo_) / log_base_) + 1;
         i = std::min(i, counts_.size() - 1);
     }
     ++counts_[i];

@@ -68,6 +68,7 @@ public:
 private:
     double lo_;
     double base_;
+    double log_base_;  ///< std::log(base_), taken once: add() runs per chunk
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
 };

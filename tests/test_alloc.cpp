@@ -189,6 +189,31 @@ TEST(EventQueueAlloc, CancelRearmChurnMakesZeroHeapAllocations) {
     EXPECT_EQ(fired, 2);
 }
 
+// The same churn on an engine deadline, the way GenericTimer and Executor
+// re-arm: arm and disarm are writes to a key table sized at registration.
+TEST(EventQueueAlloc, DeadlineArmDisarmChurnMakesZeroHeapAllocations) {
+    sim::Engine eng;
+    int fired = 0;
+    eng.at(10, [&fired] { ++fired; });  // stays pending throughout
+    const sim::DeadlineId far = eng.add_deadline([&fired] { ++fired; });
+    eng.arm(far, 1'000'000, sim::kPrioDefault);
+
+    std::uint64_t allocs = 0;
+    {
+        CountingWindow window;
+        for (int i = 1; i <= 100'000; ++i) {
+            eng.disarm(far);
+            eng.arm(far, 1'000'000 + static_cast<sim::SimTime>(i), sim::kPrioDefault);
+        }
+        allocs = CountingWindow::count();
+    }
+    EXPECT_EQ(allocs, 0u) << "arm/disarm churn touched the global heap";
+    EXPECT_EQ(eng.pending_events(), 2u);
+    eng.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(eng.now(), 1'100'000u);
+}
+
 // --- zero-alloc steady state -------------------------------------------------
 
 struct AllocFixture : ::testing::Test {

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -382,6 +384,160 @@ TEST(Engine, RunUntilAdvancesIdleTime) {
     Engine e;
     e.run_until(12345);
     EXPECT_EQ(e.now(), 12345u);
+}
+
+// --- Engine deadlines --------------------------------------------------------
+
+// A deadline takes its order from the counter at() uses, so a tie on
+// (when, priority) with a heap event breaks by who was armed or scheduled
+// first, in either direction.
+TEST(EngineDeadline, TieWithHeapEventDispatchesInArmScheduleOrder) {
+    Engine e;
+    std::vector<char> order;
+    const DeadlineId d = e.add_deadline([&] { order.push_back('d'); });
+    e.arm(d, 100, kPrioKernel);
+    e.at(100, [&] { order.push_back('h'); }, kPrioKernel);
+    e.run();
+    e.at(200, [&] { order.push_back('h'); }, kPrioKernel);
+    e.arm(d, 200, kPrioKernel);
+    e.run();
+    EXPECT_EQ(order, (std::vector<char>{'d', 'h', 'h', 'd'}));
+}
+
+TEST(EngineDeadline, TimeThenPriorityOrderAcrossBothSources) {
+    Engine e;
+    std::vector<int> order;
+    const DeadlineId d1 = e.add_deadline([&] { order.push_back(1); });
+    const DeadlineId d3 = e.add_deadline([&] { order.push_back(3); });
+    e.arm(d3, 50, kPrioCompletion);
+    e.at(50, [&] { order.push_back(2); }, kPrioKernel);
+    e.arm(d1, 50, kPrioInterrupt);
+    e.at(10, [&] { order.push_back(0); }, kPrioDefault);
+    e.at(60, [&] { order.push_back(4); }, kPrioInterrupt);
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// Re-arming is a cancel plus a fresh at(): the deadline goes behind an event
+// that tied with it before.
+TEST(EngineDeadline, RearmTakesAFreshOrder) {
+    Engine e;
+    std::vector<char> order;
+    const DeadlineId d = e.add_deadline([&] { order.push_back('d'); });
+    e.arm(d, 100, kPrioInterrupt);
+    e.at(100, [&] { order.push_back('h'); }, kPrioInterrupt);
+    e.arm(d, 100, kPrioInterrupt);
+    e.run();
+    EXPECT_EQ(order, (std::vector<char>{'h', 'd'}));
+}
+
+TEST(EngineDeadline, DisarmPreventsDispatch) {
+    Engine e;
+    int fired = 0;
+    const DeadlineId d = e.add_deadline([&] { ++fired; });
+    EXPECT_FALSE(e.armed(d));
+    e.arm(d, 100, kPrioDefault);
+    EXPECT_TRUE(e.armed(d));
+    e.disarm(d);
+    e.disarm(d);  // disarming a disarmed deadline is a no-op
+    EXPECT_FALSE(e.armed(d));
+    e.run_until(1000);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(e.events_executed(), 0u);
+}
+
+// A deadline is disarmed before its callback runs, so the callback can
+// re-arm it; run_until leaves a deadline past its limit armed.
+TEST(EngineDeadline, CallbackRearmsItselfAndRunUntilStopsAtLimit) {
+    Engine e;
+    std::vector<SimTime> at;
+    DeadlineId d = 0;
+    d = e.add_deadline([&] {
+        at.push_back(e.now());
+        EXPECT_FALSE(e.armed(d));
+        e.arm(d, e.now() + 30, kPrioInterrupt);
+    });
+    e.arm(d, 10, kPrioInterrupt);
+    e.run_until(75);
+    EXPECT_EQ(at, (std::vector<SimTime>{10, 40, 70}));
+    EXPECT_TRUE(e.armed(d));
+    EXPECT_EQ(e.now(), 75u);
+    EXPECT_EQ(e.pending_events(), 1u);
+}
+
+class RecordingProbe : public DispatchProbe {
+public:
+    void on_dispatch(SimTime now, int priority) override {
+        seen.emplace_back(now, priority);
+    }
+    std::vector<std::pair<SimTime, int>> seen;
+};
+
+// Deadlines count like heap events in every counter the auditor and the
+// cycle profiler key on.
+TEST(EngineDeadline, CountersAndProbeSeeDeadlines) {
+    Engine e;
+    RecordingProbe probe;
+    e.set_dispatch_probe(&probe);
+    const DeadlineId a = e.add_deadline([] {});
+    const DeadlineId b = e.add_deadline([] {});
+    e.add_deadline([] {});  // never armed
+    e.arm(a, 5, kPrioInterrupt);
+    e.arm(b, 7, kPrioCompletion);
+    e.at(6, [] {}, kPrioInterrupt);
+    EXPECT_EQ(e.pending_events(), 3u);
+    e.run();
+    EXPECT_EQ(e.pending_events(), 0u);
+    EXPECT_EQ(e.events_executed(), 3u);
+    ASSERT_EQ(e.executed_by_priority().size(), 2u);
+    EXPECT_EQ(e.executed_by_priority()[0].priority, kPrioInterrupt);
+    EXPECT_EQ(e.executed_by_priority()[0].executed, 2u);
+    EXPECT_EQ(e.executed_by_priority()[1].priority, kPrioCompletion);
+    EXPECT_EQ(e.executed_by_priority()[1].executed, 1u);
+    EXPECT_EQ(probe.seen, (std::vector<std::pair<SimTime, int>>{
+                              {5, kPrioInterrupt}, {6, kPrioInterrupt},
+                              {7, kPrioCompletion}}));
+}
+
+// at() refuses a time before now() with a throw; arm() refuses it too, by
+// returning false and leaving the deadline as it was, because guests reach
+// arm() through the timer and guest paths never throw. now() itself is not
+// the past for either.
+TEST(EngineDeadline, ArmInThePastIsRefusedLikeAt) {
+    Engine e;
+    int fired = 0;
+    const DeadlineId d = e.add_deadline([&] { ++fired; });
+    e.after(10, [] {});
+    e.run();
+    EXPECT_THROW(e.at(5, [] {}), std::logic_error);
+    EXPECT_FALSE(e.arm(d, 5, kPrioInterrupt));
+    EXPECT_FALSE(e.armed(d));
+    EXPECT_TRUE(e.arm(d, 20, kPrioInterrupt));
+    EXPECT_FALSE(e.arm(d, 9, kPrioInterrupt));
+    EXPECT_TRUE(e.armed(d));  // still armed for 20
+    e.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(e.now(), 20u);
+    EXPECT_TRUE(e.arm(d, 20, kPrioInterrupt));
+    e.at(20, [] {});
+    e.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(e.now(), 20u);
+}
+
+TEST(EngineDeadline, StopInsideADeadlineReturnsAfterIt) {
+    Engine e;
+    int fired = 0;
+    const DeadlineId d = e.add_deadline([&] {
+        ++fired;
+        e.stop();
+    });
+    e.arm(d, 10, kPrioDefault);
+    e.at(20, [&] { ++fired; });
+    e.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(e.now(), 10u);
+    EXPECT_EQ(e.pending_events(), 1u);
 }
 
 }  // namespace

@@ -125,8 +125,10 @@ DEFAULTS: dict = {
     # std::function seams the name matcher cannot see: event closures the
     # engine dispatches and the per-core IRQ handler registration.
     "hot_path_extra_edges": [
-        # engine events: timer deadlines are Engine::at closures over fire().
+        # engine deadlines: each timer channel's add_deadline closure calls
+        # fire(), and each executor's calls on_deadline().
         ["dispatch_one", "GenericTimer::fire"],
+        ["dispatch_one", "Executor::on_deadline"],
         # Core::signal_irq invokes the registered IrqHandler std::function.
         ["signal_irq", "Spm::handle_phys_irq"],
         ["signal_irq", "KittenKernel::native_irq"],
