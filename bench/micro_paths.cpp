@@ -13,12 +13,16 @@
 #include "gbench_json.h"
 #include "hafnium/abi.h"
 #include "hafnium/spm.h"
+#include "linux_fwk/cfs.h"
 #include "obs/recorder.h"
 #include "resil/resil.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
+#include "sim/stats.h"
 
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace {
@@ -160,6 +164,47 @@ void BM_EngineDeadlineRearm(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EngineDeadlineRearm)->Arg(4)->Arg(28);
+
+// CFS requeue: the Linux primary's half of every tick exit. The running
+// entity is accounted and put back, and the next pick takes the leftmost.
+// A core queues one to four entities: its VCPU proxies and its kworker.
+void BM_CfsRequeue(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    linux_fwk::CfsRunqueue rq;
+    std::vector<linux_fwk::SchedEntity> entities(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        entities[i].name = "vcpu" + std::to_string(i);
+        entities[i].weight = linux_fwk::kNiceZeroWeight << (i % 2);
+        rq.enqueue(entities[i], false);
+    }
+    const double tick = 4'400'000.0;  // one 250 Hz tick at 1.1 GHz
+    for (auto _ : state) {
+        linux_fwk::SchedEntity* se = rq.pick_next();
+        rq.update_curr(*se, tick);
+        rq.put_prev(*se);
+        benchmark::DoNotOptimize(se);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CfsRequeue)->DenseRange(1, 4);
+
+// LogHistogram::add, as each chunk close and VM exit observes it. Base 2,
+// the registry's shape, reads the bucket off an exponent; base 4 takes the
+// log formula.
+void BM_LogHistogramAdd(benchmark::State& state) {
+    sim::LogHistogram h(1.0, static_cast<double>(state.range(0)), 24);
+    sim::Rng rng(7);
+    std::vector<double> us(4096);
+    for (double& x : us) x = rng.exponential(300.0);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        h.add(us[i]);
+        i = (i + 1) % us.size();
+        benchmark::DoNotOptimize(h);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogHistogramAdd)->Arg(2)->Arg(4);
 
 void BM_PageTableWalk4Level(benchmark::State& state) {
     arch::PageTable pt;

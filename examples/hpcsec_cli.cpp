@@ -45,9 +45,11 @@
 //   hpcsec_cli --workload selfish --config kitten --seconds 30
 //   hpcsec_cli --workload lu --config kitten --secure
 //   hpcsec_cli --workload hpcg --trace-out trace.json --metrics-out metrics.json
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -290,15 +292,21 @@ struct ObsHarvest {
     obs::CycleProfiler prof;
     std::uint64_t flight_dumps = 0;
     std::string last_dump_path;
+    std::size_t last_dump_trial = 0;
 
-    void collect(core::Node& node) {
+    /// `trial` numbers the node, so the reported last dump is that of the
+    /// highest-numbered trial that dumped, in whatever order trials finish.
+    void collect(core::Node& node, std::size_t trial) {
         if (node.platform().config().profile) {
             prof.merge(node.platform().profiler());
         }
         if (node.platform().flight().armed()) {
             const auto& fi = node.platform().flight().info();
             flight_dumps += fi.dumps;
-            if (!fi.last_path.empty()) last_dump_path = fi.last_path;
+            if (!fi.last_path.empty() && trial >= last_dump_trial) {
+                last_dump_path = fi.last_path;
+                last_dump_trial = trial;
+            }
         }
     }
 };
@@ -549,7 +557,7 @@ int run_observed(const CliOptions& opt, const wl::WorkloadSpec* spec,
                         static_cast<int>(c),
                         profiler_tracks(node.platform().profiler()));
                 }
-                harvest.collect(node);
+                harvest.collect(node, c);
             };
             core::Harness harness(hopt);
             const auto r = harness.run_trial(kind, *spec, opt.seed);
@@ -598,9 +606,7 @@ int run_observed(const CliOptions& opt, const wl::WorkloadSpec* spec,
     return report_obs(opt, harvest, probe.platform.clock_hz);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     CliOptions opt;
     if (!parse(argc, argv, opt)) {
         usage();
@@ -628,7 +634,12 @@ int main(int argc, char** argv) {
         cfg.protect_critical = opt.adversary;
         cfg.platform.profile = opt.profile;
         cfg.platform.flight_depth = opt.flight_depth;
-        if (opt.flight_depth > 0) cfg.platform.flight_dump_prefix = "flight";
+        // One prefix per trial node: no trial overwrites another's dumps.
+        if (opt.flight_depth > 0) {
+            cfg.platform.flight_dump_prefix = std::string("flight-") +
+                                              kConfigNames[static_cast<int>(k)] + "-" +
+                                              std::to_string(seed);
+        }
         return cfg;
     };
 
@@ -672,20 +683,24 @@ int main(int argc, char** argv) {
     hopt.obs_window = opt.obs_window;
     ResilTotals totals;
     hopt.pre_trial = make_pre_trial(opt, totals);
-    ObsHarvest harvest;
-    if (opt.profile || opt.flight_depth > 0) {
-        // post_trial runs serialized under the harness callback mutex, so
-        // the merge order (and thus the totals) is well-defined at any jobs.
-        hopt.post_trial = [&harvest](core::SchedulerKind, std::uint64_t,
-                                     core::Node& node) { harvest.collect(node); };
-    }
-    core::Harness harness(hopt);
-
     std::vector<std::uint64_t> seeds;
     seeds.reserve(static_cast<std::size_t>(opt.trials));
     for (int t = 0; t < opt.trials; ++t) {
         seeds.push_back(opt.seed + 7919ull * static_cast<std::uint64_t>(t));
     }
+    ObsHarvest harvest;
+    if (opt.profile || opt.flight_depth > 0) {
+        // post_trial runs serialized under the harness callback mutex, in
+        // completion order: the profiler sums do not depend on it, and the
+        // harvest orders dumps by trial number.
+        hopt.post_trial = [&harvest, &seeds](core::SchedulerKind, std::uint64_t seed,
+                                             core::Node& node) {
+            const auto trial = static_cast<std::size_t>(
+                std::find(seeds.begin(), seeds.end(), seed) - seeds.begin());
+            harvest.collect(node, trial);
+        };
+    }
+    core::Harness harness(hopt);
     const auto results = harness.run_trials(kind, spec, seeds);
 
     sim::RunningStats stats;
@@ -718,4 +733,15 @@ int main(int argc, char** argv) {
         if (check_failures != 0) return 1;
     }
     return obs_rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "hpcsec_cli: error: %s\n", e.what());
+        return 1;
+    }
 }

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "arch/exec.h"
 #include "arch/types.h"
@@ -54,7 +54,7 @@ public:
     /// Pick the leftmost entity and mark it running. nullptr when empty.
     SchedEntity* pick_next();
 
-    /// Put the previously running entity back into the tree.
+    /// Put the previously running entity back into the queue.
     void put_prev(SchedEntity& se);
 
     /// Account `delta` cycles of runtime to the running entity.
@@ -63,10 +63,10 @@ public:
     /// True when the leftmost queued entity should preempt `curr`.
     [[nodiscard]] bool should_preempt(const SchedEntity& curr) const;
 
-    [[nodiscard]] std::size_t queued() const { return tree_.size(); }
+    [[nodiscard]] std::size_t queued() const { return queue_.size(); }
     [[nodiscard]] double min_vruntime() const { return min_vruntime_; }
     [[nodiscard]] const SchedEntity* leftmost() const {
-        return tree_.empty() ? nullptr : *tree_.begin();
+        return queue_.empty() ? nullptr : queue_.back();
     }
 
 private:
@@ -77,8 +77,16 @@ private:
         }
     };
 
+    /// Set semantics over ByVruntime: an entity whose key is already queued
+    /// is not queued twice.
+    void insert(SchedEntity& se);
+
     Tunables tun_{};
-    std::set<SchedEntity*, ByVruntime> tree_;
+    /// Queued entities in descending ByVruntime order, so the leftmost is
+    /// at the back. A core queues one to three entities, where a linear
+    /// insert into a vector beats a tree, and the capacity it reaches in
+    /// warm-up keeps requeues off the heap.
+    std::vector<SchedEntity*> queue_;
     double min_vruntime_ = 0.0;
 };
 

@@ -164,13 +164,8 @@ void MetricsRegistry::reset() {
     const std::lock_guard<std::mutex> lock(reg_mutex_);
     for (auto& c : counters_) c = 0;
     for (auto& g : gauges_) g = 0.0;
-    for (std::size_t i = 0; i < hist_log_.size(); ++i) {
-        // LogHistogram has no reset; rebuild with the same shape.
-        sim::LogHistogram fresh(hist_log_[i].bucket_lo(1) > 0 ? hist_log_[i].bucket_lo(1) : 1.0,
-                                2.0, hist_log_[i].bucket_count());
-        hist_log_[i] = fresh;
-        hist_stats_[i].reset();
-    }
+    for (auto& h : hist_log_) h.reset();
+    for (auto& s : hist_stats_) s.reset();
 }
 
 MetricsAggregate::Row& MetricsAggregate::row_for(std::vector<Row>& rows,

@@ -7,9 +7,9 @@ namespace hpcsec::sim {
 
 EventId EventQueue::schedule(SimTime when, int priority, EventFn fn) {
     std::uint32_t slot;
-    if (!free_.empty()) {
-        slot = free_.back();
-        free_.pop_back();
+    if (free_head_ != kNoSlot) {
+        slot = free_head_;
+        free_head_ = slab_[slot].pos;
     } else {
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.emplace_back();
@@ -70,9 +70,8 @@ void EventQueue::remove_at(std::size_t pos) {
     Entry& e = slab_[slot];
     e.id = 0;
     e.fn = nullptr;  // release captured resources immediately
-    // sca-suppress(hot-path-alloc): freelist depth is bounded by the slab
-    // high-water mark; growth stops once the queue is warmed.
-    free_.push_back(slot);
+    e.pos = free_head_;
+    free_head_ = slot;
     const std::uint32_t last = heap_.back();
     heap_.pop_back();
     if (pos == heap_.size()) return;  // the removed entry was the last leaf

@@ -98,8 +98,11 @@ private:
         std::uint64_t id = 0;     ///< composite handle; 0 while the slot is free
         EventFn fn;
         int priority = 0;
-        std::uint32_t pos = 0;  ///< index of this slot in heap_ while pending
+        /// Index of this slot in heap_ while pending; the next free slot
+        /// (or kNoSlot) while free.
+        std::uint32_t pos = 0;
     };
+    static constexpr std::uint32_t kNoSlot = 0xffffffff;
 
     [[nodiscard]] EventKey key(std::uint32_t slot) const {
         const Entry& e = slab_[slot];
@@ -123,7 +126,7 @@ private:
 
     std::vector<Entry> slab_;
     std::vector<std::uint32_t> heap_;  ///< slab indices, 4-ary min-heap
-    std::vector<std::uint32_t> free_;  ///< recycled slab slots
+    std::uint32_t free_head_ = kNoSlot;  ///< last freed slot, reused first
     std::uint64_t next_order_ = 1;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -80,17 +81,48 @@ RunningStats Sample::stats() const {
     return s;
 }
 
+namespace {
+/// floor(log2(r)) + 1 for r in [1, 2^64), read off r's binary exponent, or
+/// 0 where that may differ from the log formula's rounded result: within
+/// 2^-40 (relative, 4096 ULPs) of a power of two, where the formula
+/// misrounds up to 65 ULPs away, and outside that range, where its
+/// rounding error grows with the exponent.
+std::size_t exponent_bucket(double r) {
+    constexpr int kMantissaBits = 52;
+    constexpr std::uint64_t kMantissa = (std::uint64_t{1} << kMantissaBits) - 1;
+    constexpr std::uint64_t kEdge = std::uint64_t{1} << (kMantissaBits - 40);
+    const auto bits = std::bit_cast<std::uint64_t>(r);
+    const std::uint64_t mantissa = bits & kMantissa;
+    const std::uint64_t exponent = (bits >> kMantissaBits) - 1023;  // wraps below 1
+    if (exponent >= 64 || mantissa < kEdge || mantissa > kMantissa - kEdge) return 0;
+    return static_cast<std::size_t>(exponent) + 1;
+}
+}  // namespace
+
 LogHistogram::LogHistogram(double lo, double base, std::size_t nbuckets)
-    : lo_(lo), base_(base), log_base_(std::log(base)), counts_(nbuckets, 0) {}
+    : lo_(lo),
+      base_(base),
+      log_base_(std::log(base)),
+      binary_(base == 2.0),
+      counts_(nbuckets, 0) {}
 
 void LogHistogram::add(double x) {
     ++total_;
     std::size_t i = 0;
     if (x > lo_) {
-        i = static_cast<std::size_t>(std::log(x / lo_) / log_base_) + 1;
+        // Both paths take the same rounded quotient, so the exponent read
+        // agrees with the formula wherever it decides.
+        const double r = x / lo_;
+        if (binary_) i = exponent_bucket(r);
+        if (i == 0) i = static_cast<std::size_t>(std::log(r) / log_base_) + 1;
         i = std::min(i, counts_.size() - 1);
     }
     ++counts_[i];
+}
+
+void LogHistogram::reset() {
+    std::fill(counts_.begin(), counts_.end(), 0);
+    total_ = 0;
 }
 
 double LogHistogram::bucket_lo(std::size_t i) const {

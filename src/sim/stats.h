@@ -55,10 +55,14 @@ private:
 /// Log-scaled histogram for latency distributions (detour durations etc.).
 class LogHistogram {
 public:
-    /// Buckets are powers of `base` starting at `lo`.
+    /// Buckets are powers of `base` starting at `lo`: a value x > lo lands in
+    /// bucket floor(log(x / lo) / log(base)) + 1, capped at the last one,
+    /// and anything else (NaN too) in bucket 0.
     LogHistogram(double lo, double base, std::size_t nbuckets);
 
     void add(double x);
+    /// Zero every count; the shape stays.
+    void reset();
     [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
     [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
     [[nodiscard]] double bucket_lo(std::size_t i) const;
@@ -69,6 +73,7 @@ private:
     double lo_;
     double base_;
     double log_base_;  ///< std::log(base_), taken once: add() runs per chunk
+    bool binary_;      ///< base 2: add() reads the bucket off an exponent
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
 };

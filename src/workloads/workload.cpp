@@ -45,6 +45,8 @@ ParallelWorkload::ParallelWorkload(WorkloadSpec spec) : spec_(std::move(spec)) {
     for (int i = 0; i < spec_.nthreads; ++i) {
         threads_.push_back(std::make_unique<WorkThread>(*this, i));
     }
+    // One timestamp per barrier: thread_arrived never grows the vector.
+    step_times_.reserve(static_cast<std::size_t>(spec_.supersteps));
 }
 
 void ParallelWorkload::set_mode(arch::TranslationMode m) {

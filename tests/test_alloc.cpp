@@ -21,6 +21,7 @@
 #include "core/signature.h"
 #include "sim/arena.h"
 #include "sim/engine.h"
+#include "workloads/nas.h"
 
 namespace {
 
@@ -51,14 +52,18 @@ void release(void* p) noexcept {
     std::free(p);
 }
 
+void start_counting() {
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_live.store(0, std::memory_order_relaxed);
+    g_peak.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+}
+
+void stop_counting() { g_counting.store(false, std::memory_order_relaxed); }
+
 struct CountingWindow {
-    CountingWindow() {
-        g_allocs.store(0, std::memory_order_relaxed);
-        g_live.store(0, std::memory_order_relaxed);
-        g_peak.store(0, std::memory_order_relaxed);
-        g_counting.store(true, std::memory_order_relaxed);
-    }
-    ~CountingWindow() { g_counting.store(false, std::memory_order_relaxed); }
+    CountingWindow() { start_counting(); }
+    ~CountingWindow() { stop_counting(); }
     [[nodiscard]] static std::uint64_t count() {
         return g_allocs.load(std::memory_order_relaxed);
     }
@@ -174,7 +179,6 @@ TEST(EventQueueAlloc, CancelRearmChurnMakesZeroHeapAllocations) {
         cancelled += eng.cancel(far) ? 1 : 0;
         far = eng.at(when, [&fired] { ++fired; });
     };
-    rearm(1'000'000);  // warm-up: the free list gets its capacity
 
     std::uint64_t allocs = 0;
     {
@@ -182,7 +186,7 @@ TEST(EventQueueAlloc, CancelRearmChurnMakesZeroHeapAllocations) {
         for (int i = 1; i <= 100'000; ++i) rearm(1'000'000 + static_cast<sim::SimTime>(i));
         allocs = CountingWindow::count();
     }
-    EXPECT_EQ(cancelled, 100'001);
+    EXPECT_EQ(cancelled, 100'000);
     EXPECT_EQ(allocs, 0u) << "cancel/re-arm churn touched the global heap";
     EXPECT_EQ(eng.pending_events(), 2u);
     eng.run();
@@ -260,6 +264,51 @@ TEST_F(AllocFixture, SteadyStateWindowMakesZeroHeapAllocations) {
         node.platform().engine().events_executed() - events_before;
     EXPECT_GE(events, 1000u) << "window too quiet to prove anything";
     EXPECT_EQ(allocs, 0u) << "steady-state dispatch touched the global heap";
+}
+
+// The Linux-primary twin: every 250 Hz tick on every core exits the compute
+// VCPU, requeues its proxy in the primary's CFS runqueue and enters it again.
+// Engine events open and close two equal windows inside one busy LU run; the
+// first is warm-up, and the second must make no allocation however many
+// exits it holds.
+TEST(LinuxPrimaryAlloc, ExitRoundTripWindowMakesZeroHeapAllocations) {
+    core::Node node(core::Harness::default_config(core::SchedulerKind::kLinuxPrimary, 17));
+    node.boot();
+    sim::Engine& eng = node.platform().engine();
+    const hafnium::Spm& spm = *node.spm();
+    const sim::SimTime start = eng.now() + eng.clock().from_seconds(0.5);
+    const sim::Cycles window = eng.clock().from_seconds(2.0);
+
+    std::uint64_t allocs[2] = {};
+    std::uint64_t exits[2] = {};
+    int closed = 0;
+    const auto open = [&](int w) {
+        exits[w] = spm.stats().vm_exits;
+        start_counting();
+    };
+    const auto close = [&](int w) {
+        stop_counting();
+        allocs[w] = CountingWindow::count();
+        exits[w] = spm.stats().vm_exits - exits[w];
+        ++closed;
+    };
+    eng.at(start, [&] { open(0); });
+    eng.at(start + window, [&] {
+        close(0);
+        open(1);
+    });
+    eng.at(start + 2 * window, [&] { close(1); });
+
+    wl::ParallelWorkload lu(wl::nas_lu_spec(4));
+    (void)node.run_workload(lu);
+    stop_counting();
+    ASSERT_EQ(closed, 2) << "LU finished before the second window closed";
+
+    EXPECT_GE(exits[1], 1000u) << "window too quiet to prove anything";
+    EXPECT_EQ(allocs[1], 0u) << "the exit round trip touched the global heap: "
+                             << allocs[1] << " allocations over " << exits[1]
+                             << " VM exits (warm-up window: " << allocs[0]
+                             << " over " << exits[0] << ")";
 }
 
 TEST_F(AllocFixture, TeardownFreesViaArenaResetAcrossTrials) {

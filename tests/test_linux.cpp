@@ -2,6 +2,9 @@
 // behaviour that motivates the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "arch/platform.h"
 #include "hafnium/spm.h"
 #include "linux_fwk/cfs.h"
@@ -88,11 +91,49 @@ TEST(Cfs, DequeueRemoves) {
 }
 
 TEST(Cfs, DeterministicTiebreakOnEqualVruntime) {
+    SchedEntity a = make_entity("a", 7), b = make_entity("b", 7), c = make_entity("c", 7),
+                early = make_entity("z", 3);
+    SchedEntity* const entities[] = {&a, &b, &c, &early};
+    std::vector<int> order = {0, 1, 2, 3};
+    do {  // every insert order
+        CfsRunqueue rq;
+        for (const int i : order) rq.enqueue(*entities[i], false);
+        ASSERT_EQ(rq.queued(), 4u);
+        EXPECT_EQ(rq.leftmost(), &early);
+        EXPECT_EQ(rq.pick_next(), &early);  // vruntime first, whatever the name
+        EXPECT_EQ(rq.pick_next(), &a);      // then name order
+        EXPECT_EQ(rq.pick_next(), &b);
+        EXPECT_EQ(rq.pick_next(), &c);
+        EXPECT_EQ(rq.pick_next(), nullptr);
+    } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(Cfs, RepeatedPutPrevIsANoOp) {
     CfsRunqueue rq;
-    SchedEntity a = make_entity("a", 7), b = make_entity("b", 7);
+    SchedEntity a = make_entity("a", 5), b = make_entity("b", 9);
     rq.enqueue(b, false);
+    rq.put_prev(a);
+    rq.put_prev(a);
+    EXPECT_EQ(rq.queued(), 2u);
+    EXPECT_EQ(rq.pick_next(), &a);
+    EXPECT_EQ(rq.pick_next(), &b);
+    EXPECT_EQ(rq.pick_next(), nullptr);
+}
+
+TEST(Cfs, DequeueOfAnAbsentEntityIsANoOp) {
+    CfsRunqueue rq;
+    SchedEntity a = make_entity("a", 1), b = make_entity("b", 2), c = make_entity("c", 3);
     rq.enqueue(a, false);
-    EXPECT_EQ(rq.pick_next(), &a);  // name order
+    rq.enqueue(c, false);
+    rq.dequeue(b);  // never queued
+    EXPECT_EQ(rq.queued(), 2u);
+    EXPECT_EQ(rq.pick_next(), &a);
+    rq.dequeue(a);  // already picked
+    EXPECT_EQ(rq.queued(), 1u);
+    EXPECT_EQ(rq.pick_next(), &c);
+    rq.dequeue(c);  // empty queue
+    EXPECT_EQ(rq.queued(), 0u);
+    EXPECT_EQ(rq.pick_next(), nullptr);
 }
 
 // --- LinuxKernel as primary --------------------------------------------------------

@@ -467,6 +467,28 @@ TEST(Metrics, HistogramBucketsCarryExplicitBounds) {
     EXPECT_NE(os.str().find("\"buckets\":[["), std::string::npos) << os.str();
 }
 
+TEST(Metrics, ResetKeepsEachHistogramsShape) {
+    obs::MetricsRegistry reg;
+    const auto h = reg.histogram("lat.us", 1.0, 4.0, 6);
+    reg.observe(h, 5.0);
+    reg.reset();
+    reg.observe(h, 5.0);
+    reg.observe(h, 20.0);
+
+    const auto snap = reg.snapshot();
+    const auto* m = snap.find("lat.us");
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->value, 2.0);  // the observation before the reset is gone
+    // Base-4 edges survive the reset: 5 falls in [4, 16), 20 in [16, 64).
+    ASSERT_EQ(m->buckets.size(), 2u);
+    EXPECT_EQ(m->buckets[0].lo, 4.0);
+    EXPECT_EQ(m->buckets[0].hi, 16.0);
+    EXPECT_EQ(m->buckets[0].count, 1u);
+    EXPECT_EQ(m->buckets[1].lo, 16.0);
+    EXPECT_EQ(m->buckets[1].hi, 64.0);
+    EXPECT_EQ(m->buckets[1].count, 1u);
+}
+
 TEST(Metrics, AggregateMergesBucketsByBounds) {
     obs::MetricsRegistry reg;
     const auto h = reg.histogram("lat", 1.0, 2.0, 8);

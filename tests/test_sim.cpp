@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event substrate: time, RNG, stats, events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -207,6 +208,93 @@ TEST(LogHistogram, BucketsValues) {
     EXPECT_EQ(h.bucket(1), 1u);
     EXPECT_EQ(h.bucket(2), 1u);
     EXPECT_EQ(h.bucket(4), 1u);
+}
+
+// The bucket LogHistogram defines: floor(log(x / lo) / log(base)) + 1 for
+// x > lo, capped at the last bucket; 0 otherwise.
+std::size_t formula_bucket(double lo, double base, std::size_t n, double x) {
+    if (!(x > lo)) return 0;
+    const auto i = static_cast<std::size_t>(std::log(x / lo) / std::log(base)) + 1;
+    return std::min(i, n - 1);
+}
+
+/// The bucket add() put x in (h is reset first).
+std::size_t added_bucket(LogHistogram& h, double x) {
+    h.reset();
+    h.add(x);
+    for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+        if (h.bucket(i) != 0) return i;
+    }
+    return h.bucket_count();
+}
+
+struct HistShape {
+    double lo;
+    double base;
+    std::size_t n;
+};
+
+// Base 2 takes the exponent path (the registry's shape, and lo = 3 off a
+// power of two); bases 10 and 4 take the formula.
+constexpr HistShape kShapes[] = {
+    {1.0, 2.0, 24}, {0.5, 2.0, 8}, {3.0, 2.0, 24}, {1.0, 10.0, 5}, {1.0, 4.0, 8}};
+
+TEST(LogHistogram, RandomValuesLandInTheFormulasBucket) {
+    Rng rng(2024);
+    for (const HistShape& s : kShapes) {
+        LogHistogram h(s.lo, s.base, s.n);
+        // log_base(x / lo) uniform over two buckets below lo to past the top.
+        const double span = static_cast<double>(s.n) + 4.0;
+        for (int i = 0; i < 100'000; ++i) {
+            const double x = s.lo * std::pow(s.base, rng.next_double() * span - 2.0);
+            ASSERT_EQ(added_bucket(h, x), formula_bucket(s.lo, s.base, s.n, x))
+                << "lo " << s.lo << " base " << s.base << " x " << x;
+        }
+    }
+}
+
+TEST(LogHistogram, ValuesAroundEveryBucketEdgeLandInTheFormulasBucket) {
+    constexpr int kUlps = 6000;
+    for (const HistShape& s : kShapes) {
+        LogHistogram h(s.lo, s.base, s.n);
+        for (std::size_t k = 0; k <= s.n; ++k) {
+            const double edge = s.lo * std::pow(s.base, static_cast<double>(k));
+            for (const double toward : {0.0, HUGE_VAL}) {
+                double x = edge;
+                for (int u = 0; u <= kUlps; ++u, x = std::nextafter(x, toward)) {
+                    ASSERT_EQ(added_bucket(h, x), formula_bucket(s.lo, s.base, s.n, x))
+                        << "lo " << s.lo << " base " << s.base << " edge " << k
+                        << " x " << x;
+                }
+            }
+        }
+    }
+}
+
+TEST(LogHistogram, LoBelowLoAndNanLandInBucketZero) {
+    for (const HistShape& s : kShapes) {
+        LogHistogram h(s.lo, s.base, s.n);
+        for (const double x : {s.lo, std::nextafter(s.lo, 0.0), s.lo / 2, 0.0, -s.lo,
+                               -HUGE_VAL, std::nan("")}) {
+            EXPECT_EQ(added_bucket(h, x), 0u) << "lo " << s.lo << " x " << x;
+        }
+        // The first value past lo opens bucket 1; a huge one caps at the top.
+        EXPECT_EQ(added_bucket(h, std::nextafter(s.lo, HUGE_VAL)), 1u);
+        EXPECT_EQ(added_bucket(h, s.lo * 1e300), s.n - 1);
+    }
+}
+
+TEST(LogHistogram, ResetZeroesCountsAndKeepsTheShape) {
+    LogHistogram h(1.0, 4.0, 6);
+    h.add(5.0);
+    h.add(0.5);
+    h.reset();
+    EXPECT_EQ(h.total(), 0u);
+    for (std::size_t i = 0; i < h.bucket_count(); ++i) EXPECT_EQ(h.bucket(i), 0u);
+    EXPECT_EQ(h.bucket_count(), 6u);
+    EXPECT_EQ(h.bucket_lo(2), 4.0);
+    h.add(5.0);
+    EXPECT_EQ(h.bucket(2), 1u);
 }
 
 // --- EventQueue -------------------------------------------------------------------
