@@ -4,10 +4,16 @@
 // modern ARM cores cache two-stage walks. Flush semantics follow the ARM
 // TLBI instructions we need: full flush, by-VMID, and by-page. Replacement
 // is deterministic round-robin so simulations are reproducible.
+//
+// Entry storage is allocated by the first insert. Simulation paths never
+// translate through a core's MMU (the SPM walks stage-2 tables itself), so
+// a booted node's TLBs stay empty and cost it no heap; until the first
+// fill, lookups miss and every TLBI only bumps the flush epoch.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "arch/types.h"
 
@@ -26,7 +32,6 @@ struct TlbEntry {
 struct TlbStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t flushes = 0;
     std::uint64_t evictions = 0;
 
     [[nodiscard]] double hit_rate() const {
@@ -61,19 +66,22 @@ public:
     [[nodiscard]] const TlbStats& stats() const { return stats_; }
 
     [[nodiscard]] std::size_t valid_entries() const;
-    [[nodiscard]] std::size_t capacity() const { return sets_.size() * ways_; }
+    [[nodiscard]] std::size_t capacity() const { return sets_ * ways_; }
 
 private:
-    [[nodiscard]] std::size_t set_of(std::uint64_t in_page) const {
-        return in_page % sets_.size();
+    /// Every entry, set-major; empty before the first insert.
+    [[nodiscard]] std::span<TlbEntry> entries() const {
+        return {entries_.get(), entries_ ? sets_ * ways_ : 0};
+    }
+    /// The ways of the set `in_page` maps to; empty before the first insert.
+    [[nodiscard]] std::span<TlbEntry> set_of(std::uint64_t in_page) const {
+        if (!entries_) return {};
+        return {entries_.get() + (in_page % sets_) * ways_, ways_};
     }
 
-    struct Set {
-        std::vector<TlbEntry> ways;
-        std::size_t next_victim = 0;
-    };
-
-    std::vector<Set> sets_;
+    std::unique_ptr<TlbEntry[]> entries_;         ///< null until the first insert
+    std::unique_ptr<std::size_t[]> next_victim_;  ///< per set; allocated with entries_
+    std::size_t sets_;
     std::size_t ways_;
     TlbStats stats_;
     std::uint64_t flush_epoch_ = 0;

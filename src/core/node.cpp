@@ -141,7 +141,8 @@ void Node::boot_hafnium() {
         manifest.vms.push_back(std::move(compute));
     }
 
-    spm_ = std::make_unique<hafnium::Spm>(*platform_, manifest, config_.routing);
+    spm_ = std::make_unique<hafnium::Spm>(*platform_, std::move(manifest),
+                                          config_.routing);
 
     // The kHypercall trace instant comes from the interceptor chain, not an
     // inline recorder call in the SPM hot path; attach it before boot so the

@@ -906,6 +906,43 @@ TEST(Tlb, EvictsRoundRobinWhenSetFull) {
     EXPECT_NE(tlb.lookup(1, 0, 8), nullptr);
 }
 
+// Storage arrives with the first insert. Before it, a lookup still misses
+// and counts the miss, and every TLBI still bumps the epoch that the MMU's
+// L0 line checks; after it, each TLBI still bumps the epoch exactly once.
+TEST(Tlb, FreshTlbMissesAndBumpsTheEpochBeforeItsFirstFill) {
+    Tlb tlb(64, 4);
+    EXPECT_EQ(tlb.capacity(), 64u);
+    EXPECT_EQ(tlb.valid_entries(), 0u);
+    EXPECT_EQ(tlb.lookup(1, 0, 0x42), nullptr);
+    EXPECT_EQ(tlb.stats().misses, 1u);
+    EXPECT_EQ(tlb.stats().hits, 0u);
+
+    std::uint64_t epoch = tlb.flush_epoch();
+    const auto each_tlbi_bumps_the_epoch = [&] {
+        tlb.flush_all();
+        EXPECT_EQ(tlb.flush_epoch(), ++epoch);
+        tlb.flush_vmid(1);
+        EXPECT_EQ(tlb.flush_epoch(), ++epoch);
+        tlb.flush_page(1, 0x42);
+        EXPECT_EQ(tlb.flush_epoch(), ++epoch);
+    };
+    each_tlbi_bumps_the_epoch();
+    EXPECT_EQ(tlb.valid_entries(), 0u);
+    EXPECT_EQ(tlb.capacity(), 64u);
+
+    tlb.insert({true, 1, 0, 0x42, 0x99, kPermRW, false});
+    EXPECT_EQ(tlb.valid_entries(), 1u);
+    const TlbEntry* e = tlb.lookup(1, 0, 0x42);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->out_page, 0x99u);
+    EXPECT_EQ(tlb.stats().hits, 1u);
+    EXPECT_EQ(tlb.stats().misses, 1u);
+
+    each_tlbi_bumps_the_epoch();
+    EXPECT_EQ(tlb.valid_entries(), 0u);
+    EXPECT_EQ(tlb.lookup(1, 0, 0x42), nullptr);
+}
+
 TEST(Tlb, RejectsBadGeometry) {
     EXPECT_THROW(Tlb(10, 4), std::invalid_argument);
     EXPECT_THROW(Tlb(0, 0), std::invalid_argument);

@@ -98,7 +98,7 @@ class SourceFile:
 
 
 # Directories never scanned (relative path prefixes under the root).
-EXCLUDE_PREFIXES = ("build", ".git", "tests/sca/fixtures", "tests/sca/parity")
+EXCLUDE_PREFIXES = ("build", ".git", "tests/sca/fixtures")
 
 CPP_SUFFIXES = (".cpp", ".h", ".hpp", ".cc")
 

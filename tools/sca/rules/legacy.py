@@ -1,7 +1,7 @@
 """The four checks migrated from tools/lint.py, message-for-message.
 
-tests/sca/test_parity.py proves these report identically to the frozen
-legacy script on both the clean tree and deliberately broken trees.
+Each has a golden fixture under tests/sca/fixtures/ (enum-string-coverage,
+stats-publish-coverage, dispatch-table-complete, bench-report-schema).
 """
 
 from __future__ import annotations
