@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hpcsec::arch {
 
@@ -34,6 +35,19 @@ constexpr std::uint8_t perms_of(std::uint64_t d) {
     return static_cast<std::uint8_t>((d & kPermBits) >> kPermShift);
 }
 constexpr bool secure_of(std::uint64_t d) { return (d & kSecure) != 0; }
+// A table descriptor carries its next-level table's address; the arrays are
+// at least 8-byte aligned, which leaves the valid and table bits free.
+std::uint64_t table_desc(const std::uint64_t* table) {
+    return kValid | kTable | reinterpret_cast<std::uintptr_t>(table);
+}
+std::uint64_t* table_of(std::uint64_t d) {
+    return reinterpret_cast<std::uint64_t*>(d & ~(kValid | kTable));
+}
+
+/// One table's descriptors, all invalid: the table's only allocation.
+std::uint64_t* zeroed_descriptors(std::uint64_t entries) {
+    return new std::uint64_t[entries]();
+}
 
 /// The one argument check of map/unmap/protect: page aligned, and inside
 /// the input range without letting in_base + size wrap past the limit.
@@ -51,54 +65,67 @@ void check_range(const PtFormat& fmt, std::uint64_t in_base, std::uint64_t size,
 }
 }  // namespace
 
-struct PageTable::Node {
-    // Sized per level at construction: the format's root may be wider than
-    // the inner levels (Sv39x4's 2048-entry concatenated root). `child` is
-    // empty at the last level, which holds only pages.
-    std::vector<std::uint64_t> desc;
-    std::vector<std::unique_ptr<Node>> child;
-};
-
-std::unique_ptr<PageTable::Node> PageTable::make_node(int level) const {
-    auto node = std::make_unique<Node>();
-    node->desc.resize(fmt_.entries(level));
-    if (level < fmt_.levels - 1) node->child.resize(fmt_.entries(level));
-    return node;
+std::uint64_t* PageTable::new_table(int level) {
+    ++node_count_;
+    // sca-suppress(hot-path-alloc): tables are built on the control-plane
+    // map/donate/share/unmap calls; steady state has no stage-2 churn.
+    return zeroed_descriptors(fmt_.entries(level));
 }
 
-PageTable::PageTable(PtFormat format)
-    : fmt_(format), root_(make_node(0)), node_count_(1) {}
-PageTable::~PageTable() = default;
-PageTable::PageTable(PageTable&&) noexcept = default;
-PageTable& PageTable::operator=(PageTable&&) noexcept = default;
+void PageTable::free_table(std::uint64_t* table, int level) noexcept {
+    if (level < fmt_.levels - 1) {
+        for (std::uint64_t i = 0; i < fmt_.entries(level); ++i) {
+            if (table[i] & kTable) free_table(table_of(table[i]), level + 1);
+        }
+    }
+    delete[] table;
+}
 
-PageTable::Node& PageTable::ensure_child(Node& parent, std::uint64_t index,
-                                         int child_level) {
-    std::uint64_t& d = parent.desc[index];
+PageTable::PageTable(PtFormat format) : fmt_(format) { root_ = new_table(0); }
+
+PageTable::~PageTable() {
+    if (root_ != nullptr) free_table(root_, 0);
+}
+
+PageTable::PageTable(PageTable&& other) noexcept
+    : fmt_(other.fmt_),
+      root_(std::exchange(other.root_, nullptr)),
+      node_count_(other.node_count_),
+      mapping_count_(other.mapping_count_),
+      mapped_bytes_(other.mapped_bytes_) {}
+
+PageTable& PageTable::operator=(PageTable&& other) noexcept {
+    if (this != &other) {
+        if (root_ != nullptr) free_table(root_, 0);
+        fmt_ = other.fmt_;
+        root_ = std::exchange(other.root_, nullptr);
+        node_count_ = other.node_count_;
+        mapping_count_ = other.mapping_count_;
+        mapped_bytes_ = other.mapped_bytes_;
+    }
+    return *this;
+}
+
+std::uint64_t* PageTable::ensure_child(std::uint64_t* table, std::uint64_t index,
+                                       int child_level) {
+    std::uint64_t& d = table[index];
     if (is_leaf(d)) {
         throw std::logic_error("PageTable: mapping overlaps existing block entry");
     }
-    if (d == 0) {
-        d = kValid | kTable;
-        // sca-suppress(hot-path-alloc): table nodes are built on the
-        // control-plane map/donate/share calls; steady state has no
-        // stage-2 churn.
-        parent.child[index] = make_node(child_level);
-        ++node_count_;
-    }
-    return *parent.child[index];
+    if (d == 0) d = table_desc(new_table(child_level));
+    return table_of(d);
 }
 
 void PageTable::map(std::uint64_t in_base, std::uint64_t out_base, std::uint64_t size,
                     std::uint8_t perms, bool secure, bool force_pages) {
     if (size == 0) return;
     check_range(fmt_, in_base, size, out_base, "map");
-    map_range(*root_, 0, in_base, out_base, size, perms, secure, force_pages);
+    map_range(root_, 0, in_base, out_base, size, perms, secure, force_pages);
 }
 
-void PageTable::map_range(Node& node, int level, std::uint64_t in, std::uint64_t out,
-                          std::uint64_t size, std::uint8_t perms, bool secure,
-                          bool force_pages) {
+void PageTable::map_range(std::uint64_t* table, int level, std::uint64_t in,
+                          std::uint64_t out, std::uint64_t size, std::uint8_t perms,
+                          bool secure, bool force_pages) {
     const std::uint64_t span = fmt_.span(level);
     std::uint64_t remaining = size;
     while (remaining > 0) {
@@ -115,19 +142,19 @@ void PageTable::map_range(Node& node, int level, std::uint64_t in, std::uint64_t
             !force_pages && level < fmt_.levels - 1 && block_span(span) &&
             within == 0 && chunk == span && (out & (span - 1)) == 0;
 
-        if (level == fmt_.levels - 1 || (block_allowed && node.desc[idx] == 0)) {
-            if (node.desc[idx] != 0) {
+        if (level == fmt_.levels - 1 || (block_allowed && table[idx] == 0)) {
+            if (table[idx] != 0) {
                 throw std::logic_error("PageTable: mapping overlaps existing entry");
             }
-            node.desc[idx] = leaf(out, perms, secure);
+            table[idx] = leaf(out, perms, secure);
             ++mapping_count_;
             mapped_bytes_ += span;
         } else {
             // A block over a table that unmaps left empty fills that table
             // and folds below, like the last hole of a split block does.
-            map_range(ensure_child(node, idx, level + 1), level + 1, in, out, chunk,
+            map_range(ensure_child(table, idx, level + 1), level + 1, in, out, chunk,
                       perms, secure, force_pages);
-            if (!force_pages) defrag(node, idx, level);
+            if (!force_pages) defrag(table, idx, level);
         }
         in += chunk;
         out += chunk;
@@ -138,56 +165,54 @@ void PageTable::map_range(Node& node, int level, std::uint64_t in, std::uint64_t
 void PageTable::unmap(std::uint64_t in_base, std::uint64_t size) {
     if (size == 0) return;
     check_range(fmt_, in_base, size, 0, "unmap");
-    unmap_range(*root_, 0, in_base, size);
+    unmap_range(root_, 0, in_base, size);
 }
 
-void PageTable::split_block(Node& node, std::uint64_t index, int level) {
+void PageTable::split_block(std::uint64_t* table, std::uint64_t index, int level) {
     // Break-before-make: replace a block leaf with a table of next-level
     // leaves covering the same range (what a real hypervisor does before
     // changing a sub-range of a block mapping).
-    // sca-suppress(hot-path-alloc): block splits happen on control-plane
-    // unmap/remap calls, not per-event steady state.
-    auto child = make_node(level + 1);
-    const std::uint64_t block = node.desc[index];
+    std::uint64_t* child = new_table(level + 1);
+    const std::uint64_t block = table[index];
     const std::uint64_t child_span = fmt_.span(level + 1);
     const std::uint64_t child_entries = fmt_.entries(level + 1);
     for (std::uint64_t i = 0; i < child_entries; ++i) {
-        child->desc[i] = block + i * child_span;
+        child[i] = block + i * child_span;
     }
-    node.desc[index] = kValid | kTable;
-    node.child[index] = std::move(child);
-    ++node_count_;
+    table[index] = table_desc(child);
     mapping_count_ += child_entries - 1;  // one block leaf became N leaves
 }
 
-void PageTable::defrag(Node& node, std::uint64_t index, int level) {
+void PageTable::defrag(std::uint64_t* table, std::uint64_t index, int level) {
     // The inverse of split_block: a table under a block-sized entry whose
     // leaves run contiguously from a block-aligned output, with equal
     // attributes, becomes that block again. Translations do not change, so
     // no TLB entry goes stale.
     const std::uint64_t span = fmt_.span(level);
     if (!block_span(span)) return;
-    const std::vector<std::uint64_t>& sub = node.child[index]->desc;
-    const std::uint64_t first = sub.front();
+    std::uint64_t* sub = table_of(table[index]);
+    const std::uint64_t n = fmt_.entries(level + 1);
+    const std::uint64_t first = sub[0];
     if (!is_leaf(first) || (out_of(first) & (span - 1)) != 0) return;
     const std::uint64_t child_span = fmt_.span(level + 1);
-    for (std::uint64_t i = 1; i < sub.size(); ++i) {
+    for (std::uint64_t i = 1; i < n; ++i) {
         if (sub[i] != first + i * child_span) return;
     }
-    mapping_count_ -= sub.size() - 1;
-    node.desc[index] = first;
-    node.child[index].reset();
+    mapping_count_ -= n - 1;
+    table[index] = first;
+    delete[] sub;  // all leaves: no table below it
     --node_count_;
 }
 
-void PageTable::unmap_range(Node& node, int level, std::uint64_t in, std::uint64_t size) {
+void PageTable::unmap_range(std::uint64_t* table, int level, std::uint64_t in,
+                            std::uint64_t size) {
     // Removing entries never makes a table uniform, so unmap has nothing
     // to defrag.
     const std::uint64_t span = fmt_.span(level);
     std::uint64_t remaining = size;
     while (remaining > 0) {
         const std::uint64_t idx = fmt_.index(in, level);
-        std::uint64_t& d = node.desc[idx];
+        std::uint64_t& d = table[idx];
         const std::uint64_t entry_base = in & ~(span - 1);
         const std::uint64_t within = in - entry_base;
         const std::uint64_t chunk = std::min(remaining, span - within);
@@ -195,15 +220,15 @@ void PageTable::unmap_range(Node& node, int level, std::uint64_t in, std::uint64
         if (is_leaf(d)) {
             if (within != 0 || chunk != span) {
                 // Partial unmap of a block: split and recurse.
-                split_block(node, idx, level);
-                unmap_range(*node.child[idx], level + 1, in, chunk);
+                split_block(table, idx, level);
+                unmap_range(table_of(d), level + 1, in, chunk);
             } else {
                 d = 0;
                 --mapping_count_;
                 mapped_bytes_ -= span;
             }
         } else if (d != 0) {
-            unmap_range(*node.child[idx], level + 1, in, chunk);
+            unmap_range(table_of(d), level + 1, in, chunk);
         }
         // Invalid: nothing mapped here; unmap is idempotent.
         in += chunk;
@@ -213,16 +238,16 @@ void PageTable::unmap_range(Node& node, int level, std::uint64_t in, std::uint64
 
 void PageTable::protect(std::uint64_t in_base, std::uint64_t size, std::uint8_t perms) {
     check_range(fmt_, in_base, size, 0, "protect");
-    protect_range(*root_, 0, in_base, size, perms);
+    protect_range(root_, 0, in_base, size, perms);
 }
 
-void PageTable::protect_range(Node& node, int level, std::uint64_t in,
+void PageTable::protect_range(std::uint64_t* table, int level, std::uint64_t in,
                               std::uint64_t size, std::uint8_t perms) {
     const std::uint64_t span = fmt_.span(level);
     std::uint64_t remaining = size;
     while (remaining > 0) {
         const std::uint64_t idx = fmt_.index(in, level);
-        std::uint64_t& d = node.desc[idx];
+        std::uint64_t& d = table[idx];
         const std::uint64_t entry_base = in & ~(span - 1);
         const std::uint64_t within = in - entry_base;
         const std::uint64_t chunk = std::min(remaining, span - within);
@@ -233,9 +258,9 @@ void PageTable::protect_range(Node& node, int level, std::uint64_t in,
         } else {
             // Partial protect of a block: split, recurse, and fold back if
             // the new perms made the table uniform again.
-            if (is_leaf(d)) split_block(node, idx, level);
-            protect_range(*node.child[idx], level + 1, in, chunk, perms);
-            defrag(node, idx, level);
+            if (is_leaf(d)) split_block(table, idx, level);
+            protect_range(table_of(d), level + 1, in, chunk, perms);
+            defrag(table, idx, level);
         }
         in += chunk;
         remaining -= chunk;
@@ -248,13 +273,12 @@ WalkResult PageTable::walk(std::uint64_t addr) const {
         r.fault = FaultKind::kAddressSize;
         return r;
     }
-    const Node* node = root_.get();
+    const std::uint64_t* table = root_;
     for (int level = 0; level < fmt_.levels; ++level) {
         ++r.table_accesses;
-        const std::uint64_t idx = fmt_.index(addr, level);
-        const std::uint64_t d = node->desc[idx];
+        const std::uint64_t d = table[fmt_.index(addr, level)];
         if (d & kTable) {
-            node = node->child[idx].get();
+            table = table_of(d);
             continue;
         }
         r.level = level;
@@ -274,29 +298,30 @@ WalkResult PageTable::walk(std::uint64_t addr) const {
 void PageTable::for_each_mapping(
     const std::function<void(const MappingView&)>& fn) const {
     MappingView run;  // size 0: no run open yet
-    visit_mappings(*root_, 0, 0, run, fn);
+    visit_mappings(root_, 0, 0, run, fn);
     if (run.size != 0) fn(run);
 }
 
 void PageTable::visit_mappings(
-    const Node& node, int level, std::uint64_t in_base, MappingView& run,
+    const std::uint64_t* d, int level, std::uint64_t in_base, MappingView& run,
     const std::function<void(const MappingView&)>& fn) const {
     const std::uint64_t span = fmt_.span(level);
-    const std::uint64_t* d = node.desc.data();
-    const std::uint64_t n = node.desc.size();
+    const std::uint64_t n = fmt_.entries(level);
     for (std::uint64_t i = 0; i < n;) {
-        // Skip invalid descriptors in one tight loop. An out-of-line skip
-        // (`++i; continue;`) makes the audit scan's speed depend on where
-        // this function lands modulo 64 B.
+        // Skip invalid descriptors four at a time, then one at a time. A
+        // one-wide skip alone runs about x1.3 slower at some placements of
+        // this function modulo 64 B.
+        while (i + 4 <= n && (d[i] | d[i + 1] | d[i + 2] | d[i + 3]) == 0) i += 4;
+        if (i == n) return;
         while (d[i] == 0) {
             if (++i == n) return;
         }
         if (d[i] & kTable) {
-            visit_mappings(*node.child[i], level + 1, in_base + i * span, run, fn);
+            visit_mappings(table_of(d[i]), level + 1, in_base + i * span, run, fn);
             ++i;
             continue;
         }
-        // Extend over the leaves of this node that continue the run.
+        // Extend over the leaves of this table that continue the run.
         std::uint64_t j = i + 1;
         while (j < n && d[j] == d[j - 1] + span) ++j;
         const std::uint64_t in = in_base + i * span;

@@ -12,16 +12,15 @@
 //
 // Each entry is one 64-bit descriptor, as in hardware and in Hafnium's mm
 // layer: 0 is invalid, bit 0 valid, bit 1 table, bits 2-4 the perms, bit 5
-// the secure attribute, and a leaf's page-aligned output address above.
+// the secure attribute, and a leaf's page-aligned output address above. A
+// table descriptor carries the address of its next-level table in place of
+// an output address, so each table is one array of descriptors.
 // A split block is folded back into its block once its table is uniform
 // again (Hafnium's mm_vm_defrag), so transient carve-outs leave no leaves.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <vector>
 
 #include "arch/types.h"
 
@@ -140,24 +139,26 @@ public:
     [[nodiscard]] std::uint64_t mapped_bytes() const { return mapped_bytes_; }
 
 private:
-    struct Node;
-
-    [[nodiscard]] std::unique_ptr<Node> make_node(int level) const;
-    Node& ensure_child(Node& parent, std::uint64_t index, int child_level);
-    void split_block(Node& node, std::uint64_t index, int level);
-    void defrag(Node& node, std::uint64_t index, int level);
-    void map_range(Node& node, int level, std::uint64_t in, std::uint64_t out,
-                   std::uint64_t size, std::uint8_t perms, bool secure,
-                   bool force_pages);
-    void unmap_range(Node& node, int level, std::uint64_t in, std::uint64_t size);
-    void protect_range(Node& node, int level, std::uint64_t in, std::uint64_t size,
-                       std::uint8_t perms);
-    void visit_mappings(const Node& node, int level, std::uint64_t in_base,
+    // A table is one array of fmt_.entries(level) descriptors.
+    [[nodiscard]] std::uint64_t* new_table(int level);
+    void free_table(std::uint64_t* table, int level) noexcept;
+    std::uint64_t* ensure_child(std::uint64_t* table, std::uint64_t index,
+                                int child_level);
+    void split_block(std::uint64_t* table, std::uint64_t index, int level);
+    void defrag(std::uint64_t* table, std::uint64_t index, int level);
+    void map_range(std::uint64_t* table, int level, std::uint64_t in,
+                   std::uint64_t out, std::uint64_t size, std::uint8_t perms,
+                   bool secure, bool force_pages);
+    void unmap_range(std::uint64_t* table, int level, std::uint64_t in,
+                     std::uint64_t size);
+    void protect_range(std::uint64_t* table, int level, std::uint64_t in,
+                       std::uint64_t size, std::uint8_t perms);
+    void visit_mappings(const std::uint64_t* table, int level, std::uint64_t in_base,
                         MappingView& run,
                         const std::function<void(const MappingView&)>& fn) const;
 
     PtFormat fmt_;
-    std::unique_ptr<Node> root_;
+    std::uint64_t* root_ = nullptr;
     std::uint64_t node_count_ = 0;
     std::uint64_t mapping_count_ = 0;
     std::uint64_t mapped_bytes_ = 0;

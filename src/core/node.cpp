@@ -57,10 +57,9 @@ void Node::boot() {
     platform_ = std::make_unique<arch::Platform>(config_.platform, config_.seed);
 
     // --- measured boot: TF-A stages, then the system software ---------------
-    const auto bl2 = make_image("tf-a-bl2");
-    const auto bl31 = make_image("tf-a-bl31");
-    chain_.extend("tf-a-bl2", bl2);
-    chain_.extend("tf-a-bl31", bl31);
+    // Each boot-stage image is hashed as it is made and kept no longer.
+    chain_.extend("tf-a-bl2", make_image("tf-a-bl2"));
+    chain_.extend("tf-a-bl31", make_image("tf-a-bl31"));
     if (config_.verify_signatures) {
         for (const auto& key : config_.trusted_keys) verifier_.enroll(key);
         chain_.extend_digest("image-keystore", verifier_.keystore_measurement());
@@ -81,15 +80,13 @@ void Node::boot() {
 }
 
 void Node::boot_native() {
-    const auto kitten_img = make_image("kitten-native-arm64");
-    chain_.extend("kitten-native-arm64", kitten_img);
+    chain_.extend("kitten-native-arm64", make_image("kitten-native-arm64"));
     kitten_ = std::make_unique<kitten::KittenKernel>(*platform_, config_.kitten);
     kitten_->boot();
 }
 
 void Node::boot_hafnium() {
-    const auto hafnium_img = make_image("hafnium-spm");
-    chain_.extend("hafnium-spm", hafnium_img);
+    chain_.extend("hafnium-spm", make_image("hafnium-spm"));
 
     hafnium::Manifest manifest;
     {

@@ -30,21 +30,22 @@ void Spm::boot() {
 
     // Assign IDs: primary = 1; super-secondary (if any) = 2 (the paper adds
     // "an additional hardcoded VM ID for the super-secondary"); secondaries
-    // count up after that.
-    std::vector<const VmSpec*> ordered;
-    ordered.push_back(manifest_.primary());
-    if (const VmSpec* ss = manifest_.super_secondary()) ordered.push_back(ss);
-    for (const auto& spec : manifest_.vms) {
-        if (spec.role == VmRole::kSecondary) ordered.push_back(&spec);
-    }
-
-    for (const VmSpec* spec : ordered) {
-        // Measured boot: a tampered image is refused before it gets memory.
-        if (spec->expected_hash &&
-            !crypto::digest_equal(*spec->expected_hash, spec->image_hash())) {
-            throw std::runtime_error("Spm::boot: image hash mismatch for " + spec->name);
+    // count up after that. Each entry moves into its Vm, and no manifest
+    // outlives boot.
+    Manifest manifest = std::move(manifest_);
+    for (const VmRole role :
+         {VmRole::kPrimary, VmRole::kSuperSecondary, VmRole::kSecondary}) {
+        for (VmSpec& spec : manifest.vms) {
+            if (spec.role != role) continue;
+            // Measured boot: a tampered image is refused before it gets memory.
+            const crypto::Digest measurement = spec.image_hash();
+            if (spec.expected_hash &&
+                !crypto::digest_equal(*spec.expected_hash, measurement)) {
+                throw std::runtime_error("Spm::boot: image hash mismatch for " +
+                                         spec.name);
+            }
+            admit(std::move(spec), measurement);
         }
-        admit(*spec);
     }
 
     // MMIO: "Hafnium already maps all the MMIO regions to the primary VM, so
@@ -97,12 +98,12 @@ arch::VmId Spm::create_vm(const VmSpec& spec) {
         spec.vcpu_count <= 0) {
         throw std::invalid_argument("Spm::create_vm: bad memory/vcpu shape");
     }
-    if (spec.expected_hash &&
-        !crypto::digest_equal(*spec.expected_hash, spec.image_hash())) {
+    const crypto::Digest measurement = spec.image_hash();
+    if (spec.expected_hash && !crypto::digest_equal(*spec.expected_hash, measurement)) {
         throw std::runtime_error("Spm::create_vm: image hash mismatch");
     }
 
-    const arch::VmId id = admit(spec).id();
+    const arch::VmId id = admit(spec, measurement).id();
     // Under integrity protection every partition's stage-2 table frames are
     // tagged from the moment they exist — restarted VMs included.
     if (critical_armed_) {
@@ -111,25 +112,25 @@ arch::VmId Spm::create_vm(const VmSpec& spec) {
     return id;
 }
 
-Vm& Spm::admit(const VmSpec& spec) {
+Vm& Spm::admit(VmSpec spec, const crypto::Digest& measurement) {
     Vm* vm = platform_->arena().make<Vm>(static_cast<arch::VmId>(vms_.size() + 1),
-                                         spec, platform_->arena(),
+                                         std::move(spec), platform_->arena(),
                                          platform_->isa_ops().stage2);
-    const std::uint64_t nframes = spec.mem_bytes >> arch::kPageShift;
-    vm->mem_base = platform_->mem().alloc_frames(nframes, vm->id(), spec.world);
+    const std::uint64_t nframes = vm->mem_bytes() >> arch::kPageShift;
+    vm->mem_base = platform_->mem().alloc_frames(nframes, vm->id(), vm->world());
     // Secondaries get a fully virtualized view (RAM at IPA 0); the primary
     // and super-secondary are identity-mapped so device MMIO (below the
     // DRAM base) fits into their address space.
-    vm->ipa_base = spec.role == VmRole::kSecondary ? 0 : vm->mem_base;
-    vm->stage2().map(vm->ipa_base, vm->mem_base, spec.mem_bytes, arch::kPermRWX,
-                     spec.world == arch::World::kSecure);
+    vm->ipa_base = vm->role() == VmRole::kSecondary ? 0 : vm->mem_base;
+    vm->stage2().map(vm->ipa_base, vm->mem_base, vm->mem_bytes(), arch::kPermRWX,
+                     vm->world() == arch::World::kSecure);
     // Default incremental VCPU spread across cores; the auditor may
     // pre-date the VM.
     for (int v = 0; v < vm->vcpu_count(); ++v) {
         vm->vcpu(v).assigned_core = v % platform_->ncores();
         vm->vcpu(v).set_audit(audit_);
     }
-    measurements_.emplace_back(spec.name, spec.image_hash());
+    measurements_.emplace_back(vm->name(), measurement);
     vms_.push_back(vm);
     return *vm;
 }
@@ -158,7 +159,7 @@ void Spm::destroy_vm(arch::VmId id) {
     // Drop the victim's *entire* stage-2, not just the boot window:
     // donated-in windows live outside [ipa_base, ipa_base + mem_bytes) and
     // would otherwise survive as dangling translations onto freed frames.
-    // MMUs hold the PageTable object, not its nodes, so their pointers stay
+    // MMUs hold the PageTable object, not its tables, so their pointers stay
     // valid and every walk now faults.
     victim.stage2() = arch::PageTable(victim.stage2().format());
     flush_stage2_tlbs(id);

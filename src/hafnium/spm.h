@@ -73,6 +73,8 @@ public:
     /// EL2 boot: validate manifest, measure images, allocate VM memory,
     /// build stage-2 tables, map MMIO into the I/O-owning VM, take over the
     /// exception vectors, power on all cores. Throws on manifest errors.
+    /// Boot consumes the manifest: each entry moves into its Vm, so the
+    /// image lives once, in Vm::spec().
     void boot();
     [[nodiscard]] bool booted() const { return booted_; }
 
@@ -269,10 +271,11 @@ private:
     friend struct hpcsec::check::CorruptionAccess;
 
     /// The one admission path behind boot() and create_vm(): arena-make the
-    /// VM with the next id, allocate its frames, map its RAM (IPA 0 for
-    /// secondaries, identity otherwise), spread its VCPUs over the cores,
-    /// measure the image and register it. Callers check the spec first.
-    Vm& admit(const VmSpec& spec);
+    /// VM with the next id (the spec, image included, moves into it),
+    /// allocate its frames, map its RAM (IPA 0 for secondaries, identity
+    /// otherwise), spread its VCPUs over the cores and register it with
+    /// `measurement`, the image digest its caller checked the spec against.
+    Vm& admit(VmSpec spec, const crypto::Digest& measurement);
 
     /// The uniform gate body: descriptor lookup, caller validity, privilege
     /// mask, typed decode, handler. Charges nothing itself.
@@ -380,7 +383,7 @@ private:
                                                 std::uint64_t pages) const;
 
     arch::Platform* platform_;
-    Manifest manifest_;
+    Manifest manifest_;  ///< empty once boot() has admitted its entries
     IrqRouter router_;
     bool booted_ = false;
 

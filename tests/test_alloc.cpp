@@ -4,7 +4,8 @@
 // unique_ptr graveyard. The counting global operator new below is the
 // proof: it is armed only inside measurement windows, so gtest's own
 // allocations never pollute the counts. It also tracks live bytes (sizes
-// from malloc_usable_size) and their peak, for whole-heap footprints.
+// from malloc_usable_size) and their peak, for whole-heap footprints, and
+// the bytes each allocation asked for.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -13,14 +14,17 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "arch/page_table.h"
 #include "arch/platform.h"
 #include "core/harness.h"
 #include "core/node.h"
 #include "core/signature.h"
+#include "crypto/sha256.h"
 #include "sim/arena.h"
 #include "sim/engine.h"
 #include "workloads/nas.h"
@@ -32,11 +36,14 @@ std::atomic<bool> g_counting{false};
 /// Bytes allocated minus bytes freed inside the window, and its peak.
 std::atomic<std::int64_t> g_live{0};
 std::atomic<std::int64_t> g_peak{0};
+/// Sum of the sizes the allocations inside the window asked for.
+std::atomic<std::uint64_t> g_requested{0};
 
-void* counted(void* p) {
+void* counted(void* p, std::size_t requested) {
     if (p == nullptr) throw std::bad_alloc();
     if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        g_requested.fetch_add(requested, std::memory_order_relaxed);
         const auto bytes = static_cast<std::int64_t>(malloc_usable_size(p));
         const std::int64_t live = g_live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
         if (live > g_peak.load(std::memory_order_relaxed)) {
@@ -58,6 +65,7 @@ void start_counting() {
     g_allocs.store(0, std::memory_order_relaxed);
     g_live.store(0, std::memory_order_relaxed);
     g_peak.store(0, std::memory_order_relaxed);
+    g_requested.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
 }
 
@@ -75,6 +83,9 @@ struct CountingWindow {
     [[nodiscard]] static std::int64_t live_bytes() {
         return g_live.load(std::memory_order_relaxed);
     }
+    [[nodiscard]] static std::uint64_t requested_bytes() {
+        return g_requested.load(std::memory_order_relaxed);
+    }
 };
 
 }  // namespace
@@ -85,12 +96,13 @@ struct CountingWindow {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-void* operator new(std::size_t n) { return counted(std::malloc(n ? n : 1)); }
+void* operator new(std::size_t n) { return counted(std::malloc(n ? n : 1), n); }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t a) {
     return counted(std::aligned_alloc(static_cast<std::size_t>(a),
                                       (n + static_cast<std::size_t>(a) - 1) &
-                                          ~(static_cast<std::size_t>(a) - 1)));
+                                          ~(static_cast<std::size_t>(a) - 1)),
+                   n);
 }
 void* operator new[](std::size_t n, std::align_val_t a) {
     return ::operator new(n, a);
@@ -365,6 +377,94 @@ TEST(WholeHeap, BootPeakDoesNotGrowWithComputeVmSize) {
     const std::int64_t large = boot_peak(1ull << 30);
     EXPECT_LT(large - small, 64 * 1024)
         << "boot heap peak: " << small << " B at 64 MiB, " << large << " B at 1 GiB";
+}
+
+// A stage-2 table is one array of descriptors: a table descriptor carries
+// its next-level table, so no table keeps a second array of child pointers
+// beside its descriptors (the parent made 11 allocations, 28,952 B, here).
+TEST(WholeHeap, EachStage2TableIsOneAllocation) {
+    constexpr std::uint64_t kTableBytes = 512 * sizeof(std::uint64_t);
+    std::optional<arch::PageTable> pt;
+    CountingWindow window;
+    pt.emplace(arch::PtFormat::armv8_4k());
+    const std::int64_t root_bytes = CountingWindow::live_bytes();
+    // Root, level 1, a level-2 table of 32 blocks, and the level-3 table
+    // that the one-page unmap splits out of a block.
+    pt->map(0, 0x4000'0000, 64ull << 20, arch::kPermRWX);
+    pt->unmap(5 * arch::kPageSize, arch::kPageSize);
+    EXPECT_EQ(pt->node_count(), 4u);
+    EXPECT_EQ(CountingWindow::count(), 4u);
+    EXPECT_EQ(CountingWindow::requested_bytes(), 4 * kTableBytes);
+    EXPECT_EQ(CountingWindow::live_bytes(), 4 * root_bytes);
+
+    // Move-assigning a fresh table frees every table of the old one.
+    *pt = arch::PageTable(arch::PtFormat::armv8_4k());
+    EXPECT_EQ(pt->node_count(), 1u);
+    EXPECT_EQ(CountingWindow::live_bytes(), root_bytes);
+
+    // A split and its fold free what the split allocated.
+    pt->map(0, 0x4000'0000, 64ull << 20, arch::kPermRWX);
+    const std::int64_t mapped_bytes = CountingWindow::live_bytes();
+    const std::uint64_t nodes = pt->node_count();
+    pt->protect(7 * arch::kPageSize, arch::kPageSize, arch::kPermR);
+    EXPECT_EQ(pt->node_count(), nodes + 1);
+    EXPECT_EQ(CountingWindow::live_bytes(), mapped_bytes + root_bytes);
+    pt->protect(7 * arch::kPageSize, arch::kPageSize, arch::kPermRWX);
+    EXPECT_EQ(pt->node_count(), nodes);
+    EXPECT_EQ(CountingWindow::live_bytes(), mapped_bytes);
+
+    pt.reset();
+    EXPECT_EQ(CountingWindow::live_bytes(), 0);
+}
+
+// Boot hashes each boot-stage image as it is made and moves each partition
+// image into its Vm, so no image copy is alive at the boot peak. The live
+// total counts the platform arena's first 64 KiB chunk.
+TEST(WholeHeap, BootKeepsNoTransientImageAtItsPeak) {
+    core::NodeConfig cfg = core::Harness::default_config(
+        core::SchedulerKind::kKittenPrimary, 21);
+    cfg.compute_mem_bytes = 64ull << 20;
+    core::Node node(std::move(cfg));
+    std::int64_t live = 0;
+    std::int64_t peak = 0;
+    {
+        CountingWindow window;
+        node.boot();
+        live = CountingWindow::live_bytes();
+        peak = CountingWindow::peak_bytes();
+    }
+    EXPECT_LT(peak - live, 4 * 1024) << "boot peak " << peak << " B, live after boot "
+                                     << live << " B";
+    EXPECT_LE(live, 125'000);
+}
+
+// The SPM consumes its manifest at boot: every partition's image lives on in
+// its Vm, the copy restart_vm re-verifies, and measures as it did.
+TEST(WholeHeap, BootMovesEveryImageIntoItsVm) {
+    core::NodeConfig cfg = core::Harness::default_config(
+        core::SchedulerKind::kKittenPrimary, 21);
+    cfg.with_super_secondary = true;
+    core::Node node(std::move(cfg));
+    node.boot();
+    const hafnium::Spm& spm = *node.spm();
+    const std::pair<const char*, const char*> images[] = {
+        {"kitten-primary", "kitten-primary"},
+        {"login", "linux-login"},
+        {"compute", "kitten-guest"},
+    };
+    ASSERT_EQ(node.spm()->vm_count(), 3);
+    ASSERT_EQ(spm.measurements().size(), 3u);
+    for (const auto& [vm_name, image_name] : images) {
+        SCOPED_TRACE(vm_name);
+        const hafnium::Vm* vm = node.spm()->find_vm(vm_name);
+        ASSERT_NE(vm, nullptr);
+        const std::vector<std::uint8_t> image = core::Node::make_image(image_name);
+        EXPECT_EQ(vm->spec().image, image);
+        const auto& [measured_name, digest] = spm.measurements()[vm->id() - 1];
+        EXPECT_EQ(measured_name, vm_name);
+        EXPECT_TRUE(crypto::digest_equal(
+            digest, crypto::Sha256::hash(std::span<const std::uint8_t>(image))));
+    }
 }
 
 // A core's TLB storage arrives with its first fill, not with the core. No

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -702,6 +703,87 @@ TEST_P(PageTableFold, BlockMapsOverAnEmptiedTable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, PageTableFold, ::testing::ValuesIn(kFormats),
+                         [](const ::testing::TestParamInfo<NamedFormat>& info) {
+                             return std::string(info.param.name);
+                         });
+
+// for_each_mapping over one 512-entry table of 2 MiB entries, valid only at
+// its edges and around a four-entry group: blocks at entries 0, 3, 5, 510 and
+// 511 and a table of pages at 509. The scan skips invalid descriptors in
+// groups of four, so every run must still start, stop and join exactly
+// where the per-page model says.
+class PageTableRuns : public ::testing::TestWithParam<NamedFormat> {};
+
+TEST_P(PageTableRuns, SparseTableEdgesMatchPerPageModel) {
+    const PtFormat fmt = GetParam().fmt;
+    constexpr IpaAddr kBase = kGiB;  // the 2 MiB-entry table covering [1, 2) GiB
+    constexpr std::uint64_t kOut = 0x2'0000'0000;
+    const auto entry = [](std::uint64_t e) { return kBase + e * k2MiB; };
+
+    struct Map {
+        IpaAddr in;
+        std::uint64_t out;
+        std::uint64_t size;
+        std::uint8_t perms;
+        bool secure;
+    };
+    const Map maps[] = {
+        {entry(0), kOut, k2MiB, kPermRW, false},
+        // Contiguous in output with entry 0 but not in input: its own run.
+        {entry(3), kOut + k2MiB, k2MiB, kPermRW, false},
+        {entry(5), kOut + 8 * k2MiB, k2MiB, kPermR, true},
+        // Entry 509 is a table: its first two pages form one run, and its
+        // last page runs on into the blocks at 510 and 511.
+        {entry(509), kOut + 20 * k2MiB, 2 * kPageSize, kPermRWX, false},
+        {entry(509) + 511 * kPageSize, kOut + 30 * k2MiB - kPageSize, kPageSize,
+         kPermRWX, false},
+        {entry(510), kOut + 30 * k2MiB, 2 * k2MiB, kPermRWX, false},
+    };
+
+    struct Ref {
+        std::uint64_t out;
+        std::uint8_t perms;
+        bool secure;
+    };
+    std::map<IpaAddr, Ref> model;  // page input address -> mapping
+    PageTable pt(fmt);
+    for (const Map& m : maps) {
+        pt.map(m.in, m.out, m.size, m.perms, m.secure, /*force_pages=*/m.size < k2MiB);
+        for (std::uint64_t off = 0; off < m.size; off += kPageSize) {
+            model[m.in + off] = {m.out + off, m.perms, m.secure};
+        }
+    }
+    ASSERT_EQ(fmt.span(pt.walk(entry(0)).level), k2MiB);
+    ASSERT_EQ(pt.walk(entry(509)).level, fmt.levels - 1);
+
+    std::vector<PageTable::MappingView> runs;
+    pt.for_each_mapping([&](const PageTable::MappingView& m) { runs.push_back(m); });
+    ASSERT_EQ(runs.size(), 5u);
+    std::uint64_t pages = 0;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        const PageTable::MappingView& m = runs[k];
+        SCOPED_TRACE(::testing::Message() << "run " << k << " at 0x" << std::hex
+                                          << m.in_base);
+        if (k > 0) {
+            const PageTable::MappingView& prev = runs[k - 1];
+            ASSERT_LE(prev.in_base + prev.size, m.in_base);
+            EXPECT_FALSE(prev.in_base + prev.size == m.in_base &&
+                         prev.out_base + prev.size == m.out_base &&
+                         prev.perms == m.perms && prev.secure == m.secure)
+                << "continues the run before it";
+        }
+        for (std::uint64_t off = 0; off < m.size; off += kPageSize, ++pages) {
+            const auto it = model.find(m.in_base + off);
+            ASSERT_NE(it, model.end()) << "page +0x" << off << " is not mapped";
+            ASSERT_EQ(it->second.out, m.out_base + off);
+            ASSERT_EQ(it->second.perms, m.perms);
+            ASSERT_EQ(it->second.secure, m.secure);
+        }
+    }
+    EXPECT_EQ(pages, model.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, PageTableRuns, ::testing::ValuesIn(kFormats),
                          [](const ::testing::TestParamInfo<NamedFormat>& info) {
                              return std::string(info.param.name);
                          });
