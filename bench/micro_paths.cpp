@@ -434,6 +434,27 @@ void BM_HypercallAuditStrictSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_HypercallAuditStrictSplit);
 
+// The miss path beside the two all-hit paths above: each iteration lends one
+// compute page to the primary and reclaims it, two audited calls that each
+// change both VMs' tables, so each audit re-walks two of them.
+void BM_HypercallAuditStrictChurn(benchmark::State& state) {
+    SpmBench b;
+    constexpr arch::VmId kPrimary = 1;
+    constexpr arch::VmId kCompute = 2;
+    constexpr arch::IpaAddr kOwn = 5 * arch::kPageSize;
+    constexpr arch::IpaAddr kWindow = 0x80'0000'0000ull;  // above every RAM window
+    check::Auditor auditor(b.spm, {check::Mode::kStrict});
+    bool ok = true;
+    for (auto _ : state) {
+        ok &= hf::mem_lend(b.spm, 0, kCompute, kPrimary, kOwn, 1, kWindow).ok();
+        ok &= hf::mem_reclaim(b.spm, 0, kCompute, kPrimary, kOwn).ok();
+    }
+    if (!ok) state.SkipWithError("FF-A lend or reclaim failed");
+    state.SetItemsProcessed(2 * state.iterations());
+    state.counters["audits"] = static_cast<double>(auditor.audits());
+}
+BENCHMARK(BM_HypercallAuditStrictChurn);
+
 // The structured recorder must cost one predicted branch per call site when
 // its category is masked off (ISSUE acceptance: instrumentation is free in
 // ordinary runs). Compare against the enabled path, which appends an Event.

@@ -1,5 +1,6 @@
 #include "arch/page_table.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -92,7 +93,8 @@ PageTable::PageTable(PageTable&& other) noexcept
       root_(std::exchange(other.root_, nullptr)),
       node_count_(other.node_count_),
       mapping_count_(other.mapping_count_),
-      mapped_bytes_(other.mapped_bytes_) {}
+      mapped_bytes_(other.mapped_bytes_),
+      generation_(++other.generation_) {}
 
 PageTable& PageTable::operator=(PageTable&& other) noexcept {
     if (this != &other) {
@@ -102,6 +104,7 @@ PageTable& PageTable::operator=(PageTable&& other) noexcept {
         node_count_ = other.node_count_;
         mapping_count_ = other.mapping_count_;
         mapped_bytes_ = other.mapped_bytes_;
+        generation_ = std::max(generation_, ++other.generation_) + 1;
     }
     return *this;
 }
@@ -120,6 +123,7 @@ void PageTable::map(std::uint64_t in_base, std::uint64_t out_base, std::uint64_t
                     std::uint8_t perms, bool secure, bool force_pages) {
     if (size == 0) return;
     check_range(fmt_, in_base, size, out_base, "map");
+    ++generation_;
     map_range(root_, 0, in_base, out_base, size, perms, secure, force_pages);
 }
 
@@ -165,6 +169,7 @@ void PageTable::map_range(std::uint64_t* table, int level, std::uint64_t in,
 void PageTable::unmap(std::uint64_t in_base, std::uint64_t size) {
     if (size == 0) return;
     check_range(fmt_, in_base, size, 0, "unmap");
+    ++generation_;
     unmap_range(root_, 0, in_base, size);
 }
 
@@ -238,6 +243,7 @@ void PageTable::unmap_range(std::uint64_t* table, int level, std::uint64_t in,
 
 void PageTable::protect(std::uint64_t in_base, std::uint64_t size, std::uint8_t perms) {
     check_range(fmt_, in_base, size, 0, "protect");
+    ++generation_;
     protect_range(root_, 0, in_base, size, perms);
 }
 

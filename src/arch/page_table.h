@@ -138,6 +138,14 @@ public:
     /// Total bytes covered by terminal mappings.
     [[nodiscard]] std::uint64_t mapped_bytes() const { return mapped_bytes_; }
 
+    /// Bumped by every map, unmap and protect that passes its argument
+    /// check, before it changes anything (so one that throws part-way bumps
+    /// it too), and by a move into or out of this table; a move leaves the
+    /// target above both old values. While a table's address and generation
+    /// are unchanged, so are its mappings: check::Auditor re-walks a VM's
+    /// stage-2 only when either moved.
+    [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
 private:
     // A table is one array of fmt_.entries(level) descriptors.
     [[nodiscard]] std::uint64_t* new_table(int level);
@@ -162,6 +170,7 @@ private:
     std::uint64_t node_count_ = 0;
     std::uint64_t mapping_count_ = 0;
     std::uint64_t mapped_bytes_ = 0;
+    std::uint64_t generation_ = 0;
 };
 
 }  // namespace hpcsec::arch

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <tuple>
+#include <utility>
 
 #include "arch/isa.h"
 #include "arch/memory_map.h"
@@ -32,18 +35,6 @@ constexpr int kIrqIdLimit = 256;
            (irq >= arch::kExternalBase && irq < kIrqIdLimit);  // device irqs
 }
 
-/// A run of stage-2 terminal mappings, contiguous in IPA and PA with equal
-/// attributes and inside one region (or one unbacked stretch), tagged with
-/// its VM.
-struct PaMapping {
-    arch::VmId vm = 0;
-    arch::IpaAddr ipa = 0;
-    arch::PhysAddr pa = 0;
-    std::uint64_t size = 0;
-    std::uint8_t perms = arch::kPermNone;
-    bool secure = false;
-};
-
 /// The stretch of PA space from some address that one region decides: the
 /// region holding it up to that region's end, or, when the address is
 /// unbacked (`region` null), up to the next region's base.
@@ -60,23 +51,15 @@ struct Piece {
     return {nullptr, ~arch::PhysAddr{0}};
 }
 
-/// A share/lend grant resolved to the PA range it covers.
-struct GrantRange {
-    arch::VmId owner = 0;
-    arch::VmId borrower = 0;
-    arch::PhysAddr pa = 0;
-    std::uint64_t size = 0;
-};
-
 /// First PA in [pa, end) that no grant passing `accept` covers, or `end`
 /// when they cover all of it. Grants may overlap and come in any order.
-template <typename Accept>
-[[nodiscard]] arch::PhysAddr first_ungranted(const std::vector<GrantRange>& grants,
+template <typename Grant, typename Accept>
+[[nodiscard]] arch::PhysAddr first_ungranted(const std::vector<Grant>& grants,
                                              arch::PhysAddr pa, arch::PhysAddr end,
                                              const Accept& accept) {
     for (bool advanced = true; pa < end && advanced;) {
         advanced = false;
-        for (const GrantRange& gr : grants) {
+        for (const Grant& gr : grants) {
             if (accept(gr) && gr.pa <= pa && pa < gr.pa + gr.size) {
                 pa = gr.pa + gr.size;
                 advanced = true;
@@ -231,18 +214,35 @@ void Auditor::after(const hafnium::HypercallSite& site,
 // Rule: stage-2 exclusivity / ownership / TrustZone worlds
 // --------------------------------------------------------------------------
 
+const std::vector<arch::PageTable::MappingView>& Auditor::stage2_runs(
+    const hafnium::Vm& vm) {
+    const auto slot = static_cast<std::size_t>(vm.id() - 1);
+    if (slot >= stage2_runs_.size()) stage2_runs_.resize(slot + 1);
+    Stage2Runs& cached = stage2_runs_[slot];
+    const arch::PageTable& table = vm.stage2();
+    if (cached.table != &table || cached.generation != table.generation()) {
+        cached.table = &table;
+        cached.generation = table.generation();
+        cached.runs.clear();
+        table.for_each_mapping([&cached](const arch::PageTable::MappingView& m) {
+            cached.runs.push_back(m);
+        });
+    }
+    return cached.runs;
+}
+
 void Auditor::check_stage2() {
     auto& mem = spm_->platform().mem();
 
     // Resolve every live grant to the PA range it covers.
-    std::vector<GrantRange> grant_ranges;
+    grant_ranges_.clear();
     for (const auto& g : spm_->grants()) {
         const arch::WalkResult w = spm_->vm_translate(g.owner, g.owner_ipa);
         if (w.fault != arch::FaultKind::kNone) continue;  // owner unmapped: stale
-        grant_ranges.push_back({g.owner, g.borrower, w.out, g.pages * arch::kPageSize});
+        grant_ranges_.push_back({g.owner, g.borrower, w.out, g.pages * arch::kPageSize});
     }
 
-    std::vector<PaMapping> ram_maps;
+    ram_maps_.clear();
     const auto check_mapping = [&](hafnium::Vm& vm, const PaMapping& m,
                                    const arch::MemRegion* region) {
         if (region == nullptr) {
@@ -280,14 +280,14 @@ void Auditor::check_stage2() {
             if (owner.allocated && owner.vm == vm.id()) return;
             const arch::PhysAddr end = pa + frames * arch::kPageSize;
             const arch::PhysAddr bad = first_ungranted(
-                grant_ranges, pa, end,
+                grant_ranges_, pa, end,
                 [&vm](const GrantRange& gr) { return gr.borrower == vm.id(); });
             if (bad == end) return;
             record({Rule::kStage2Ownership, vm.id(), -1,
                     "maps PA " + hex(bad) + " owned by vm " + std::to_string(owner.vm) +
                         " without a grant"});
         });
-        ram_maps.push_back(m);
+        ram_maps_.push_back(m);
     };
 
     for (int id = 1; id <= spm_->vm_count(); ++id) {
@@ -295,7 +295,7 @@ void Auditor::check_stage2() {
         if (vm.destroyed) continue;
         // The table reports maximal runs; cut each where the PA crosses into
         // another region, or out of the unbacked stretch between two.
-        vm.stage2().for_each_mapping([&](const arch::PageTable::MappingView& m) {
+        for (const arch::PageTable::MappingView& m : stage2_runs(vm)) {
             const arch::PhysAddr run_end = m.out_base + m.size;
             for (arch::PhysAddr pa = m.out_base; pa < run_end;) {
                 const Piece piece = piece_at(mem, pa);
@@ -306,25 +306,26 @@ void Auditor::check_stage2() {
                               piece.region);
                 pa = end;
             }
-        });
+        }
     }
 
     // Exclusivity sweep: writable RAM present in two different VMs' tables
     // must be covered, over the whole overlap, by grants between exactly
     // those VMs.
-    std::sort(ram_maps.begin(), ram_maps.end(), [](const PaMapping& a, const PaMapping& b) {
-        return a.pa != b.pa ? a.pa < b.pa : a.vm < b.vm;
-    });
-    for (std::size_t i = 0; i < ram_maps.size(); ++i) {
-        const PaMapping& a = ram_maps[i];
+    std::sort(ram_maps_.begin(), ram_maps_.end(),
+              [](const PaMapping& a, const PaMapping& b) {
+                  return a.pa != b.pa ? a.pa < b.pa : a.vm < b.vm;
+              });
+    for (std::size_t i = 0; i < ram_maps_.size(); ++i) {
+        const PaMapping& a = ram_maps_[i];
         if ((a.perms & arch::kPermW) == 0) continue;
-        for (std::size_t j = i + 1; j < ram_maps.size(); ++j) {
-            const PaMapping& b = ram_maps[j];
+        for (std::size_t j = i + 1; j < ram_maps_.size(); ++j) {
+            const PaMapping& b = ram_maps_[j];
             if (b.pa >= a.pa + a.size) break;  // sorted: no further overlap
             if (b.vm == a.vm || (b.perms & arch::kPermW) == 0) continue;
             const arch::PhysAddr end = std::min(a.pa + a.size, b.pa + b.size);
             const arch::PhysAddr bad =
-                first_ungranted(grant_ranges, b.pa, end, [&a, &b](const GrantRange& gr) {
+                first_ungranted(grant_ranges_, b.pa, end, [&a, &b](const GrantRange& gr) {
                     return (gr.owner == a.vm && gr.borrower == b.vm) ||
                            (gr.owner == b.vm && gr.borrower == a.vm);
                 });
@@ -342,8 +343,7 @@ void Auditor::check_stage2() {
 
 void Auditor::check_core_locality() {
     const int ncores = spm_->platform().ncores();
-    std::vector<const hafnium::Vcpu*> running(static_cast<std::size_t>(ncores),
-                                              nullptr);
+    running_.assign(static_cast<std::size_t>(ncores), nullptr);
     for (int id = 1; id <= spm_->vm_count(); ++id) {
         hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
         for (int v = 0; v < vm.vcpu_count(); ++v) {
@@ -361,12 +361,12 @@ void Auditor::check_core_locality() {
                     continue;
                 }
                 const auto slot = static_cast<std::size_t>(vcpu.running_core);
-                if (running[slot] != nullptr) {
+                if (running_[slot] != nullptr) {
                     record({Rule::kCoreLocality, vm.id(), v,
                             "two running VCPUs on core " +
                                 std::to_string(vcpu.running_core)});
                 } else {
-                    running[slot] = &vcpu;
+                    running_[slot] = &vcpu;
                 }
                 if (spm_->running_vcpu(vcpu.running_core) != &vcpu) {
                     record({Rule::kCoreLocality, vm.id(), v,
@@ -460,22 +460,33 @@ void Auditor::check_accounting() {
     // published at all).
     spm_->publish_metrics();
     auto& m = spm_->platform().metrics();
-    const auto reconcile = [&](const char* name, std::uint64_t value) {
-        const double g = m.gauge_value(m.gauge(name));
+    const std::pair<const char*, std::uint64_t> reconciled[] = {
+        {"hf.vm_exits", s.vm_exits},
+        {"hf.exits_preempted", s.exits_preempted},
+        {"hf.exits_blocked", s.exits_blocked},
+        {"hf.exits_yield", s.exits_yield},
+        {"hf.exits_aborted", s.exits_aborted},
+        {"hf.mem_grants", s.mem_grants},
+        {"hf.mem_revokes", s.mem_revokes},
+        {"hf.bad_state_calls", s.bad_state_calls},
+    };
+    static_assert(std::size(reconciled) ==
+                  std::tuple_size_v<decltype(reconciled_gauges_)>);
+    if (!reconciled_gauges_found_) {
+        for (std::size_t i = 0; i < std::size(reconciled); ++i) {
+            reconciled_gauges_[i] = m.gauge(reconciled[i].first);
+        }
+        reconciled_gauges_found_ = true;
+    }
+    for (std::size_t i = 0; i < std::size(reconciled); ++i) {
+        const auto& [name, value] = reconciled[i];
+        const double g = m.gauge_value(reconciled_gauges_[i]);
         if (g != static_cast<double>(value)) {
             record({Rule::kAccounting, 0, -1,
                     std::string(name) + " gauge " + std::to_string(g) +
                         " != stats counter " + std::to_string(value)});
         }
-    };
-    reconcile("hf.vm_exits", s.vm_exits);
-    reconcile("hf.exits_preempted", s.exits_preempted);
-    reconcile("hf.exits_blocked", s.exits_blocked);
-    reconcile("hf.exits_yield", s.exits_yield);
-    reconcile("hf.exits_aborted", s.exits_aborted);
-    reconcile("hf.mem_grants", s.mem_grants);
-    reconcile("hf.mem_revokes", s.mem_revokes);
-    reconcile("hf.bad_state_calls", s.bad_state_calls);
+    }
 }
 
 }  // namespace hpcsec::check

@@ -13,6 +13,7 @@
 // See docs/CHECKING.md for the rule catalog and how to add a rule.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -118,7 +119,40 @@ public:
                const hafnium::HfResult& result) override;
 
 private:
+    /// A share/lend grant resolved to the PA range it covers.
+    struct GrantRange {
+        arch::VmId owner = 0;
+        arch::VmId borrower = 0;
+        arch::PhysAddr pa = 0;
+        std::uint64_t size = 0;
+    };
+
+    /// A run of stage-2 terminal mappings, contiguous in IPA and PA with
+    /// equal attributes and inside one region (or one unbacked stretch),
+    /// tagged with its VM.
+    struct PaMapping {
+        arch::VmId vm = 0;
+        arch::IpaAddr ipa = 0;
+        arch::PhysAddr pa = 0;
+        std::uint64_t size = 0;
+        std::uint8_t perms = arch::kPermNone;
+        bool secure = false;
+    };
+
+    /// One VM's stage-2 maximal runs as for_each_mapping reported them from
+    /// `table` at `generation`. `table` is only ever compared, never read.
+    struct Stage2Runs {
+        const arch::PageTable* table = nullptr;
+        std::uint64_t generation = 0;
+        std::vector<arch::PageTable::MappingView> runs;
+    };
+
     void record(CheckFailure f);  ///< dedup, retain, obs event, strict throw
+
+    /// `vm`'s stage-2 runs, re-walked only when its table's address or
+    /// generation changed since the last walk. Runs, never verdicts: every
+    /// audit checks each run against the live memory map and grants.
+    const std::vector<arch::PageTable::MappingView>& stage2_runs(const hafnium::Vm& vm);
 
     // Scan rules (each may record any number of failures).
     void check_stage2();
@@ -134,6 +168,15 @@ private:
     std::uint64_t transitions_ = 0;
     std::uint64_t calls_since_scan_ = 0;
     std::uint64_t events_at_last_scan_ = 0;
+
+    // Kept across audits, so an audit of an unchanged node allocates nothing.
+    std::vector<Stage2Runs> stage2_runs_;  ///< index = VM id - 1
+    std::vector<GrantRange> grant_ranges_;
+    std::vector<PaMapping> ram_maps_;
+    std::vector<const hafnium::Vcpu*> running_;  ///< per core
+    /// The gauges check_accounting reconciles, looked up on its first call.
+    std::array<obs::MetricsRegistry::Handle, 8> reconciled_gauges_{};
+    bool reconciled_gauges_found_ = false;
 };
 
 }  // namespace hpcsec::check

@@ -1,7 +1,10 @@
 #include "hafnium/spm.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace hpcsec::hafnium {
 
@@ -1168,29 +1171,39 @@ bool Spm::tag_check(arch::VmId accessor, arch::IpaAddr ipa, arch::PhysAddr pa,
 }
 
 void Spm::publish_metrics() {
-    auto& m = platform_->metrics();
-    const auto set = [&m](const char* name, std::uint64_t v) {
-        m.set(m.gauge(name), static_cast<double>(v));
+    const std::pair<const char*, std::uint64_t> published[] = {
+        {"hf.hypercalls", stats_.hypercalls},
+        {"hf.world_switches", stats_.world_switches},
+        {"hf.vm_exits", stats_.vm_exits},
+        {"hf.exits_preempted", stats_.exits_preempted},
+        {"hf.exits_blocked", stats_.exits_blocked},
+        {"hf.exits_yield", stats_.exits_yield},
+        {"hf.exits_aborted", stats_.exits_aborted},
+        {"hf.virq_injections", stats_.virq_injections},
+        {"hf.vtimer_fires", stats_.vtimer_fires},
+        {"hf.forwarded_device_irqs", stats_.forwarded_device_irqs},
+        {"hf.denied_calls", stats_.denied_calls},
+        {"hf.bad_state_calls", stats_.bad_state_calls},
+        {"hf.invalid_calls", stats_.invalid_calls},
+        {"hf.messages", stats_.messages},
+        {"hf.guest_aborts", stats_.guest_aborts},
+        {"hf.mem_grants", stats_.mem_grants},
+        {"hf.mem_revokes", stats_.mem_revokes},
+        {"hf.mem_donates", stats_.mem_donates},
+        {"hf.tag_violations", stats_.tag_violations},
     };
-    set("hf.hypercalls", stats_.hypercalls);
-    set("hf.world_switches", stats_.world_switches);
-    set("hf.vm_exits", stats_.vm_exits);
-    set("hf.exits_preempted", stats_.exits_preempted);
-    set("hf.exits_blocked", stats_.exits_blocked);
-    set("hf.exits_yield", stats_.exits_yield);
-    set("hf.exits_aborted", stats_.exits_aborted);
-    set("hf.virq_injections", stats_.virq_injections);
-    set("hf.vtimer_fires", stats_.vtimer_fires);
-    set("hf.forwarded_device_irqs", stats_.forwarded_device_irqs);
-    set("hf.denied_calls", stats_.denied_calls);
-    set("hf.bad_state_calls", stats_.bad_state_calls);
-    set("hf.invalid_calls", stats_.invalid_calls);
-    set("hf.messages", stats_.messages);
-    set("hf.guest_aborts", stats_.guest_aborts);
-    set("hf.mem_grants", stats_.mem_grants);
-    set("hf.mem_revokes", stats_.mem_revokes);
-    set("hf.mem_donates", stats_.mem_donates);
-    set("hf.tag_violations", stats_.tag_violations);
+    static_assert(std::size(published) ==
+                  std::tuple_size_v<decltype(stats_gauges_)>);
+    auto& m = platform_->metrics();
+    if (!stats_gauges_registered_) {
+        for (std::size_t i = 0; i < std::size(published); ++i) {
+            stats_gauges_[i] = m.gauge(published[i].first);
+        }
+        stats_gauges_registered_ = true;
+    }
+    for (std::size_t i = 0; i < std::size(published); ++i) {
+        m.set(stats_gauges_[i], static_cast<double>(published[i].second));
+    }
 }
 
 std::vector<std::string> Spm::devices_of(arch::VmId id) const {

@@ -196,7 +196,9 @@ public:
     [[nodiscard]] const Stats& stats() const { return stats_; }
 
     /// Push Stats into the platform's metrics registry as "hf.*" gauges.
-    /// Cold path: call before taking a snapshot.
+    /// The first call registers them, in Stats field order; later calls
+    /// set them by handle and allocate nothing (a strict audit calls this
+    /// after every hypercall).
     void publish_metrics();
 
     /// Image measurements in admission order (attestation input): entry
@@ -402,6 +404,9 @@ private:
     VcpuAuditSink* audit_ = nullptr;
     std::vector<HypercallInterceptor*> interceptors_;  ///< sorted by Stage
     obs::MetricsRegistry::Handle vcpu_run_hist_ = 0;  ///< hf.vcpu_run_us
+    /// publish_metrics' "hf.*" gauges, one per Stats field in field order.
+    std::array<obs::MetricsRegistry::Handle, 19> stats_gauges_{};
+    bool stats_gauges_registered_ = false;
 };
 
 }  // namespace hpcsec::hafnium

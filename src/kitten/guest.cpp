@@ -1,5 +1,7 @@
 #include "kitten/guest.h"
 
+#include <algorithm>
+
 #include "arch/isa.h"
 
 namespace hpcsec::kitten {
@@ -91,8 +93,7 @@ arch::Runnable* KittenGuestOs::on_idle(hafnium::Vcpu& vcpu) {
     for (std::size_t probe = 0; probe < q.size(); ++probe) {
         arch::Runnable* t = q.front();
         if (t->remaining_units() > 0) return t;
-        q.pop_front();
-        q.push_back(t);
+        std::rotate(q.begin(), q.begin() + 1, q.end());
     }
     return nullptr;  // run queue empty of work: WFI / FFA_MSG_WAIT
 }

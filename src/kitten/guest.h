@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -82,8 +81,9 @@ private:
     hafnium::Spm* spm_;
     hafnium::Vm* vm_;
     GuestConfig config_;
-    /// Per-VCPU run queues (front == current thread).
-    std::vector<std::deque<arch::Runnable*>> threads_;
+    /// Per-VCPU run queues (front == current thread). A queue holds one to
+    /// a few threads, and an empty vector allocates nothing.
+    std::vector<std::vector<arch::Runnable*>> threads_;
     Stats stats_;
 };
 

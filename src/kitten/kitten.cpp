@@ -1,5 +1,6 @@
 #include "kitten/kitten.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hpcsec::kitten {
@@ -154,10 +155,10 @@ bool KittenKernel::migrate_vcpu(arch::VmId vm_id, int vcpu, arch::CoreId new_cor
 void KittenKernel::enqueue(KThread& thread, bool front) {
     auto& q = runq_[static_cast<std::size_t>(thread.core)];
     if (front) {
-        q.push_front(&thread);
+        q.insert(q.begin(), &thread);
     } else {
         // sca-suppress(hot-path-alloc): run-queue depth is bounded by the
-        // task count; the deque's blocks are warmed in the first rounds.
+        // task count, and the vector keeps its capacity once warmed.
         q.push_back(&thread);
     }
 }
@@ -231,7 +232,7 @@ void KittenKernel::dispatch(arch::CoreId core) {
 
     while (!q.empty()) {
         KThread* t = q.front();
-        q.pop_front();
+        q.erase(q.begin());
         if (t->state != KThread::State::kReady) continue;
 
         if (t->kind == KThread::Kind::kVcpuProxy) {
@@ -305,10 +306,7 @@ void KittenKernel::handle_tick(arch::CoreId core) {
     // rotate it behind any other ready thread. With one runnable thread per
     // core (the common LWK setup) this is a no-op.
     auto& q = runq_[static_cast<std::size_t>(core)];
-    if (q.size() > 1) {
-        q.push_back(q.front());
-        q.pop_front();
-    }
+    if (q.size() > 1) std::rotate(q.begin(), q.begin() + 1, q.end());
 }
 
 void KittenKernel::on_interrupt(arch::CoreId core, int irq) {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -117,7 +116,7 @@ private:
     sim::Rng rng_;
 
     std::vector<std::unique_ptr<KThread>> threads_;
-    std::vector<std::deque<KThread*>> runq_;   // per core
+    std::vector<std::vector<KThread*>> runq_;  // per core, front = next to run
     std::vector<KThread*> current_;            // per core
     BuddyAllocator kmem_{1ull << 24, arch::kPageSize};  // 16 MiB kernel heap
     Stats stats_;

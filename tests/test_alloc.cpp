@@ -21,10 +21,14 @@
 
 #include "arch/page_table.h"
 #include "arch/platform.h"
+#include "check/check.h"
 #include "core/harness.h"
 #include "core/node.h"
 #include "core/signature.h"
 #include "crypto/sha256.h"
+#include "hafnium/spm.h"
+#include "kitten/guest.h"
+#include "kitten/kitten.h"
 #include "sim/arena.h"
 #include "sim/engine.h"
 #include "workloads/nas.h"
@@ -359,6 +363,77 @@ TEST_F(AllocFixture, TeardownFreesViaArenaResetAcrossTrials) {
     // Identical node shape => identical arena footprint, every trial.
     EXPECT_EQ(per_trial_bytes[1], per_trial_bytes[0]);
     EXPECT_EQ(per_trial_bytes[2], per_trial_bytes[0]);
+}
+
+// A strict auditor re-walks a stage-2 table only when its generation moved,
+// keeps its scratch vectors, and reconciles gauges by handle, so auditing a
+// node whose tables do not change touches no heap (the parent made 20
+// allocations per audited call here).
+TEST(AuditAlloc, StrictAuditOfAnUnchangedNodeMakesNoHeapAllocation) {
+    core::NodeConfig cfg =
+        core::Harness::default_config(core::SchedulerKind::kKittenPrimary, 17);
+    cfg.check_mode = check::Mode::kStrict;
+    core::Node node(std::move(cfg));
+    node.boot();
+    ASSERT_NE(node.auditor(), nullptr);
+    hafnium::Spm& spm = *node.spm();
+    const auto get_info = [&spm] {
+        return spm.hypercall(0, arch::kPrimaryVmId, hafnium::Call::kVmGetInfo,
+                             {2, 0, 0, 0});
+    };
+    ASSERT_TRUE(get_info().ok());  // warm-up: the first audit walks every table
+    const std::uint64_t audits = node.auditor()->audits();
+
+    std::uint64_t allocs = 0;
+    {
+        CountingWindow window;
+        for (int i = 0; i < 1000; ++i) (void)get_info();
+        allocs = CountingWindow::count();
+    }
+    EXPECT_EQ(node.auditor()->audits() - audits, 1000u);
+    EXPECT_EQ(allocs, 0u) << "1000 audited calls on an unchanged node made " << allocs
+                          << " allocations";
+}
+
+// The Kitten run queues are vectors, so a queue allocates nothing until a
+// thread joins it. A 4-core kernel makes four blocks: its queue array, its
+// current-thread array, and its buddy heap's free-list array and first free
+// block. A 4-VCPU guest makes three: its queue array and the SPM's guest-table
+// node and buckets. With a std::deque per queue, the same construction made
+// 18 more allocations, 16 of them still live.
+TEST(WholeHeap, EmptyKittenQueuesAllocateNothing) {
+    arch::Platform platform(arch::PlatformConfig::pine_a64());
+    ASSERT_EQ(platform.ncores(), 4);
+    hafnium::VmSpec primary;
+    primary.name = "primary";
+    primary.role = hafnium::VmRole::kPrimary;
+    primary.mem_bytes = 64ull << 20;
+    primary.vcpu_count = 4;
+    primary.image = {1};
+    hafnium::VmSpec guest = primary;
+    guest.name = "guest";
+    guest.role = hafnium::VmRole::kSecondary;
+    guest.image = {2};
+    hafnium::Manifest manifest;
+    manifest.vms = {primary, guest};
+    hafnium::Spm spm(platform, std::move(manifest));
+    spm.boot();
+    hafnium::Vm& guest_vm = *spm.find_vm("guest");
+    ASSERT_EQ(guest_vm.vcpu_count(), 4);
+
+    std::optional<kitten::KittenKernel> kernel;
+    std::optional<kitten::KittenGuestOs> guest_os;
+    std::uint64_t kernel_allocs = 0;
+    std::uint64_t guest_allocs = 0;
+    {
+        CountingWindow window;
+        kernel.emplace(platform, spm, kitten::KittenConfig{});
+        kernel_allocs = CountingWindow::count();
+        guest_os.emplace(spm, guest_vm);
+        guest_allocs = CountingWindow::count() - kernel_allocs;
+    }
+    EXPECT_EQ(kernel_allocs, 4u);
+    EXPECT_EQ(guest_allocs, 3u);
 }
 
 // Whole-heap footprint, not only the arena: frame ownership is a handful of

@@ -707,6 +707,57 @@ INSTANTIATE_TEST_SUITE_P(Formats, PageTableFold, ::testing::ValuesIn(kFormats),
                              return std::string(info.param.name);
                          });
 
+// The generation is what check::Auditor keys its cached runs on: every call
+// that may change a mapping moves it before changing anything, even one that
+// throws part-way, and reads or calls refused up front leave it alone.
+TEST(PageTable, GenerationMovesOnEveryMutation) {
+    for (const NamedFormat& f : kFormats) {
+        SCOPED_TRACE(f.name);
+        PageTable pt(f.fmt);
+        std::uint64_t seen = pt.generation();
+        const auto moved = [&pt, &seen] {
+            const bool changed = pt.generation() != seen;
+            seen = pt.generation();
+            return changed;
+        };
+
+        pt.map(kGiB, 0x4000'0000, k2MiB, kPermRW);
+        EXPECT_TRUE(moved());
+        pt.protect(kGiB + kPageSize, kPageSize, kPermR);  // splits the block
+        EXPECT_TRUE(moved());
+        pt.protect(kGiB + kPageSize, kPageSize, kPermRW);  // folds it back
+        EXPECT_TRUE(moved());
+        pt.unmap(kGiB + 2 * kPageSize, kPageSize);
+        EXPECT_TRUE(moved());
+        // The first page maps, then the second overlaps and throws.
+        EXPECT_THROW(pt.map(kGiB - kPageSize, 0x5000'0000, 2 * kPageSize, kPermRW),
+                     std::logic_error);
+        EXPECT_EQ(pt.walk(kGiB - kPageSize).fault, FaultKind::kNone);
+        EXPECT_TRUE(moved());
+        EXPECT_THROW(pt.protect(0, kPageSize, kPermR), std::logic_error);  // unmapped
+        EXPECT_TRUE(moved());
+
+        (void)pt.walk(kGiB);
+        pt.for_each_mapping([](const PageTable::MappingView&) {});
+        EXPECT_THROW(pt.map(kGiB + 8, 0x5000'0000, kPageSize, kPermRW),
+                     std::invalid_argument);
+        EXPECT_THROW(pt.unmap(f.fmt.input_limit(), kPageSize), std::invalid_argument);
+        EXPECT_THROW(pt.protect(kGiB, kPageSize + 8, kPermR), std::invalid_argument);
+        EXPECT_FALSE(moved());
+
+        // A moved-to table reads a generation neither old table had.
+        PageTable built(std::move(pt));
+        EXPECT_NE(built.generation(), seen);
+        PageTable fresh(f.fmt);
+        const std::uint64_t built_was = built.generation();
+        const std::uint64_t fresh_was = fresh.generation();
+        built = std::move(fresh);
+        EXPECT_NE(built.generation(), built_was);
+        EXPECT_NE(built.generation(), fresh_was);
+        EXPECT_EQ(built.mapping_count(), 0u);
+    }
+}
+
 // for_each_mapping over one 512-entry table of 2 MiB entries, valid only at
 // its edges and around a four-entry group: blocks at entries 0, 3, 5, 510 and
 // 511 and a table of pages at 509. The scan skips invalid descriptors in

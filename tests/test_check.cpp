@@ -6,6 +6,9 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "arch/platform.h"
 #include "check/check.h"
@@ -14,6 +17,7 @@
 #include "core/node.h"
 #include "hafnium/abi.h"
 #include "obs/events.h"
+#include "sim/rng.h"
 #include "workloads/nas.h"
 #include "workloads/workload.h"
 
@@ -383,6 +387,25 @@ TEST_P(ExactAudit, ReownedFrameInsideOneGiBBlockIsFound) {
     EXPECT_THROW(strict.validate(), CheckViolation);
 }
 
+// The same re-owned frame under one long-lived auditor: the primary's table
+// does not change, so the second audit reuses the block's run, and it must
+// still check that run against the memory map that changed under it.
+TEST_P(ExactAudit, ReownedFrameUnderAWarmAuditorIsFound) {
+    OneBlockSpm node(GetParam());
+    const hafnium::Vm& primary = node.spm.primary_vm();
+    const std::uint64_t generation = primary.stage2().generation();
+    Auditor auditor(node.spm, {Mode::kSampled});
+    ASSERT_EQ(auditor.validate(), 0u) << auditor.report();
+
+    const arch::PhysAddr stolen = primary.mem_base + 37 * arch::kPageSize;
+    node.platform.mem().set_owner(stolen, 1, node.spm.find_vm("tenant")->id());
+    EXPECT_EQ(auditor.validate(), 1u) << auditor.report();
+    EXPECT_EQ(auditor.count(Rule::kStage2Ownership), 1u) << auditor.report();
+    EXPECT_NE(auditor.report().find("maps PA " + hex_pa(stolen) + " "), std::string::npos)
+        << auditor.report();
+    EXPECT_EQ(primary.stage2().generation(), generation);
+}
+
 // A writable overlap that starts inside a grant and runs past its end: the
 // grant excuses only its own frames, so the first frame after it is flagged.
 TEST_P(ExactAudit, OverlapRunningPastItsGrantIsFlagged) {
@@ -454,6 +477,148 @@ INSTANTIATE_TEST_SUITE_P(BothIsas, ExactAudit,
                          [](const ::testing::TestParamInfo<arch::Isa>& info) {
                              return arch::to_string(info.param);
                          });
+
+// --- cached stage-2 runs ----------------------------------------------------
+
+/// A primary and three tenants, the last in the secure world, on either ISA.
+class WarmAudit : public ::testing::TestWithParam<std::tuple<std::uint64_t, arch::Isa>> {
+protected:
+    static hafnium::Manifest manifest() {
+        hafnium::Manifest m;
+        hafnium::VmSpec primary;
+        primary.name = "primary";
+        primary.role = hafnium::VmRole::kPrimary;
+        primary.mem_bytes = 64ull << 20;
+        primary.vcpu_count = 4;
+        primary.image = {1};
+        m.vms.push_back(primary);
+        for (std::uint8_t i = 0; i < 3; ++i) {
+            hafnium::VmSpec tenant;
+            tenant.name = "tenant" + std::to_string(i);
+            tenant.role = hafnium::VmRole::kSecondary;
+            tenant.mem_bytes = 32ull << 20;
+            tenant.vcpu_count = 2;
+            tenant.image = {static_cast<std::uint8_t>(2 + i)};
+            tenant.world = i == 2 ? arch::World::kSecure : arch::World::kNonSecure;
+            m.vms.push_back(tenant);
+        }
+        return m;
+    }
+
+    arch::Platform platform{OneBlockSpm::config(std::get<1>(GetParam()), 128ull << 20)};
+    hafnium::Spm spm{platform, manifest()};
+};
+
+// A long-lived auditor, which re-walks only the tables whose generation
+// moved, must report exactly what a freshly built one reports, after every
+// step of a generated sequence: FF-A share, lend, donate and reclaim calls
+// between any two VMs, destroy and re-create, and direct changes that no
+// hypercall makes (rogue windows, protect, and re-owned frames under mapped
+// runs), which leave findings for both to agree on.
+TEST_P(WarmAudit, LongLivedAuditorReportsWhatAFreshOneReports) {
+    constexpr int kSteps = 240;
+    constexpr std::uint64_t kPage = arch::kPageSize;
+    constexpr arch::IpaAddr kHole = 0x10'0000'0000ull;  // above every RAM window
+    constexpr hafnium::Call kSends[] = {hafnium::Call::kMemShare,
+                                        hafnium::Call::kMemLend,
+                                        hafnium::Call::kMemDonate};
+    constexpr std::uint8_t kPerms[] = {arch::kPermNone, arch::kPermR, arch::kPermRW,
+                                       arch::kPermRWX};
+    spm.boot();
+    sim::Rng rng(std::get<0>(GetParam()) ^ 0xca5e);
+    Auditor warm(spm, {Mode::kSampled, /*period=*/1, /*event_period=*/0});
+    arch::IpaAddr next_hole = kHole;
+    std::size_t findings = 0;
+
+    const auto live_vm = [&]() -> hafnium::Vm& {
+        std::vector<arch::VmId> live;
+        for (arch::VmId id = 1; id <= static_cast<arch::VmId>(spm.vm_count()); ++id) {
+            if (!spm.vm(id).destroyed) live.push_back(id);
+        }
+        return spm.vm(live[rng.next_below(live.size())]);
+    };
+    // A page of `vm`'s RAM window, or one just past it.
+    const auto page_of = [&rng](const hafnium::Vm& vm) {
+        return vm.ipa_base + rng.next_below(vm.mem_bytes() / kPage + 2) * kPage;
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+        hafnium::Vm& vm = live_vm();
+        hafnium::Vm& other = live_vm();
+        const std::uint64_t op = rng.next_below(10);
+        std::string what;
+        if (op < 4) {
+            const hafnium::Call call = kSends[rng.next_below(3)];
+            const arch::IpaAddr window =
+                rng.next_below(2) == 0 ? next_hole : page_of(other);
+            next_hole += 4 * kPage;
+            what = hafnium::to_string(call);
+            (void)spm.hypercall(0, vm.id(), call,
+                                {other.id(), page_of(vm), 1 + rng.next_below(3), window});
+        } else if (op < 6) {
+            what = "reclaim";
+            std::vector<hafnium::Spm::ShareGrant> grants(spm.grants().begin(),
+                                                         spm.grants().end());
+            if (!grants.empty()) {
+                const hafnium::Spm::ShareGrant& g = grants[rng.next_below(grants.size())];
+                (void)spm.hypercall(0, g.owner, hafnium::Call::kMemReclaim,
+                                    {g.borrower, g.owner_ipa, 0, 0});
+            }
+        } else if (op == 6 && vm.role() == hafnium::VmRole::kSecondary) {
+            what = "destroy and re-create " + vm.name();
+            const hafnium::VmSpec spec = vm.spec();
+            spm.destroy_vm(vm.id());
+            (void)spm.create_vm(spec);
+        } else if (op == 7) {
+            // A rogue window past the VM's RAM onto a frame of `other`, or
+            // the window's removal when one is mapped there.
+            const arch::IpaAddr window = vm.ipa_base + vm.mem_bytes();
+            const auto mapped = [&vm](arch::IpaAddr ipa) {
+                return vm.stage2().walk(ipa).fault == arch::FaultKind::kNone;
+            };
+            if (mapped(window) || mapped(window + kPage)) {
+                what = "unmap the window past " + vm.name();
+                vm.stage2().unmap(window, 2 * kPage);
+            } else {
+                what = "rogue window from " + vm.name();
+                const arch::PhysAddr target =
+                    other.mem_base + rng.next_below(other.mem_bytes() / kPage) * kPage;
+                check::CorruptionAccess::map_rogue_window(spm, vm.id(), target, 2);
+            }
+        } else {
+            // A mapped page of the VM's: change its perms directly, or
+            // re-own its frame to another VM.
+            const arch::IpaAddr ipa = page_of(vm);
+            const arch::WalkResult w = vm.stage2().walk(ipa);
+            if (w.fault != arch::FaultKind::kNone) continue;
+            if (op == 8) {
+                what = "protect in " + vm.name();
+                vm.stage2().protect(ipa, kPage, kPerms[rng.next_below(4)]);
+            } else if (platform.mem().owner_of(w.out).has_value()) {
+                what = "re-own a frame of " + vm.name();
+                platform.mem().set_owner(w.out, 1, other.id());
+            }
+        }
+
+        warm.clear();
+        warm.validate();
+        Auditor cold(spm, {Mode::kSampled, 1, 0});
+        cold.validate();
+        ASSERT_EQ(warm.report(), cold.report()) << "step " << step << ": " << what;
+        findings += cold.failures().size();
+    }
+    // The direct changes must have given the two something to agree on.
+    EXPECT_GT(findings, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndIsas, WarmAudit,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(arch::Isa::kArm, arch::Isa::kRiscv)),
+    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, arch::Isa>>& info) {
+        return std::string(arch::to_string(std::get<1>(info.param))) + "_seed" +
+               std::to_string(std::get<0>(info.param));
+    });
 
 }  // namespace
 }  // namespace hpcsec
