@@ -1,11 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the simulator's hot paths and the
 // modeled architectural operations: event scheduling, page-table walks,
-// one- vs two-stage translation, TLB operations, hypercall dispatch, full
-// boot. These characterize the *simulator* cost (host-side), and document
-// the modeled cycle costs of the paths the paper discusses (§II.a).
+// stage-2 builds, hypercall dispatch, full boot. These characterize the
+// *simulator* cost (host-side), and document the modeled cycle costs of the
+// paths the paper discusses (§II.a).
 #include <benchmark/benchmark.h>
 
-#include "arch/mmu.h"
 #include "arch/platform.h"
 #include "check/check.h"
 #include "core/harness.h"
@@ -271,53 +270,6 @@ void BM_Stage2Build(benchmark::State& state) {
     state.counters["tables"] = static_cast<double>(tables);
 }
 BENCHMARK(BM_Stage2Build);
-
-void BM_MmuTranslateTwoStageCold(benchmark::State& state) {
-    arch::MemoryMap mem;
-    mem.add_region({"ram", 0x4000'0000, 1ull << 30, arch::RegionKind::kRam,
-                    arch::World::kNonSecure});
-    arch::PageTable s1, s2;
-    s1.map(0, 0x1000'0000, 16ull << 20, arch::kPermRW);
-    s2.map(0x1000'0000, 0x4000'0000, 16ull << 20, arch::kPermRW);
-    arch::Mmu mmu(mem);
-    mmu.set_context(&s1, &s2, 1, 1, arch::World::kNonSecure);
-    std::uint64_t va = 0;
-    for (auto _ : state) {
-        mmu.tlb().flush_all();
-        benchmark::DoNotOptimize(mmu.translate(va, arch::Access::kRead));
-        va = (va + arch::kPageSize) & ((16ull << 20) - 1);
-    }
-}
-BENCHMARK(BM_MmuTranslateTwoStageCold);
-
-void BM_MmuTranslateTlbHit(benchmark::State& state) {
-    arch::MemoryMap mem;
-    mem.add_region({"ram", 0x4000'0000, 1ull << 30, arch::RegionKind::kRam,
-                    arch::World::kNonSecure});
-    arch::PageTable s1;
-    s1.map(0, 0x4000'0000, 1ull << 20, arch::kPermRW);
-    arch::Mmu mmu(mem);
-    mmu.set_context(&s1, nullptr, 0, 1, arch::World::kNonSecure);
-    (void)mmu.translate(0, arch::Access::kRead);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(mmu.translate(0x40, arch::Access::kRead));
-    }
-}
-BENCHMARK(BM_MmuTranslateTlbHit);
-
-void BM_TlbFlushVmid(benchmark::State& state) {
-    arch::Tlb tlb(512, 4);
-    for (auto _ : state) {
-        state.PauseTiming();
-        for (std::uint64_t p = 0; p < 256; ++p) {
-            tlb.insert({true, static_cast<arch::VmId>(p % 3), 0, p, p, arch::kPermRW,
-                        false});
-        }
-        state.ResumeTiming();
-        tlb.flush_vmid(1);
-    }
-}
-BENCHMARK(BM_TlbFlushVmid);
 
 struct SpmBench {
     arch::Platform platform{arch::PlatformConfig::pine_a64()};

@@ -1,15 +1,15 @@
 // Integrity-tag overhead micro-benchmarks (google-benchmark).
 //
-// ISSUE acceptance: with no frame tagged, every translate / guest-memory
-// path must sit at its pre-tag floor — the whole feature behind one
-// predicted branch (`MemoryMap::has_integrity_tags`). These benches pin
-// that floor next to the armed-but-clean cost (tags exist, target frame is
-// not tagged: one binary search of the tag runs) and the violation cost
-// (tagged frame hit: fault construction, stats, event record), host-side,
-// alongside BENCH_micro_paths' untouched baselines.
+// The tag check is the last step of the SPM's stage-2 access check
+// (`Spm::stage2_access`), the one path every guest access goes through.
+// With no frame tagged it costs one predicted branch
+// (`MemoryMap::integrity_tagged` on an empty tag-run vector). These benches
+// pin that floor next to the armed-but-clean cost (tags exist, target frame
+// is not tagged: one binary search of the tag runs) and the violation cost
+// (tagged frame hit: stats, event record, denial), host-side, alongside
+// BENCH_micro_paths' untouched baselines.
 #include <benchmark/benchmark.h>
 
-#include "arch/mmu.h"
 #include "arch/platform.h"
 #include "check/corrupt.h"
 #include "gbench_json.h"
@@ -18,59 +18,6 @@
 namespace {
 
 using namespace hpcsec;
-
-// --- MMU translate paths -----------------------------------------------------
-
-struct MmuBench {
-    arch::MemoryMap mem;
-    arch::PageTable s1;
-    arch::Mmu mmu{mem};
-
-    MmuBench() {
-        mem.add_region({"ram", 0x4000'0000, 1ull << 30, arch::RegionKind::kRam,
-                        arch::World::kNonSecure});
-        s1.map(0, 0x4000'0000, 1ull << 20, arch::kPermRW);
-        // A guest VMID: the hypervisor itself (kHypervisorId) is exempt from
-        // tag checks and would measure the floor even with tags armed.
-        mmu.set_context(&s1, nullptr, /*vmid=*/1, /*asid=*/1,
-                        arch::World::kNonSecure);
-        (void)mmu.translate(0, arch::Access::kRead);
-    }
-};
-
-// Floor: not a single tagged frame in the map — the tags-off hot path.
-void BM_TranslateTagsOff(benchmark::State& state) {
-    MmuBench b;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(b.mmu.translate(0x40, arch::Access::kRead));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TranslateTagsOff);
-
-// Armed but clean: tags exist elsewhere, the accessed frame is untagged.
-// Adds one binary search of the tag runs to the L0-hit path.
-void BM_TranslateTagsArmedClean(benchmark::State& state) {
-    MmuBench b;
-    b.mem.set_integrity_tag(0x4000'0000 + (512ull << 12), 1, true);
-    (void)b.mmu.translate(0, arch::Access::kRead);  // refill after shootdown
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(b.mmu.translate(0x40, arch::Access::kRead));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TranslateTagsArmedClean);
-
-// Violation: every translate resolves onto a tagged frame and faults.
-void BM_TranslateTagViolation(benchmark::State& state) {
-    MmuBench b;
-    b.mem.set_integrity_tag(0x4000'0000, 1, true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(b.mmu.translate(0x40, arch::Access::kRead));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TranslateTagViolation);
 
 // --- SPM guest-memory paths --------------------------------------------------
 

@@ -15,7 +15,7 @@
 //              [--trace-out FILE]       (Perfetto/Chrome trace JSON; runs all
 //                                        three configs, one trial each)
 //              [--metrics-out FILE]     (aggregated metrics JSON, all configs)
-//              [--trace-mask CATS]      (comma list: irq,sched,hyp,vm,mmu,
+//              [--trace-mask CATS]      (comma list: irq,sched,hyp,vm,
 //                                        workload,boot,channel,check,resil,all
 //                                        — or a raw bitmask like 0x305)
 //              [--profile[=FILE]]       (cycle-attribution profiler: prints a

@@ -3,11 +3,10 @@
 namespace hpcsec::arch {
 
 Core::Core(sim::Engine& engine, const PerfModel& perf, IrqController& irqc,
-           MemoryMap& mem, CoreId id, const IrqLayout& layout)
+           CoreId id, const IrqLayout& layout)
     : engine_(&engine),
       irqc_(&irqc),
       id_(id),
-      mmu_(mem),
       timer_(engine, irqc, id, layout),
       exec_(engine, perf, id) {}
 

@@ -1,4 +1,4 @@
-// A CPU core: privilege-level state, interrupt line, MMU, timer, executor.
+// A CPU core: privilege-level state, interrupt line, timer, executor.
 //
 // Software layers (hypervisor, kernels) install the IRQ handler — the model
 // equivalent of owning the exception vector table. Only one handler exists
@@ -14,7 +14,6 @@
 #include "arch/exec.h"
 #include "arch/irq_controller.h"
 #include "arch/isa.h"
-#include "arch/mmu.h"
 #include "arch/timer.h"
 #include "arch/types.h"
 #include "sim/engine.h"
@@ -30,7 +29,7 @@ public:
     static constexpr std::size_t kDeadlines = 3;
 
     Core(sim::Engine& engine, const PerfModel& perf, IrqController& irqc,
-         MemoryMap& mem, CoreId id, const IrqLayout& layout);
+         CoreId id, const IrqLayout& layout);
 
     [[nodiscard]] CoreId id() const { return id_; }
 
@@ -52,14 +51,12 @@ public:
     /// Interrupt mask bit (ARM PSTATE.I / RISC-V sstatus.SIE): true masks
     /// IRQ delivery. Unmasking drains pending IRQs.
     void set_irq_masked(bool masked);
-    [[nodiscard]] bool irq_masked() const { return irq_masked_; }
 
     /// Called by the interrupt controller when this core has a deliverable
     /// interrupt.
     void signal_irq();
 
     // --- attached units ---------------------------------------------------------
-    Mmu& mmu() { return mmu_; }
     GenericTimer& timer() { return timer_; }
     Executor& exec() { return exec_; }
     const Executor& exec() const { return exec_; }
@@ -78,7 +75,6 @@ private:
     bool in_handler_ = false;
     IrqHandler handler_;
 
-    Mmu mmu_;
     GenericTimer timer_;
     Executor exec_;
 };

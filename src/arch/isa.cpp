@@ -18,7 +18,6 @@ const IsaOps kArmOps{
     El::kEl3,
     IrqLayout{kIrqPhysTimer, kIrqVirtTimer, kIrqHypTimer},
     PtFormat::armv8_4k(),
-    PtFormat::armv8_4k(),
 };
 
 const IsaOps kRiscvOps{
@@ -29,7 +28,6 @@ const IsaOps kRiscvOps{
     El::kEl2,
     El::kEl3,
     IrqLayout{kIrqSupervisorTimer, kIrqVsTimer, kIrqMachineTimer},
-    PtFormat::sv39(),
     PtFormat::sv39x4(),
 };
 

@@ -2,11 +2,11 @@
 //
 // The arch layer is split into this ISA-generic core plus two backends:
 //   src/arch/arm/    ARMv8 + GICv2/3 (EL2 hypervisor, vtimer, 48-bit
-//                    4-level stage-1/stage-2 tables)
+//                    4-level stage-2 tables)
 //   src/arch/riscv/  RISC-V H-extension + PLIC/CLINT (HS-mode hypervisor,
-//                    vstimer, Sv39 stage-1 and Sv39x4 stage-2 tables)
-// IsaOps is the seam: privilege-level mapping, trap naming, two-stage
-// translation formats, interrupt layout and the controller factory. Nothing
+//                    vstimer, Sv39x4 stage-2 tables)
+// IsaOps is the seam: privilege-level mapping, trap naming, the stage-2
+// translation format, interrupt layout and the controller factory. Nothing
 // outside src/arch/ may include a backend header (sca rule isa-portability);
 // consumers reach backend behavior exclusively through this table.
 //
@@ -55,7 +55,6 @@ struct IsaOps {
 
     IrqLayout irq;
 
-    PtFormat stage1;  ///< VA -> IPA format (ARMv8 4-level 48-bit; Sv39)
     PtFormat stage2;  ///< IPA -> PA format (ARMv8 4-level 48-bit; Sv39x4)
 
     /// ISA-specific privilege-level name ("EL2" / "HS") for traces & tests.

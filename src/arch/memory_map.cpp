@@ -163,10 +163,7 @@ void MemoryMap::free_frames(PhysAddr base, std::uint64_t nframes) {
     // Hygiene: a freed frame is no longer critical. Dropping the tag here
     // (rather than at the next tagging) keeps has_integrity_tags() exact,
     // which the hot-path gate depends on.
-    if (pages_covered(tag_runs_, first, end) != 0) {
-        paint(tag_runs_, first, end, nullptr);
-        if (tag_change_hook_) tag_change_hook_();
-    }
+    paint(tag_runs_, first, end, nullptr);
 }
 
 void MemoryMap::set_integrity_tag(PhysAddr base, std::uint64_t nframes, bool tagged) {
@@ -179,12 +176,7 @@ void MemoryMap::set_integrity_tag(PhysAddr base, std::uint64_t nframes, bool tag
         }
         page = page_index(r->end());
     }
-    const std::uint64_t before = pages_covered(tag_runs_, first, end);
     paint(tag_runs_, first, end, tagged ? &kHypervisorId : nullptr);
-    // Shoot down cached translations even on a clear: a stale "tagged"
-    // verdict would fault a now-legal access.
-    const bool changed = tagged ? before != nframes : before != 0;
-    if (changed && tag_change_hook_) tag_change_hook_();
 }
 
 bool MemoryMap::in_tag_run(std::uint64_t page) const {

@@ -101,16 +101,13 @@ public:
     /// Tag (or clear) the one-bit integrity mark on every frame in
     /// [base, base + nframes * page). Tagged frames hold SPM-critical state
     /// (stage-2 tables, attestation log, signature material, manifest); the
-    /// MMU raises FaultKind::kTagViolation when a guest translation targets
-    /// one. A call that changes any tag fires the tag-change hook once so
-    /// cached translations (TLB entries, the L0 line) are shot down — a
-    /// stale fill must never outlive a tag flip. Throws
-    /// std::invalid_argument, changing nothing, if any frame is not RAM.
+    /// SPM's stage-2 access check refuses a guest access that resolves onto
+    /// one. Throws std::invalid_argument, changing nothing, if any frame is
+    /// not RAM.
     void set_integrity_tag(PhysAddr base, std::uint64_t nframes, bool tagged);
 
-    /// Fast gate for the translate hot path: with no frame tagged anywhere
-    /// the tag-run vector is empty, so the tags-off cost floor is one
-    /// predicted branch.
+    /// True when any frame is tagged. With none, the tag-run vector is
+    /// empty, so integrity_tagged() costs one predicted branch.
     [[nodiscard]] bool has_integrity_tags() const { return !tag_runs_.empty(); }
 
     /// DFITAGCHECK: true when the frame holding `a` carries the tag.
@@ -119,12 +116,6 @@ public:
             return false;
         }
         return in_tag_run(page_index(a));
-    }
-
-    /// Invoked after every tag change (set or clear). The platform wires
-    /// this to a full TLB shootdown on every core.
-    void set_tag_change_hook(std::function<void()> hook) {
-        tag_change_hook_ = std::move(hook);
     }
 
     // --- functional backing store (sparse, 64-bit words) -------------------
@@ -166,7 +157,6 @@ private:
     std::unordered_map<std::uint64_t, std::uint64_t> store_;
     std::unordered_map<std::uint64_t, MmioHandler> mmio_;  // keyed by region base
     std::uint64_t allocated_frames_ = 0;
-    std::function<void()> tag_change_hook_;
 };
 
 }  // namespace hpcsec::arch

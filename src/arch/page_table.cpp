@@ -191,8 +191,7 @@ void PageTable::split_block(std::uint64_t* table, std::uint64_t index, int level
 void PageTable::defrag(std::uint64_t* table, std::uint64_t index, int level) {
     // The inverse of split_block: a table under a block-sized entry whose
     // leaves run contiguously from a block-aligned output, with equal
-    // attributes, becomes that block again. Translations do not change, so
-    // no TLB entry goes stale.
+    // attributes, becomes that block again. Translations do not change.
     const std::uint64_t span = fmt_.span(level);
     if (!block_span(span)) return;
     std::uint64_t* sub = table_of(table[index]);
@@ -281,7 +280,6 @@ WalkResult PageTable::walk(std::uint64_t addr) const {
     }
     const std::uint64_t* table = root_;
     for (int level = 0; level < fmt_.levels; ++level) {
-        ++r.table_accesses;
         const std::uint64_t d = table[fmt_.index(addr, level)];
         if (d & kTable) {
             table = table_of(d);

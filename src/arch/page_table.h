@@ -73,7 +73,6 @@ struct WalkResult {
     std::uint64_t out = 0;          ///< translated output address
     std::uint8_t perms = kPermNone;
     int level = -1;                 ///< level of the terminal entry
-    int table_accesses = 0;         ///< memory reads performed by the walk
     bool secure = false;            ///< NS bit of the terminal entry
 };
 

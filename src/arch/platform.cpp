@@ -126,7 +126,7 @@ Platform::Platform(PlatformConfig config, std::uint64_t seed)
     core_ptrs.reserve(static_cast<std::size_t>(config_.ncores));
     for (int i = 0; i < config_.ncores; ++i) {
         Core* c = new (&cores_[i])
-            Core(engine_, config_.perf, *irqc_, mem_, i, ops_->irq);
+            Core(engine_, config_.perf, *irqc_, i, ops_->irq);
         arena_->register_destructor(c);
         core_ptrs.push_back(c);
         c->exec().set_recorder(&obs_.recorder);
@@ -135,16 +135,6 @@ Platform::Platform(PlatformConfig config, std::uint64_t seed)
     }
     irqc_->set_signal([this](CoreId id) { cores_[id].signal_irq(); });
     monitor_ = std::make_unique<SecureMonitor>(std::move(core_ptrs));
-
-    // Integrity-tag shootdown: every tag flip broadcasts a full TLBI to all
-    // cores. flush_all bumps each TLB's flush epoch, which also invalidates
-    // the MMUs' L0 lines — no cached translation filled before a tag change
-    // can be consulted after it.
-    mem_.set_tag_change_hook([this] {
-        for (int i = 0; i < config_.ncores; ++i) {
-            cores_[i].mmu().tlb().flush_all();
-        }
-    });
 
     for (const auto& d : config_.devices) {
         if (d.name.find("uart") != std::string::npos ||

@@ -6,10 +6,8 @@ std::string to_string(FaultKind k) {
     switch (k) {
         case FaultKind::kNone: return "none";
         case FaultKind::kTranslation: return "translation";
-        case FaultKind::kPermission: return "permission";
         case FaultKind::kSecurity: return "security";
         case FaultKind::kAddressSize: return "address-size";
-        case FaultKind::kTagViolation: return "tag-violation";
     }
     return "?";
 }

@@ -22,14 +22,10 @@ using VmId = std::uint16_t;
 inline constexpr VmId kHypervisorId = 0;
 inline constexpr VmId kPrimaryVmId = 1;
 
-/// Address-space ID for stage-1 TLB tagging.
-using Asid = std::uint16_t;
-
 inline constexpr std::uint64_t kPageShift = 12;
 inline constexpr std::uint64_t kPageSize = 1ull << kPageShift;  // 4 KiB granule
 inline constexpr std::uint64_t kPageMask = kPageSize - 1;
 
-[[nodiscard]] constexpr std::uint64_t page_floor(std::uint64_t a) { return a & ~kPageMask; }
 [[nodiscard]] constexpr std::uint64_t page_ceil(std::uint64_t a) {
     return (a + kPageMask) & ~kPageMask;
 }
@@ -83,10 +79,8 @@ enum Perms : std::uint8_t {
 enum class FaultKind : std::uint8_t {
     kNone = 0,
     kTranslation,   ///< no mapping at some level
-    kPermission,    ///< mapped but access kind not permitted
     kSecurity,      ///< non-secure access to secure memory
     kAddressSize,   ///< address outside the configured range
-    kTagViolation,  ///< untagged writer touched an integrity-tagged frame
 };
 
 [[nodiscard]] std::string to_string(FaultKind k);

@@ -114,7 +114,7 @@ Auditor::Auditor(hafnium::Spm& spm, Options options)
 
 Auditor::~Auditor() {
     spm_->detach_interceptor(this);
-    if (spm_->audit() == this) spm_->attach_audit(nullptr);
+    spm_->detach_audit(this);
 }
 
 std::size_t Auditor::count(Rule r) const {

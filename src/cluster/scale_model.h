@@ -59,8 +59,8 @@ struct ScaleResult {
 class ScaleModel {
 public:
     /// `traces` are detailed single-node runs of the SAME workload with
-    /// different seeds (>= 1). `ideal_step_cycles` is the noise-free step
-    /// duration used as the efficiency baseline (typically the min observed).
+    /// different seeds (>= 1). The shortest step observed across them is
+    /// the noise-free step duration, the efficiency baseline.
     ScaleModel(std::vector<NodeTrace> traces, sim::ClockSpec clock,
                InterconnectModel net = {});
 
@@ -74,7 +74,6 @@ public:
                                                  int trials,
                                                  std::uint64_t seed) const;
 
-    [[nodiscard]] sim::Cycles ideal_step_cycles() const { return ideal_step_; }
     [[nodiscard]] std::size_t steps() const { return nsteps_; }
 
 private:

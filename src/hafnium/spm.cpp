@@ -15,7 +15,8 @@ constexpr std::uint32_t kSpmVersion = (1u << 16) | 1u;  // 1.1
 Spm::Spm(arch::Platform& platform, Manifest manifest, IrqRoutingPolicy policy)
     : platform_(&platform),
       manifest_(std::move(manifest)),
-      grants_(sim::ArenaAllocator<ShareGrant>(platform.arena())) {
+      grants_(sim::ArenaAllocator<ShareGrant>(platform.arena())),
+      audit_sinks_(sim::ArenaAllocator<VcpuAuditSink*>(platform.arena())) {
     router_.policy = policy;
     router_.has_super_secondary = manifest_.super_secondary() != nullptr;
     vcpu_on_core_.assign(static_cast<std::size_t>(platform.ncores()), nullptr);
@@ -82,7 +83,7 @@ void Spm::boot() {
         platform_->monitor().cpu_on(
             c, [&ops](arch::Core& k) { k.set_el(ops.hyp_level); });
         core.set_el(ops.guest_kernel_level);  // drop to the primary VM's kernel
-        set_core_context(c, &primary_vm());
+        set_core_context(c, primary_vm());
         core.set_irq_masked(false);
     }
     booted_ = true;
@@ -127,11 +128,11 @@ Vm& Spm::admit(VmSpec spec, const crypto::Digest& measurement) {
     vm->ipa_base = vm->role() == VmRole::kSecondary ? 0 : vm->mem_base;
     vm->stage2().map(vm->ipa_base, vm->mem_base, vm->mem_bytes(), arch::kPermRWX,
                      vm->world() == arch::World::kSecure);
-    // Default incremental VCPU spread across cores; the auditor may
-    // pre-date the VM.
+    // Default incremental VCPU spread across cores. Every VCPU reports to
+    // the one sink list, so an auditor may pre- or post-date the VM.
     for (int v = 0; v < vm->vcpu_count(); ++v) {
         vm->vcpu(v).assigned_core = v % platform_->ncores();
-        vm->vcpu(v).set_audit(audit_);
+        vm->vcpu(v).set_audit_sinks(&audit_sinks_);
     }
     measurements_.emplace_back(vm->name(), measurement);
     vms_.push_back(vm);
@@ -153,7 +154,7 @@ void Spm::destroy_vm(arch::VmId id) {
     for (auto it = grants_.begin(); it != grants_.end();) {
         it = it->owner == id || it->borrower == id ? revoke(it) : std::next(it);
     }
-    // Detach guest contexts, drop translations, free the frames.
+    // Detach guest contexts, drop the stage-2, free the frames.
     for (int v = 0; v < victim.vcpu_count(); ++v) {
         set_guest_context(victim.vcpu(v), nullptr);
         victim.vcpu(v).set_state(VcpuState::kAborted);
@@ -162,10 +163,8 @@ void Spm::destroy_vm(arch::VmId id) {
     // Drop the victim's *entire* stage-2, not just the boot window:
     // donated-in windows live outside [ipa_base, ipa_base + mem_bytes) and
     // would otherwise survive as dangling translations onto freed frames.
-    // MMUs hold the PageTable object, not its tables, so their pointers stay
-    // valid and every walk now faults.
+    // Every access walks the live table, so each one now faults.
     victim.stage2() = arch::PageTable(victim.stage2().format());
-    flush_stage2_tlbs(id);
     // Free by *current ownership*, not the boot window. FF-A donations
     // move frames both ways after boot: frames donated away belong to
     // another live partition now, and frames donated in would otherwise
@@ -204,11 +203,18 @@ Vm* Spm::super_secondary() {
 
 void Spm::attach_guest(arch::VmId id, GuestOsItf* os) { guest_os_[id] = os; }
 
-void Spm::attach_audit(VcpuAuditSink* audit) {
-    audit_ = audit;
-    for (auto& vm : vms_) {
-        for (int v = 0; v < vm->vcpu_count(); ++v) vm->vcpu(v).set_audit(audit);
+void Spm::attach_audit(VcpuAuditSink* sink) {
+    if (sink == nullptr ||
+        std::find(audit_sinks_.begin(), audit_sinks_.end(), sink) !=
+            audit_sinks_.end()) {
+        return;
     }
+    audit_sinks_.push_back(sink);
+}
+
+void Spm::detach_audit(VcpuAuditSink* sink) {
+    const auto it = std::find(audit_sinks_.begin(), audit_sinks_.end(), sink);
+    if (it != audit_sinks_.end()) audit_sinks_.erase(it);
 }
 
 void Spm::set_guest_context(Vcpu& vcpu, arch::Runnable* ctx) {
@@ -238,7 +244,7 @@ void Spm::force_stop_vcpu(Vcpu& vcpu, bool notify_primary) {
     vcpu.set_state(VcpuState::kReady);
     vcpu.running_core = -1;
     vcpu_on_core_[static_cast<std::size_t>(core)] = nullptr;
-    set_core_context(core, &primary_vm());
+    set_core_context(core, primary_vm());
     if (notify_primary && primary_os_ != nullptr) {
         primary_os_->on_vcpu_exit(core, vcpu, ExitReason::kYield);
     }
@@ -267,26 +273,9 @@ Vcpu* Spm::running_vcpu_on(arch::CoreId core) {
     return vcpu_on_core_[static_cast<std::size_t>(core)];
 }
 
-void Spm::set_core_context(arch::CoreId core, Vm* vmctx) {
-    arch::Core& c = platform_->core(core);
-    platform_->profiler().set_context(core,
-                                      vmctx != nullptr ? vmctx->id() : 0);
-    if (vmctx == nullptr) {
-        c.mmu().set_context(nullptr, nullptr, 0, 0, arch::World::kNonSecure);
-        return;
-    }
-    // Guests run with an identity stage-1 (their kernels' idmap); isolation
-    // comes from stage 2.
-    c.mmu().set_context(nullptr, &vmctx->stage2(), vmctx->id(), 0, vmctx->world());
-    c.set_world(vmctx->world());
-}
-
-void Spm::flush_stage2_tlbs(arch::VmId id) {
-    // TLBI by VMID on every core; the flush epoch also kills the MMUs' L0
-    // lines, so no translation filled before the change is consulted after.
-    for (int c = 0; c < platform_->ncores(); ++c) {
-        platform_->core(c).mmu().tlb().flush_vmid(id);
-    }
+void Spm::set_core_context(arch::CoreId core, const Vm& vm) {
+    platform_->profiler().set_context(core, vm.id());
+    platform_->core(core).set_world(vm.world());
 }
 
 // --------------------------------------------------------------------------
@@ -397,7 +386,7 @@ void Spm::enter_vcpu(arch::CoreId core, Vcpu& vcpu, sim::Cycles base_cost) {
     vcpu.last_enter = platform_->engine().now();
     ++vcpu.runs;
     vcpu_on_core_[static_cast<std::size_t>(core)] = &vcpu;
-    set_core_context(core, &vcpu.vm());
+    set_core_context(core, vcpu.vm());
 
     const sim::Cycles drain_cost = drain_virqs(vcpu);
     ex.charge(base_cost, obs::ProfPath::kWorldSwitch);
@@ -458,7 +447,7 @@ void Spm::exit_vcpu(arch::CoreId core, Vcpu& vcpu, ExitReason reason,
     // Exit cost is the hypervisor working on the exiting guest's behalf:
     // charge before the profiler's context flips back to the primary.
     ex.charge(cost, obs::ProfPath::kWorldSwitch);
-    set_core_context(core, &primary_vm());
+    set_core_context(core, primary_vm());
     ++stats_.vm_exits;
     ++stats_.world_switches;
     if (primary_os_ != nullptr) primary_os_->on_vcpu_exit(core, vcpu, reason);
@@ -961,7 +950,6 @@ HfResult Spm::mem_send(arch::VmId caller, const abi::MemShareArgs& a,
         // sca-suppress(no-throw-guest-path): window aligned (validated above),
         // and unmap() is idempotent on holes, so it cannot throw.
         from.stage2().unmap(a.owner_ipa, bytes);
-        flush_stage2_tlbs(caller);
         // sca-suppress(no-throw-guest-path): owned_span above proved every
         // frame of the run allocated, so set_owner() cannot throw.
         mem.set_owner(pa, a.pages, a.to);
@@ -981,7 +969,6 @@ HfResult Spm::mem_send(arch::VmId caller, const abi::MemShareArgs& a,
         // sca-suppress(no-throw-guest-path): aligned window, every page
         // walk-checked mapped above, so protect() cannot throw.
         from.stage2().protect(a.owner_ipa, bytes, arch::kPermNone);
-        flush_stage2_tlbs(caller);
     }
     // sca-suppress(hot-path-alloc): GrantList is arena-backed — growth
     // bumps the trial arena, never the global heap.
@@ -1007,7 +994,6 @@ Spm::GrantList::iterator Spm::revoke(GrantList::iterator grant) {
     // mem_send validated as aligned; unmap() is idempotent on holes, so it
     // cannot throw.
     vm(grant->borrower).stage2().unmap(grant->borrower_ipa, bytes);
-    flush_stage2_tlbs(grant->borrower);
     if (grant->exclusive) {
         // The lender regains access. Its window stays mapped (perms-none)
         // for the grant's lifetime: mem_send refuses to share, lend or
@@ -1140,7 +1126,7 @@ void Spm::release_critical(const std::string& name) {
         // An embargoed region failed re-verification: its frames stay out
         // of the allocator forever rather than risk reuse of corrupt state.
         if (it->embargoed) return;
-        // free_frames drops the tags (one TLB shootdown) and scrubs.
+        // free_frames drops the tags and scrubs.
         platform_->mem().free_frames(it->base, it->pages);
         critical_.erase(it);
         return;

@@ -69,6 +69,10 @@ public:
 
     Spm(arch::Platform& platform, Manifest manifest,
         IrqRoutingPolicy policy = IrqRoutingPolicy::kAllToPrimary);
+    /// Core handlers capture `this`, and every VCPU points at the sink
+    /// list: an Spm stays where it was built.
+    Spm(const Spm&) = delete;
+    Spm& operator=(const Spm&) = delete;
 
     /// EL2 boot: validate manifest, measure images, allocate VM memory,
     /// build stage-2 tables, map MMIO into the I/O-owning VM, take over the
@@ -145,7 +149,6 @@ public:
     [[nodiscard]] Vm& primary_vm() { return vm(arch::kPrimaryVmId); }
     [[nodiscard]] Vm* super_secondary();
     [[nodiscard]] arch::Platform& platform() { return *platform_; }
-    [[nodiscard]] const IrqRouter& router() const { return router_; }
 
     /// VCPU currently executing on `core` (nullptr when the core belongs to
     /// the primary). Ground truth for the checker's core-locality rule.
@@ -153,12 +156,17 @@ public:
         return vcpu_on_core_.at(static_cast<std::size_t>(core));
     }
 
-    /// Attach (or detach, with nullptr) the VCPU state-transition audit
-    /// sink. Installs it on every existing VCPU; VMs created later inherit
-    /// it. Hypercall-level auditing goes through the interceptor chain —
-    /// check::Auditor registers as both.
-    void attach_audit(VcpuAuditSink* audit);
-    [[nodiscard]] VcpuAuditSink* audit() const { return audit_; }
+    /// Attach a VCPU state-transition audit sink. Every VCPU, of VMs
+    /// admitted before or after, reports each transition to every attached
+    /// sink. Attaching the same sink twice is a no-op. Hypercall-level
+    /// auditing goes through the interceptor chain — check::Auditor
+    /// registers as both.
+    void attach_audit(VcpuAuditSink* sink);
+    /// Detach; unknown pointers are ignored.
+    void detach_audit(VcpuAuditSink* sink);
+    [[nodiscard]] const AuditSinkList& audit_sinks() const {
+        return audit_sinks_;
+    }
 
     // --- guest-side services (called by guest kernel models) -----------------
     /// Install/replace the runnable that consumes CPU when `vcpu` runs.
@@ -311,10 +319,8 @@ private:
     [[nodiscard]] Vcpu* running_vcpu_on(arch::CoreId core);
     /// Guest personality for `id`, nullptr when none attached (or torn down).
     [[nodiscard]] GuestOsItf* find_guest_os(arch::VmId id);
-    void set_core_context(arch::CoreId core, Vm* vmctx);
-    /// Drop every cached translation of VM `id` after its stage-2 lost or
-    /// narrowed an entry (unmap, lend, donate, reclaim, destroy).
-    void flush_stage2_tlbs(arch::VmId id);
+    /// Point `core`'s profiler context and TrustZone world at `vm`.
+    void set_core_context(arch::CoreId core, const Vm& vm);
 
     // Typed call handlers, one per table row. Privilege and argument range
     // checks already happened in the gate; handlers do semantic validation
@@ -360,9 +366,9 @@ private:
     /// _DONATE: the same checks, in the same order, for every kind
     /// (docs/ABI.md, "Memory transactions"), then the kind's effects.
     HfResult mem_send(arch::VmId caller, const abi::MemShareArgs& a, MemSend kind);
-    /// Undo one share or lend: unmap the borrower window, flush the
-    /// borrower's TLBs, give a lender its RWX back, count it. Returns the
-    /// next grant. FFA_MEM_RECLAIM and destroy_vm both revoke through here.
+    /// Undo one share or lend: unmap the borrower window, give a lender its
+    /// RWX back, count it. Returns the next grant. FFA_MEM_RECLAIM and
+    /// destroy_vm both revoke through here.
     GrantList::iterator revoke(GrantList::iterator grant);
 
     /// The stage-2 check every SPM-mediated guest access runs, in order:
@@ -401,7 +407,8 @@ private:
     std::vector<CriticalRegion> critical_;
     bool critical_armed_ = false;
     Stats stats_;
-    VcpuAuditSink* audit_ = nullptr;
+    /// Transition sinks; every admitted VCPU points at this one list.
+    AuditSinkList audit_sinks_;
     std::vector<HypercallInterceptor*> interceptors_;  ///< sorted by Stage
     obs::MetricsRegistry::Handle vcpu_run_hist_ = 0;  ///< hf.vcpu_run_us
     /// publish_metrics' "hf.*" gauges, one per Stats field in field order.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "arch/exec.h"
 #include "arch/irq_bitset.h"
@@ -80,14 +81,18 @@ struct VGicState {
 class Vcpu;
 
 /// Audit hook for VCPU state transitions (implemented by check::Auditor).
-/// Observing costs one predicted branch per state change when no sink is
-/// attached — the same pattern as the obs recorder.
+/// With no sink attached, observing costs two predicted branches per state
+/// change — the same pattern as the obs recorder.
 class VcpuAuditSink {
 public:
     virtual ~VcpuAuditSink() = default;
     /// Invoked *before* the state is written, so the sink sees both sides.
     virtual void on_vcpu_state(Vcpu& vcpu, VcpuState from, VcpuState to) = 0;
 };
+
+/// The SPM's transition sinks. Arena-backed like its grant list, so
+/// attaching an auditor never touches the global heap.
+using AuditSinkList = std::vector<VcpuAuditSink*, sim::ArenaAllocator<VcpuAuditSink*>>;
 
 class Vcpu {
 public:
@@ -101,12 +106,18 @@ public:
     /// machine is auditable; the field itself cannot be written directly.
     [[nodiscard]] VcpuState state() const { return state_; }
     void set_state(VcpuState next) {
-        if (audit_ != nullptr && next != state_) {
-            audit_->on_vcpu_state(*this, state_, next);
+        if (audit_sinks_ != nullptr && !audit_sinks_->empty() && next != state_) {
+            for (VcpuAuditSink* sink : *audit_sinks_) {
+                sink->on_vcpu_state(*this, state_, next);
+            }
         }
         state_ = next;
     }
-    void set_audit(VcpuAuditSink* sink) { audit_ = sink; }
+    /// Report every transition to each sink in `sinks`, a list its owner
+    /// (the SPM) keeps alive and edits in place.
+    void set_audit_sinks(const AuditSinkList* sinks) {
+        audit_sinks_ = sinks;
+    }
     /// Core this VCPU is assigned to (primary VCPUs are pinned 1:1; secondary
     /// VCPUs get a default incremental spread that the primary may change).
     arch::CoreId assigned_core = -1;
@@ -132,7 +143,7 @@ private:
     Vm* vm_;
     int index_;
     VcpuState state_ = VcpuState::kOff;
-    VcpuAuditSink* audit_ = nullptr;
+    const AuditSinkList* audit_sinks_ = nullptr;
 };
 
 class Vm {

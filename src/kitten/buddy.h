@@ -27,7 +27,6 @@ public:
 
     [[nodiscard]] std::uint64_t pool_bytes() const { return pool_bytes_; }
     [[nodiscard]] std::uint64_t allocated_bytes() const { return allocated_bytes_; }
-    [[nodiscard]] std::uint64_t free_bytes() const { return pool_bytes_ - allocated_bytes_; }
     /// Largest single allocation that would currently succeed.
     [[nodiscard]] std::uint64_t largest_free_block() const;
     [[nodiscard]] std::size_t fragments() const;

@@ -16,7 +16,6 @@ enum class Category : std::uint32_t {
     kSched = 1u << 1,
     kHyp = 1u << 2,
     kVm = 1u << 3,
-    kMmu = 1u << 4,
     kWorkload = 1u << 5,
     kBoot = 1u << 6,
     kChannel = 1u << 7,

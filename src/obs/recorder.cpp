@@ -8,12 +8,11 @@
 namespace hpcsec::obs {
 
 namespace {
-constexpr std::array<std::pair<const char*, Category>, 11> kCategoryNames{{
+constexpr std::array<std::pair<const char*, Category>, 10> kCategoryNames{{
     {"irq", Category::kIrq},
     {"sched", Category::kSched},
     {"hyp", Category::kHyp},
     {"vm", Category::kVm},
-    {"mmu", Category::kMmu},
     {"workload", Category::kWorkload},
     {"boot", Category::kBoot},
     {"channel", Category::kChannel},

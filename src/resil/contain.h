@@ -1,5 +1,5 @@
 // ContainmentEngine — the contain → recover half of the memory-integrity
-// pipeline (the detect half lives in arch::Mmu / hafnium::Spm tag checks).
+// pipeline (the detect half is hafnium::Spm's tag check on stage-2 access).
 //
 // HDFI-style one-bit tags turn a corrupting access into a TagViolation the
 // moment it happens; this engine decides what the node does next. The

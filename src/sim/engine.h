@@ -118,7 +118,6 @@ public:
 
     /// Attach/detach the dispatch probe (purely observational; nullptr = off).
     void set_dispatch_probe(DispatchProbe* probe) { probe_ = probe; }
-    [[nodiscard]] DispatchProbe* dispatch_probe() const { return probe_; }
 
 private:
     /// The key of a disarmed deadline: after every armed key, since no

@@ -28,14 +28,12 @@ struct ClockSpec {
     }
     [[nodiscard]] constexpr double to_millis(SimTime t) const { return to_seconds(t) * 1e3; }
     [[nodiscard]] constexpr double to_micros(SimTime t) const { return to_seconds(t) * 1e6; }
-    [[nodiscard]] constexpr double to_nanos(SimTime t) const { return to_seconds(t) * 1e9; }
 
     [[nodiscard]] constexpr Cycles from_seconds(double s) const {
         return static_cast<Cycles>(s * static_cast<double>(hz));
     }
     [[nodiscard]] constexpr Cycles from_millis(double ms) const { return from_seconds(ms * 1e-3); }
     [[nodiscard]] constexpr Cycles from_micros(double us) const { return from_seconds(us * 1e-6); }
-    [[nodiscard]] constexpr Cycles from_nanos(double ns) const { return from_seconds(ns * 1e-9); }
 
     /// Cycles per period of a given frequency (e.g. timer tick rate).
     [[nodiscard]] constexpr Cycles period_of_hz(double rate_hz) const {

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "arch/isa.h"
-#include "arch/mmu.h"
 #include "arch/platform.h"
 #include "check/corrupt.h"
 #include "core/harness.h"
@@ -30,84 +29,6 @@ using core::Harness;
 using core::Node;
 using core::NodeConfig;
 using core::SchedulerKind;
-
-// --- arch-level detection: the MMU tag check ---------------------------------
-
-struct MmuTagCheck : ::testing::Test {
-    arch::MemoryMap mem;
-    arch::PageTable s1;
-    arch::Mmu mmu{mem};
-
-    void SetUp() override {
-        mem.add_region({"ram", 0x4000'0000, 64ull << 20, arch::RegionKind::kRam,
-                        arch::World::kNonSecure});
-        s1.map(0, 0x4000'0000, 1ull << 20, arch::kPermRW);
-        mmu.set_context(&s1, nullptr, /*vmid=*/1, /*asid=*/1,
-                        arch::World::kNonSecure);
-    }
-};
-
-TEST_F(MmuTagCheck, TaggedFrameFaultsForGuestReadsAndWrites) {
-    mem.set_integrity_tag(0x4000'0000, 1, true);
-    const auto r = mmu.translate(0x40, arch::Access::kRead);
-    EXPECT_EQ(r.fault, arch::FaultKind::kTagViolation);
-    // Over-reads leak key material just as surely as overwrites corrupt
-    // page tables: reads are violations too.
-    const auto w = mmu.translate(0x40, arch::Access::kWrite);
-    EXPECT_EQ(w.fault, arch::FaultKind::kTagViolation);
-    // The untagged frame next door stays accessible.
-    EXPECT_EQ(mmu.translate(arch::kPageSize + 0x40, arch::Access::kWrite).fault,
-              arch::FaultKind::kNone);
-}
-
-TEST_F(MmuTagCheck, HypervisorContextIsExempt) {
-    mem.set_integrity_tag(0x4000'0000, 1, true);
-    mmu.set_context(&s1, nullptr, arch::kHypervisorId, 0,
-                    arch::World::kNonSecure);
-    EXPECT_EQ(mmu.translate(0x40, arch::Access::kWrite).fault,
-              arch::FaultKind::kNone);
-}
-
-TEST_F(MmuTagCheck, CachedTranslationCannotOutliveATagFlip) {
-    // Prime the TLB and the L0 line with a successful translation...
-    ASSERT_EQ(mmu.translate(0x40, arch::Access::kRead).fault,
-              arch::FaultKind::kNone);
-    ASSERT_TRUE(mmu.translate(0x48, arch::Access::kRead).tlb_hit);
-    // ...then tag the frame. A cached translation is not a licence to keep
-    // touching it: the very next access must fault, hit path included.
-    mem.set_integrity_tag(0x4000'0000, 1, true);
-    EXPECT_EQ(mmu.translate(0x50, arch::Access::kRead).fault,
-              arch::FaultKind::kTagViolation);
-    // Clearing the tag restores access (frame reuse after recovery).
-    mem.set_integrity_tag(0x4000'0000, 1, false);
-    EXPECT_EQ(mmu.translate(0x58, arch::Access::kRead).fault,
-              arch::FaultKind::kNone);
-}
-
-TEST(MmuTagShootdown, TagFlipInvalidatesEveryCoreTlb) {
-    // At Platform level the tag-change hook broadcasts a full TLBI: lines
-    // filled before the flip are gone on all cores, not just the one that
-    // noticed.
-    arch::Platform platform{arch::PlatformConfig::pine_a64()};
-    arch::PageTable s1;
-    const arch::PhysAddr ram = platform.mem().alloc_frames(
-        4, arch::kHypervisorId, arch::World::kNonSecure);
-    s1.map(0, ram, 4 * arch::kPageSize, arch::kPermRW);
-    for (int c = 0; c < platform.ncores(); ++c) {
-        auto& mmu = platform.core(c).mmu();
-        mmu.set_context(&s1, nullptr, 1, 1, arch::World::kNonSecure);
-        ASSERT_EQ(mmu.translate(0x40, arch::Access::kRead).fault,
-                  arch::FaultKind::kNone);
-        ASSERT_TRUE(mmu.translate(0x48, arch::Access::kRead).tlb_hit);
-    }
-    platform.mem().set_integrity_tag(ram, 1, true);
-    for (int c = 0; c < platform.ncores(); ++c) {
-        auto& mmu = platform.core(c).mmu();
-        const auto t = mmu.translate(0x40, arch::Access::kRead);
-        EXPECT_EQ(t.fault, arch::FaultKind::kTagViolation) << "core " << c;
-        EXPECT_FALSE(t.tlb_hit) << "core " << c;
-    }
-}
 
 // --- SPM-level detection and recovery ----------------------------------------
 

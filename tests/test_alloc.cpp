@@ -542,52 +542,5 @@ TEST(WholeHeap, BootMovesEveryImageIntoItsVm) {
     }
 }
 
-// A core's TLB storage arrives with its first fill, not with the core. No
-// simulation path translates through a core's MMU (the SPM walks stage-2
-// tables itself), so storage built with every core would be heap that
-// nothing reads: 516 blocks, about 86 KB, on a four-core platform.
-TEST(WholeHeap, TlbStorageArrivesWithTheFirstFill) {
-    std::optional<arch::Platform> platform;
-    std::uint64_t platform_allocs = 0;
-    std::int64_t platform_bytes = 0;
-    {
-        CountingWindow window;
-        platform.emplace(arch::PlatformConfig::pine_a64());
-        platform_allocs = CountingWindow::count();
-        platform_bytes = CountingWindow::live_bytes();
-    }
-    ASSERT_EQ(platform->ncores(), 4);
-    const auto entry_bytes = static_cast<std::int64_t>(
-        platform->core(0).mmu().tlb().capacity() * sizeof(arch::TlbEntry));
-    const arch::PhysAddr ram = platform->config().ram_base;
-
-    // Each core's first translation fills its TLB, so it allocates that
-    // core's storage and no other's; the second translation reuses it.
-    for (arch::CoreId id = 0; id < platform->ncores(); ++id) {
-        arch::Mmu& mmu = platform->core(id).mmu();
-        mmu.set_context(nullptr, nullptr, 1, 0, arch::World::kNonSecure);
-        std::int64_t first = 0;
-        std::uint64_t first_allocs = 0;
-        std::uint64_t allocs = 0;
-        {
-            CountingWindow window;
-            EXPECT_EQ(mmu.translate(ram, arch::Access::kRead).fault, arch::FaultKind::kNone);
-            first = CountingWindow::live_bytes();
-            first_allocs = CountingWindow::count();
-            EXPECT_EQ(mmu.translate(ram + arch::kPageSize, arch::Access::kRead).fault,
-                      arch::FaultKind::kNone);
-            allocs = CountingWindow::count();
-        }
-        EXPECT_EQ(mmu.tlb().valid_entries(), 2u);
-        EXPECT_GE(first, entry_bytes)
-            << "core " << id << "'s TLB storage was allocated before its first fill; "
-            << "building the platform made " << platform_allocs << " allocations, "
-            << platform_bytes << " B";
-        EXPECT_LT(first, 2 * entry_bytes)
-            << "core " << id << "'s first fill allocated more than one core's TLB";
-        EXPECT_EQ(allocs, first_allocs) << "core " << id << "'s second fill allocated";
-    }
-}
-
 }  // namespace
 }  // namespace hpcsec

@@ -335,17 +335,14 @@ struct MonitorFixture : ::testing::Test {
     PerfModel perf;
     std::unique_ptr<IrqController> irqc = IsaOps::get(Isa::kArm).make_irq_controller(4);
     IrqController& gic = *irqc;
-    MemoryMap mem;
     std::vector<std::unique_ptr<Core>> cores;
     std::unique_ptr<SecureMonitor> monitor;
 
     void SetUp() override {
-        mem.add_region({"ram", 0x4000'0000, 1ull << 20, RegionKind::kRam,
-                        World::kNonSecure});
         std::vector<Core*> ptrs;
         for (int i = 0; i < 4; ++i) {
             cores.push_back(
-                std::make_unique<Core>(engine, perf, gic, mem, i, arm_irqs()));
+                std::make_unique<Core>(engine, perf, gic, i, arm_irqs()));
             ptrs.push_back(cores.back().get());
         }
         monitor = std::make_unique<SecureMonitor>(ptrs);

@@ -280,14 +280,36 @@ TEST(CheckModes, DetachRestoresUnauditedSpm) {
     NodeConfig cfg = Harness::default_config(SchedulerKind::kKittenPrimary, 16);
     Node node(std::move(cfg));
     node.boot();
-    ASSERT_EQ(node.spm()->audit(), nullptr);
+    ASSERT_TRUE(node.spm()->audit_sinks().empty());
     {
         Auditor scoped(*node.spm(), {Mode::kStrict});
-        EXPECT_EQ(node.spm()->audit(), &scoped);
+        ASSERT_EQ(node.spm()->audit_sinks().size(), 1u);
+        EXPECT_EQ(node.spm()->audit_sinks().front(), &scoped);
         EXPECT_EQ(scoped.validate(), 0u) << scoped.report();
     }
-    EXPECT_EQ(node.spm()->audit(), nullptr);
+    EXPECT_TRUE(node.spm()->audit_sinks().empty());
     EXPECT_NO_THROW(node.run_for(0.05));
+}
+
+// Auditors stack: building and destroying a second one on the same SPM
+// leaves the first checking every VCPU transition.
+TEST(CheckModes, SecondAuditorLeavesTheFirstAttached) {
+    NodeConfig cfg = Harness::default_config(SchedulerKind::kKittenPrimary, 16);
+    Node node(std::move(cfg));
+    node.boot();
+    Auditor first(*node.spm(), {Mode::kSampled});
+    node.spm()->attach_audit(&first);  // attaching twice is a no-op
+    {
+        Auditor second(*node.spm(), {Mode::kSampled});
+        EXPECT_EQ(node.spm()->audit_sinks().size(), 2u);
+    }
+    ASSERT_EQ(node.spm()->audit_sinks().size(), 1u);
+    EXPECT_EQ(node.spm()->audit_sinks().front(), &first);
+
+    hafnium::Vcpu& vcpu = node.compute_vm()->vcpu(0);
+    ASSERT_EQ(vcpu.state(), hafnium::VcpuState::kOff);
+    vcpu.set_state(hafnium::VcpuState::kRunning);
+    EXPECT_EQ(first.count(Rule::kVcpuTransition), 1u) << first.report();
 }
 
 TEST(CheckModes, ToStringCoversEveryEnumerator) {

@@ -21,6 +21,7 @@
 #include "arch/isa.h"
 #include "arch/platform.h"
 #include "check/check.h"
+#include "check/corrupt.h"
 #include "hafnium/spm.h"
 #include "sim/rng.h"
 
@@ -150,6 +151,21 @@ TEST_P(IsolationFixture, I3_NonSecureCannotTouchSecureWorld) {
     // And the secure VM itself can use its memory.
     EXPECT_TRUE(spm->vm_write64(secure_vm.id(), 0x1000, 0x5ecull));
     std::uint64_t v = 0;
+    EXPECT_TRUE(spm->vm_read64(secure_vm.id(), 0x1000, v));
+    EXPECT_EQ(v, 0x5ecull);
+    // A rogue non-secure stage-2 window onto that secure frame: the walk
+    // resolves, and the SPM's access check still refuses both directions.
+    const Vm& rogue = tenant(0);
+    const arch::PhysAddr secure_pa = spm->vm_translate(secure_vm.id(), 0x1000).out;
+    const arch::IpaAddr window =
+        check::CorruptionAccess::map_rogue_window(*spm, rogue.id(), secure_pa);
+    const arch::WalkResult w = spm->vm_translate(rogue.id(), window);
+    EXPECT_EQ(w.fault, arch::FaultKind::kNone);
+    EXPECT_EQ(w.out, secure_pa);
+    std::uint64_t out = 0x0bad;
+    EXPECT_FALSE(spm->vm_read64(rogue.id(), window, out));
+    EXPECT_EQ(out, 0x0badu);
+    EXPECT_FALSE(spm->vm_write64(rogue.id(), window, 0xdead));
     EXPECT_TRUE(spm->vm_read64(secure_vm.id(), 0x1000, v));
     EXPECT_EQ(v, 0x5ecull);
 }

@@ -8,7 +8,6 @@
 #include <tuple>
 #include <vector>
 
-#include "arch/tlb.h"
 #include "kitten/buddy.h"
 #include "linux_fwk/cfs.h"
 #include "sim/event_queue.h"
@@ -86,57 +85,6 @@ TEST_P(EventQueueOracle, MatchesReferenceOrdering) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOracle, ::testing::Values(1, 2, 3, 4));
-
-// --- TLB vs. map reference ----------------------------------------------------------
-
-class TlbOracle : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TlbOracle, LookupNeverReturnsStaleOrForeignEntries) {
-    sim::Rng rng(GetParam() ^ 0x71b);
-    arch::Tlb tlb(64, 4);
-    // Reference: latest inserted mapping per (vmid, asid, page). The TLB may
-    // evict (miss where the reference hits) but must never return a value
-    // that differs from the reference (no stale/foreign hits).
-    std::map<std::tuple<arch::VmId, arch::Asid, std::uint64_t>, std::uint64_t> ref;
-
-    for (int step = 0; step < 5000; ++step) {
-        const auto vmid = static_cast<arch::VmId>(1 + rng.next_below(3));
-        const auto asid = static_cast<arch::Asid>(rng.next_below(2));
-        const std::uint64_t page = rng.next_below(256);
-        const double dice = rng.next_double();
-        if (dice < 0.45) {
-            const std::uint64_t out = rng.next_u64() & 0xffffff;
-            tlb.insert({true, vmid, asid, page, out, arch::kPermRW, false});
-            ref[{vmid, asid, page}] = out;
-        } else if (dice < 0.85) {
-            const arch::TlbEntry* e = tlb.lookup(vmid, asid, page);
-            if (e != nullptr) {
-                const auto it = ref.find({vmid, asid, page});
-                ASSERT_NE(it, ref.end()) << "hit for a never-inserted mapping";
-                EXPECT_EQ(e->out_page, it->second) << "stale TLB entry";
-            }
-        } else if (dice < 0.93) {
-            tlb.flush_vmid(vmid);
-            for (auto it = ref.begin(); it != ref.end();) {
-                it = std::get<0>(it->first) == vmid ? ref.erase(it) : std::next(it);
-            }
-        } else if (dice < 0.97) {
-            tlb.flush_page(vmid, page);
-            ref.erase({vmid, asid, page});
-            // flush_page drops all asids for that (vmid,page) in the model's
-            // semantics; mirror that.
-            for (auto it = ref.begin(); it != ref.end();) {
-                const auto& [v, a, p] = it->first;
-                it = (v == vmid && p == page) ? ref.erase(it) : std::next(it);
-            }
-        } else {
-            tlb.flush_all();
-            ref.clear();
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TlbOracle, ::testing::Values(5, 6, 7, 8));
 
 // --- Buddy vs. interval reference ------------------------------------------------------
 
