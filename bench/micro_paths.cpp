@@ -388,7 +388,7 @@ BENCHMARK(BM_HypercallAuditStrictSplit);
 
 // The miss path beside the two all-hit paths above: each iteration lends one
 // compute page to the primary and reclaims it, two audited calls that each
-// change both VMs' tables, so each audit re-walks two of them.
+// change both VMs' tables, so each audit refreshes the runs of both.
 void BM_HypercallAuditStrictChurn(benchmark::State& state) {
     SpmBench b;
     constexpr arch::VmId kPrimary = 1;

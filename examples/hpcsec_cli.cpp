@@ -643,15 +643,17 @@ int run(int argc, char** argv) {
         return cfg;
     };
 
+    // Checked on every run, not only where a trace or metrics file uses it.
+    std::uint32_t mask = 0;
+    std::string mask_error;
+    if (!obs::parse_category_list(opt.trace_mask, mask, mask_error)) {
+        std::fprintf(stderr, "%s\n", mask_error.c_str());
+        usage();
+        return 2;
+    }
+
     const bool observed = !opt.trace_out.empty() || !opt.metrics_out.empty();
     if (observed) {
-        std::uint32_t mask = 0;
-        std::string mask_error;
-        if (!obs::parse_category_list(opt.trace_mask, mask, mask_error)) {
-            std::fprintf(stderr, "%s\n", mask_error.c_str());
-            usage();
-            return 2;
-        }
         if (opt.workload == "selfish") return run_observed(opt, nullptr, factory, mask);
         wl::WorkloadSpec spec;
         if (!pick_workload(opt.workload, spec)) {

@@ -29,6 +29,8 @@ void Gic::set_priority(int irq, std::uint8_t prio) { irqs_.at(irq).priority = pr
 
 void Gic::make_pending(CoreId core, int irq) {
     auto& cs = cpu_.at(core);
+    // sca-suppress(hot-path-alloc): IrqBitset is a fixed 256-bit set;
+    // insert sets a bit.
     cs.pending.insert(irq);
     if (irqs_.at(irq).enabled && signal_) signal_(core);
 }

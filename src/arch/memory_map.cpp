@@ -64,6 +64,8 @@ void paint(std::vector<Run>& runs, std::uint64_t first, std::uint64_t end,
     if (n < k) {
         runs.erase(at, hi);
     } else {
+        // sca-suppress(hot-path-alloc): an FF-A call adds at most two
+        // extents, and the list keeps its capacity as calls undo each other.
         runs.insert(at, parts.begin() + static_cast<std::ptrdiff_t>(k),
                     parts.begin() + static_cast<std::ptrdiff_t>(n));
     }

@@ -1,6 +1,7 @@
 #include "arch/page_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -82,7 +83,10 @@ void PageTable::free_table(std::uint64_t* table, int level) noexcept {
     delete[] table;
 }
 
-PageTable::PageTable(PtFormat format) : fmt_(format) { root_ = new_table(0); }
+PageTable::PageTable(PtFormat format) : fmt_(format) {
+    root_ = new_table(0);
+    log_everything();
+}
 
 PageTable::~PageTable() {
     if (root_ != nullptr) free_table(root_, 0);
@@ -94,7 +98,10 @@ PageTable::PageTable(PageTable&& other) noexcept
       node_count_(other.node_count_),
       mapping_count_(other.mapping_count_),
       mapped_bytes_(other.mapped_bytes_),
-      generation_(++other.generation_) {}
+      generation_(++other.generation_) {
+    log_everything();
+    other.log_everything();
+}
 
 PageTable& PageTable::operator=(PageTable&& other) noexcept {
     if (this != &other) {
@@ -105,9 +112,17 @@ PageTable& PageTable::operator=(PageTable&& other) noexcept {
         mapping_count_ = other.mapping_count_;
         mapped_bytes_ = other.mapped_bytes_;
         generation_ = std::max(generation_, ++other.generation_) + 1;
+        log_everything();
+        other.log_everything();
     }
     return *this;
 }
+
+void PageTable::log_change(std::uint64_t in_base, std::uint64_t size) {
+    changes_[++generation_ % kChangeLog] = {in_base, size};
+}
+
+void PageTable::log_everything() { changes_.fill({0, fmt_.input_limit()}); }
 
 std::uint64_t* PageTable::ensure_child(std::uint64_t* table, std::uint64_t index,
                                        int child_level) {
@@ -123,7 +138,7 @@ void PageTable::map(std::uint64_t in_base, std::uint64_t out_base, std::uint64_t
                     std::uint8_t perms, bool secure, bool force_pages) {
     if (size == 0) return;
     check_range(fmt_, in_base, size, out_base, "map");
-    ++generation_;
+    log_change(in_base, size);
     map_range(root_, 0, in_base, out_base, size, perms, secure, force_pages);
 }
 
@@ -169,7 +184,7 @@ void PageTable::map_range(std::uint64_t* table, int level, std::uint64_t in,
 void PageTable::unmap(std::uint64_t in_base, std::uint64_t size) {
     if (size == 0) return;
     check_range(fmt_, in_base, size, 0, "unmap");
-    ++generation_;
+    log_change(in_base, size);
     unmap_range(root_, 0, in_base, size);
 }
 
@@ -242,7 +257,7 @@ void PageTable::unmap_range(std::uint64_t* table, int level, std::uint64_t in,
 
 void PageTable::protect(std::uint64_t in_base, std::uint64_t size, std::uint8_t perms) {
     check_range(fmt_, in_base, size, 0, "protect");
-    ++generation_;
+    log_change(in_base, size);
     protect_range(root_, 0, in_base, size, perms);
 }
 
@@ -299,19 +314,29 @@ WalkResult PageTable::walk(std::uint64_t addr) const {
     return r;
 }
 
+struct PageTable::RunWalk {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    MappingView run;  // size 0: no run open yet
+    const std::function<void(const MappingView&)>& fn;
+};
+
 void PageTable::for_each_mapping(
     const std::function<void(const MappingView&)>& fn) const {
-    MappingView run;  // size 0: no run open yet
-    visit_mappings(root_, 0, 0, run, fn);
-    if (run.size != 0) fn(run);
+    RunWalk walk{0, fmt_.input_limit(), {}, fn};
+    visit_mappings(walk, root_, 0, 0);
+    if (walk.run.size != 0) fn(walk.run);
 }
 
-void PageTable::visit_mappings(
-    const std::uint64_t* d, int level, std::uint64_t in_base, MappingView& run,
-    const std::function<void(const MappingView&)>& fn) const {
+void PageTable::visit_mappings(RunWalk& walk, const std::uint64_t* d, int level,
+                               std::uint64_t in_base) const {
     const std::uint64_t span = fmt_.span(level);
-    const std::uint64_t n = fmt_.entries(level);
-    for (std::uint64_t i = 0; i < n;) {
+    const int shift = std::countr_zero(span);
+    // The entries that reach into [lo, hi); the recursion keeps hi > in_base.
+    const std::uint64_t first = walk.lo > in_base ? (walk.lo - in_base) >> shift : 0;
+    const std::uint64_t n =
+        std::min(fmt_.entries(level), (walk.hi - in_base + span - 1) >> shift);
+    for (std::uint64_t i = first; i < n;) {
         // Skip invalid descriptors four at a time, then one at a time. A
         // one-wide skip alone runs about x1.3 slower at some placements of
         // this function modulo 64 B.
@@ -321,23 +346,107 @@ void PageTable::visit_mappings(
             if (++i == n) return;
         }
         if (d[i] & kTable) {
-            visit_mappings(table_of(d[i]), level + 1, in_base + i * span, run, fn);
+            visit_mappings(walk, table_of(d[i]), level + 1, in_base + i * span);
             ++i;
             continue;
         }
-        // Extend over the leaves of this table that continue the run.
+        // Extend over the leaves of this table that continue the run, cut
+        // to [lo, hi) where a leaf at either end reaches past it.
         std::uint64_t j = i + 1;
         while (j < n && d[j] == d[j - 1] + span) ++j;
         const std::uint64_t in = in_base + i * span;
-        if (run.size != 0 && in == run.in_base + run.size &&
-            d[i] == leaf(run.out_base + run.size, run.perms, run.secure)) {
-            run.size += (j - i) * span;
+        const std::uint64_t start = std::max(in, walk.lo);
+        const std::uint64_t end = std::min(in_base + j * span, walk.hi);
+        MappingView& run = walk.run;
+        if (run.size != 0 && start == run.in_base + run.size &&
+            d[i] == leaf(run.out_base + run.size - (start - in), run.perms, run.secure)) {
+            run.size += end - start;
         } else {
-            if (run.size != 0) fn(run);
-            run = {in, out_of(d[i]), (j - i) * span, perms_of(d[i]), secure_of(d[i])};
+            if (run.size != 0) walk.fn(run);
+            run = {start, out_of(d[i]) + (start - in), end - start, perms_of(d[i]),
+                   secure_of(d[i])};
         }
         i = j;
     }
+}
+
+void PageTable::refresh_runs(std::vector<MappingView>& runs, std::uint64_t since) const {
+    const std::uint64_t behind = generation_ - since;
+    if (behind == 0) return;
+    if (behind > kChangeLog) {  // the log no longer reaches back
+        runs.clear();
+        refresh_range(runs, 0, fmt_.input_limit());
+        return;
+    }
+    // The ranges changed since then, in input order, merged where they
+    // overlap or touch.
+    std::array<Change, kChangeLog> changed;
+    for (std::uint64_t k = 0; k < behind; ++k) {
+        changed[k] = changes_[(since + 1 + k) % kChangeLog];
+    }
+    const auto last = changed.begin() + static_cast<std::ptrdiff_t>(behind);
+    std::sort(changed.begin(), last,
+              [](const Change& a, const Change& b) { return a.in_base < b.in_base; });
+    for (auto c = changed.begin(); c != last;) {
+        const std::uint64_t lo = c->in_base;
+        std::uint64_t hi = lo + c->size;
+        for (++c; c != last && c->in_base <= hi; ++c) {
+            hi = std::max(hi, c->in_base + c->size);
+        }
+        refresh_range(runs, lo, hi);
+    }
+}
+
+void PageTable::refresh_range(std::vector<MappingView>& runs, std::uint64_t lo,
+                              std::uint64_t hi) const {
+    if (lo == hi) return;  // a protect of no pages
+    // A run depends only on the mappings, which split_block and defrag never
+    // change, so the runs outside [lo, hi) still hold. The stale ones are
+    // those that reach into [lo, hi) or end or start at its edge, where the
+    // walk may join them; what they hold outside [lo, hi) is kept.
+    const auto first = std::partition_point(
+        runs.begin(), runs.end(),
+        [lo](const MappingView& r) { return r.in_base + r.size < lo; });
+    const auto last = std::partition_point(
+        first, runs.end(), [hi](const MappingView& r) { return r.in_base <= hi; });
+    MappingView head;
+    MappingView tail;
+    if (first != last && first->in_base < lo) {
+        head = *first;
+        head.size = lo - head.in_base;
+    }
+    if (first != last && last[-1].in_base + last[-1].size > hi) {
+        tail = last[-1];
+        tail.size = tail.in_base + tail.size - hi;
+        tail.out_base += hi - tail.in_base;
+        tail.in_base = hi;
+    }
+    const auto at = first - runs.begin();
+    const auto stale = last - first;
+    const auto kept = static_cast<std::ptrdiff_t>(runs.size());
+
+    // Walk [lo, hi) with the head as the open run, appending behind the
+    // list, then join the tail on. The list keeps its capacity from one
+    // refresh to the next, so it allocates only while the table grows.
+    const std::function<void(const MappingView&)> append =
+        [&runs](const MappingView& m) { runs.push_back(m); };
+    RunWalk walk{lo, hi, head, append};
+    visit_mappings(walk, root_, 0, 0);
+    MappingView& run = walk.run;
+    if (run.size != 0 && tail.size != 0 && tail.in_base == run.in_base + run.size &&
+        tail.out_base == run.out_base + run.size && tail.perms == run.perms &&
+        tail.secure == run.secure) {
+        run.size += tail.size;
+    } else {
+        if (run.size != 0) append(run);
+        run = tail;
+    }
+    if (run.size != 0) append(run);
+
+    // Put the new runs in place of the stale ones.
+    const auto added = static_cast<std::ptrdiff_t>(runs.size()) - kept;
+    std::rotate(runs.begin() + at, runs.begin() + kept, runs.end());
+    runs.erase(runs.begin() + at + added, runs.begin() + at + added + stale);
 }
 
 }  // namespace hpcsec::arch

@@ -19,8 +19,10 @@
 // again (Hafnium's mm_vm_defrag), so transient carve-outs leave no leaves.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "arch/types.h"
 
@@ -127,6 +129,15 @@ public:
     /// mutate this table.
     void for_each_mapping(const std::function<void(const MappingView&)>& fn) const;
 
+    /// Bring `runs`, the list for_each_mapping reported from this table at
+    /// generation `since`, up to date: it then holds what for_each_mapping
+    /// reports now. An empty list at generation 0 stands for a table never
+    /// read before. While the change log reaches back to `since` (the last
+    /// kChangeLog generations), only the input ranges those calls changed
+    /// are walked: the runs there are cut at the range edges, replaced, and
+    /// joined again at the seams. Otherwise the whole table is walked.
+    void refresh_runs(std::vector<MappingView>& runs, std::uint64_t since) const;
+
     /// Number of live table nodes (root included) — i.e. translation-table
     /// memory footprint in page units.
     [[nodiscard]] std::uint64_t node_count() const { return node_count_; }
@@ -141,11 +152,30 @@ public:
     /// check, before it changes anything (so one that throws part-way bumps
     /// it too), and by a move into or out of this table; a move leaves the
     /// target above both old values. While a table's address and generation
-    /// are unchanged, so are its mappings: check::Auditor re-walks a VM's
-    /// stage-2 only when either moved.
+    /// are unchanged, so are its mappings: check::Auditor re-reads a VM's
+    /// stage-2 runs only when either moved.
     [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
+    /// Generations the change log covers: refresh_runs walks only the
+    /// changed ranges of a list at most this many generations old.
+    static constexpr std::uint64_t kChangeLog = 4;
+
 private:
+    /// The input range one generation's map, unmap or protect may have
+    /// changed: the call's whole range, whatever part of it took effect.
+    struct Change {
+        std::uint64_t in_base = 0;
+        std::uint64_t size = 0;
+    };
+    /// One walk of the runs inside [lo, hi): the run it has open, and where
+    /// it hands each finished run.
+    struct RunWalk;
+
+    /// Move to the next generation, logging the range it changes.
+    void log_change(std::uint64_t in_base, std::uint64_t size);
+    /// Log the whole input range at every generation the log covers (on
+    /// construction and on a move into or out of this table).
+    void log_everything();
     // A table is one array of fmt_.entries(level) descriptors.
     [[nodiscard]] std::uint64_t* new_table(int level);
     void free_table(std::uint64_t* table, int level) noexcept;
@@ -160,9 +190,10 @@ private:
                      std::uint64_t size);
     void protect_range(std::uint64_t* table, int level, std::uint64_t in,
                        std::uint64_t size, std::uint8_t perms);
-    void visit_mappings(const std::uint64_t* table, int level, std::uint64_t in_base,
-                        MappingView& run,
-                        const std::function<void(const MappingView&)>& fn) const;
+    void visit_mappings(RunWalk& walk, const std::uint64_t* table, int level,
+                        std::uint64_t in_base) const;
+    void refresh_range(std::vector<MappingView>& runs, std::uint64_t lo,
+                       std::uint64_t hi) const;
 
     PtFormat fmt_;
     std::uint64_t* root_ = nullptr;
@@ -170,6 +201,8 @@ private:
     std::uint64_t mapping_count_ = 0;
     std::uint64_t mapped_bytes_ = 0;
     std::uint64_t generation_ = 0;
+    /// changes_[g % kChangeLog] is the range generation g changed.
+    std::array<Change, kChangeLog> changes_{};
 };
 
 }  // namespace hpcsec::arch

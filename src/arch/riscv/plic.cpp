@@ -32,6 +32,8 @@ void Plic::set_priority(int irq, std::uint8_t prio) {
 
 void Plic::make_pending(CoreId core, int irq) {
     auto& hs = harts_.at(core);
+    // sca-suppress(hot-path-alloc): IrqBitset is a fixed 256-bit set;
+    // insert sets a bit.
     hs.pending.insert(irq);
     if (sources_.at(irq).enabled && signal_) signal_(core);
 }

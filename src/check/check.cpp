@@ -148,6 +148,8 @@ void Auditor::record(CheckFailure f) {
     std::string key = std::to_string(static_cast<int>(f.rule)) + '|' +
                       std::to_string(f.vm) + '|' + std::to_string(f.vcpu) + '|' +
                       f.description;
+    // sca-suppress(hot-path-alloc): record runs only on a failed check, and
+    // adds an entry only for a new finding.
     if (!seen_.insert(std::move(key)).second) return;  // already reported
     auto& platform = spm_->platform();
     platform.recorder().instant(platform.engine().now(), obs::EventType::kCheckFail,
@@ -159,6 +161,8 @@ void Auditor::record(CheckFailure f) {
     // Post-mortem context: every *new* finding flushes the flight recorder
     // (no-op when disarmed) — before the strict throw, so the dump exists
     // even when the violation unwinds the run.
+    // sca-suppress(hot-path-alloc): a dump copies the rings once per new
+    // finding, off the steady state like the push_back above.
     platform.flight().dump("check-violation");
     // sca-suppress(no-throw-guest-path): strict mode is the documented
     // fail-stop contract — an isolation violation must abort the run, not
@@ -220,13 +224,14 @@ const std::vector<arch::PageTable::MappingView>& Auditor::stage2_runs(
     if (slot >= stage2_runs_.size()) stage2_runs_.resize(slot + 1);
     Stage2Runs& cached = stage2_runs_[slot];
     const arch::PageTable& table = vm.stage2();
-    if (cached.table != &table || cached.generation != table.generation()) {
+    if (cached.table != &table) {  // never read: an empty list at generation 0
         cached.table = &table;
-        cached.generation = table.generation();
+        cached.generation = 0;
         cached.runs.clear();
-        table.for_each_mapping([&cached](const arch::PageTable::MappingView& m) {
-            cached.runs.push_back(m);
-        });
+    }
+    if (cached.generation != table.generation()) {
+        table.refresh_runs(cached.runs, cached.generation);
+        cached.generation = table.generation();
     }
     return cached.runs;
 }

@@ -139,8 +139,9 @@ private:
         bool secure = false;
     };
 
-    /// One VM's stage-2 maximal runs as for_each_mapping reported them from
-    /// `table` at `generation`. `table` is only ever compared, never read.
+    /// One VM's stage-2 maximal runs as for_each_mapping would report them
+    /// from `table` at `generation`. `table` is only ever compared, never
+    /// read.
     struct Stage2Runs {
         const arch::PageTable* table = nullptr;
         std::uint64_t generation = 0;
@@ -149,8 +150,9 @@ private:
 
     void record(CheckFailure f);  ///< dedup, retain, obs event, strict throw
 
-    /// `vm`'s stage-2 runs, re-walked only when its table's address or
-    /// generation changed since the last walk. Runs, never verdicts: every
+    /// `vm`'s stage-2 runs, brought up to date by PageTable::refresh_runs
+    /// when its table's generation moved (a table at a new address starts
+    /// from an empty list at generation 0). Runs, never verdicts: every
     /// audit checks each run against the live memory map and grants.
     const std::vector<arch::PageTable::MappingView>& stage2_runs(const hafnium::Vm& vm);
 

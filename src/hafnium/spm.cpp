@@ -472,6 +472,7 @@ sim::Cycles Spm::drain_virqs(Vcpu& vcpu) {
 }
 
 void Spm::inject_virq(Vcpu& vcpu, int virq) {
+    // sca-suppress(hot-path-alloc): the vGIC sets are fixed IrqBitsets.
     vcpu.vgic.pending.insert(virq);
     if (vcpu.state() == VcpuState::kBlocked) {
         wake_vcpu(vcpu);
@@ -735,6 +736,7 @@ HfResult Spm::on_interrupt_enable(arch::CoreId core, arch::VmId caller,
                               ? &cvm.vcpu(a.vcpu)
                               : nullptr);
     if (target == nullptr) return {HfError::kInvalid, 0};
+    // sca-suppress(hot-path-alloc): the vGIC sets are fixed IrqBitsets.
     target->vgic.enabled.insert(a.virq);
     return {HfError::kOk, 0};
 }

@@ -154,13 +154,9 @@ bool KittenKernel::migrate_vcpu(arch::VmId vm_id, int vcpu, arch::CoreId new_cor
 
 void KittenKernel::enqueue(KThread& thread, bool front) {
     auto& q = runq_[static_cast<std::size_t>(thread.core)];
-    if (front) {
-        q.insert(q.begin(), &thread);
-    } else {
-        // sca-suppress(hot-path-alloc): run-queue depth is bounded by the
-        // task count, and the vector keeps its capacity once warmed.
-        q.push_back(&thread);
-    }
+    // sca-suppress(hot-path-alloc): run-queue depth is bounded by the task
+    // count, and the vector keeps its capacity once warmed.
+    q.insert(front ? q.begin() : q.end(), &thread);
 }
 
 void KittenKernel::wake(KThread& thread) {

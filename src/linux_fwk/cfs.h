@@ -79,7 +79,7 @@ private:
 
     /// Set semantics over ByVruntime: an entity whose key is already queued
     /// is not queued twice.
-    void insert(SchedEntity& se);
+    void insert_sorted(SchedEntity& se);
 
     Tunables tun_{};
     /// Queued entities in descending ByVruntime order, so the leftmost is

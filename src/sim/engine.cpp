@@ -49,6 +49,8 @@ void Engine::count_dispatch(SimTime when, int priority) {
     auto it = by_priority_.begin();
     for (; it != by_priority_.end() && it->priority < priority; ++it) {}
     if (it == by_priority_.end() || it->priority != priority) {
+        // sca-suppress(hot-path-alloc): one entry per event priority, added
+        // on the first dispatch at that priority.
         it = by_priority_.insert(it, {priority, 0});
     }
     ++it->executed;

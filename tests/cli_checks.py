@@ -3,10 +3,14 @@
 
     cli_checks.py failed-run PATH/TO/hpcsec_cli
     cli_checks.py flight-dumps PATH/TO/hpcsec_cli
+    cli_checks.py trace-mask PATH/TO/hpcsec_cli
 
 failed-run: HPCG under chaos kills with the restart policy cannot finish
 within the harness timeout; the CLI must print one
 "hpcsec_cli: error: ..." line to stderr and exit 1, not abort.
+
+trace-mask: an unknown --trace-mask token exits 2 with the usage even when
+no --trace-out or --metrics-out would use the mask, and a known one runs.
 
 flight-dumps: the observability soak runs at --jobs 1 and at --jobs 4, each
 in its own temporary directory. Both runs must print the same stdout and
@@ -41,6 +45,19 @@ def failed_run(cli):
         fail(f"expected one 'hpcsec_cli: error: ' line on stderr, got:\n{r.stderr}")
 
 
+def trace_mask(cli):
+    r = subprocess.run([cli, "--trace-mask", "mmu"], capture_output=True, text=True,
+                       timeout=120)
+    if r.returncode != 2 or "usage:" not in r.stderr:
+        fail(f"--trace-mask mmu: expected exit 2 with the usage, got {r.returncode}; "
+             f"stderr:\n{r.stderr}")
+    r = subprocess.run([cli, "--workload", "lu", "--trials", "1", "--trace-mask", "irq,vm"],
+                       capture_output=True, text=True, timeout=120)
+    if r.returncode != 0:
+        fail(f"--trace-mask irq,vm: expected exit 0, got {r.returncode}; "
+             f"stderr:\n{r.stderr}")
+
+
 def soak(cli, jobs, workdir):
     r = subprocess.run([cli, *SOAK_ARGS, "--jobs", str(jobs)], cwd=workdir,
                        capture_output=True, text=True, timeout=120)
@@ -73,7 +90,8 @@ def flight_dumps(cli):
 
 
 def main():
-    checks = {"failed-run": failed_run, "flight-dumps": flight_dumps}
+    checks = {"failed-run": failed_run, "flight-dumps": flight_dumps,
+              "trace-mask": trace_mask}
     if len(sys.argv) != 3 or sys.argv[1] not in checks:
         fail(f"usage: {sys.argv[0]} {{{'|'.join(checks)}}} PATH/TO/hpcsec_cli")
     checks[sys.argv[1]](str(Path(sys.argv[2]).resolve()))

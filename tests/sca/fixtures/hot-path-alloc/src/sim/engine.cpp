@@ -1,3 +1,4 @@
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -9,8 +10,11 @@ struct Timer {
 struct Engine {
     void dispatch_one();
     void drain();
+    void reindex();
     std::vector<int> log_;
     std::vector<int> slab_;
+    std::vector<int> index_;
+    std::map<int, int> by_key_;
 };
 
 // Reached only via the hot_path_extra_edges std::function seam.
@@ -21,6 +25,7 @@ void Timer::fire() {
 void Engine::dispatch_one() {
     log_.emplace_back(7);  // finding: heap growth in the dispatch loop
     drain();
+    reindex();
 }
 
 void Engine::drain() {
@@ -30,8 +35,20 @@ void Engine::drain() {
     delete[] scratch;
 }
 
+// Every growing container call, not only the push_back family.
+void Engine::reindex() {
+    index_.insert(index_.begin(), 1);  // finding: a front insert may grow
+    by_key_.emplace(1, 2);             // finding: a node allocation
+    index_.resize(8);                  // finding: heap growth
+    index_.assign(4, 0);               // finding: heap growth
+    // sca-suppress(hot-path-alloc): bounded, warmed before steady state
+    slab_.insert(slab_.end(), 5);
+}
+
 // Not reachable from any entry point: no finding even though it allocates.
 void cold_report() {
     auto buf = std::make_unique<int[]>(64);
     (void)buf;
+    std::vector<int> rows;
+    rows.resize(64);
 }

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/memory_map.h"
@@ -821,6 +823,123 @@ TEST_P(PageTableRuns, SparseTableEdgesMatchPerPageModel) {
         }
     }
     EXPECT_EQ(pages, model.size());
+}
+
+// refresh_runs must leave a cached run list equal to a full walk, whether
+// it walks the logged ranges or, once more calls than the log holds went by,
+// the whole table. Random map, unmap and protect calls over a 1 GiB window
+// and the 2 MiB blocks after it split and fold blocks, force pages, throw
+// part-way on an overlap or an unmapped page, and move the table out and
+// back in or replace it, 1-6 calls between refreshes. A third of the ranges
+// start or end at the edge of a run, where a refresh must join or cut.
+TEST_P(PageTableRuns, RefreshedRunsMatchAFullWalk) {
+    const PtFormat fmt = GetParam().fmt;
+    constexpr IpaAddr kBase = kGiB;
+    constexpr IpaAddr kEnd = 2 * kGiB + 4 * k2MiB;
+    constexpr std::uint64_t kLinear = 3 * kGiB;  // the usual output offset
+    const std::uint8_t kMapPerms[] = {kPermRW, kPermRW, kPermRWX, kPermR};
+    const std::uint8_t kProtectPerms[] = {kPermRW, kPermRW, kPermRWX, kPermR, kPermNone};
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        sim::Rng rng(seed);
+        PageTable pt(fmt);
+        std::vector<PageTable::MappingView> cached;  // empty at generation 0
+        std::uint64_t at = 0;
+        int ranged = 0;
+        int full = 0;
+        int part_mapped = 0;  // maps that threw after mapping some pages
+        int protect_throws = 0;
+
+        // A range of whole blocks, of pages near a block edge, or of pages
+        // on either side of an edge of a current run, clamped to the window.
+        const auto pick_range = [&](IpaAddr& in, std::uint64_t& size) {
+            const std::uint64_t pages = 1 + rng.next_below(64);
+            const std::uint64_t shape = rng.next_below(3);
+            std::vector<PageTable::MappingView> now;
+            if (shape == 2) {
+                pt.for_each_mapping(
+                    [&now](const PageTable::MappingView& m) { now.push_back(m); });
+            }
+            if (shape == 0) {
+                in = kBase + rng.next_below((kEnd - kBase) / k2MiB) * k2MiB;
+                size = (1 + rng.next_below(3)) * k2MiB;
+            } else if (shape == 1 || now.empty()) {
+                in = kBase + rng.next_below((kEnd - kBase) / k2MiB) * k2MiB +
+                     (rng.next_below(2) == 0 ? 0 : k2MiB - 16 * kPageSize) +
+                     rng.next_below(16) * kPageSize;
+                size = pages * kPageSize;
+            } else {
+                const PageTable::MappingView& r = now[rng.next_below(now.size())];
+                const IpaAddr edge = rng.next_below(2) == 0 ? r.in_base : r.in_base + r.size;
+                size = pages * kPageSize;
+                in = rng.next_below(2) == 0 ? edge : std::max(kBase + size, edge) - size;
+            }
+            in = std::clamp(in, kBase, kEnd - kPageSize);
+            size = std::min(size, kEnd - in);
+        };
+
+        for (int step = 0; step < 150; ++step) {
+            const std::uint64_t calls = 1 + rng.next_below(6);
+            for (std::uint64_t c = 0; c < calls; ++c) {
+                IpaAddr in = 0;
+                std::uint64_t size = 0;
+                pick_range(in, size);
+                const std::uint64_t kind = rng.next_below(20);
+                if (kind < 8) {
+                    const std::uint64_t out =
+                        rng.next_below(4) != 0
+                            ? in + kLinear
+                            : (8 * kGiB + rng.next_below(64) * k2MiB) | (in & (k2MiB - 1));
+                    const std::uint64_t mapped = pt.mapped_bytes();
+                    try {
+                        pt.map(in, out, size, kMapPerms[rng.next_below(4)],
+                               /*secure=*/rng.next_below(8) == 0,
+                               /*force_pages=*/rng.next_below(4) == 0);
+                    } catch (const std::logic_error&) {
+                        // An overlap: the pages before it stay mapped.
+                        if (pt.mapped_bytes() != mapped) ++part_mapped;
+                    }
+                } else if (kind < 13) {
+                    pt.unmap(in, size);
+                } else if (kind < 19) {
+                    try {
+                        pt.protect(in, size, kProtectPerms[rng.next_below(5)]);
+                    } catch (const std::logic_error&) {
+                        ++protect_throws;  // an unmapped page
+                    }
+                } else if (rng.next_below(4) != 0) {
+                    PageTable out_of_place(std::move(pt));
+                    pt = std::move(out_of_place);
+                } else {
+                    pt = PageTable(fmt);  // as Spm::destroy_vm drops a stage-2
+                }
+            }
+
+            (pt.generation() - at > PageTable::kChangeLog ? full : ranged) += 1;
+            pt.refresh_runs(cached, at);
+            at = pt.generation();
+
+            std::vector<PageTable::MappingView> walked;
+            pt.for_each_mapping(
+                [&walked](const PageTable::MappingView& m) { walked.push_back(m); });
+            ASSERT_EQ(cached.size(), walked.size()) << "step " << step;
+            for (std::size_t k = 0; k < walked.size(); ++k) {
+                SCOPED_TRACE(::testing::Message() << "step " << step << " run " << k);
+                ASSERT_EQ(cached[k].in_base, walked[k].in_base);
+                ASSERT_EQ(cached[k].out_base, walked[k].out_base);
+                ASSERT_EQ(cached[k].size, walked[k].size);
+                ASSERT_EQ(cached[k].perms, walked[k].perms);
+                ASSERT_EQ(cached[k].secure, walked[k].secure);
+            }
+        }
+        // Both paths ran (the ranged refresh and the full-walk fallback), and
+        // so did a map that threw part-way and a protect that threw.
+        EXPECT_GT(ranged, 0);
+        EXPECT_GT(full, 0);
+        EXPECT_GT(part_mapped, 0);
+        EXPECT_GT(protect_throws, 0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, PageTableRuns, ::testing::ValuesIn(kFormats),
