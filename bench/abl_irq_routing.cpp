@@ -78,14 +78,11 @@ int main(int argc, char** argv) {
         }
     }
     // Every combo builds a private Node inside run(), so the storm runs fan
-    // across workers; the table prints after the fan-in, in sweep order.
+    // across threads; the table prints after the join, in sweep order.
     std::vector<Result> results(combos.size());
-    {
-        core::ThreadPool pool(jobs);
-        core::parallel_for_indexed(pool, combos.size(), [&](std::size_t i) {
-            results[i] = run(combos[i].policy, combos[i].rate, 10.0);
-        });
-    }
+    core::parallel_for(jobs, combos.size(), [&](std::size_t i) {
+        results[i] = run(combos[i].policy, combos[i].rate, 10.0);
+    });
     for (std::size_t i = 0; i < combos.size(); ++i) {
         const Result& r = results[i];
         const char* name =

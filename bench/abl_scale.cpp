@@ -44,17 +44,14 @@ int main(int argc, char** argv) {
     std::printf("   (parallel efficiency)\n");
 
     // Trace collection builds private Nodes per config, so the three
-    // configurations fan across workers; results land in config order.
+    // configurations fan across threads; results land in config order.
     std::vector<std::vector<cluster::ScaleResult>> results(3);
-    {
-        core::ThreadPool pool(jobs);
-        core::parallel_for_indexed(pool, core::kAllConfigs.size(), [&](std::size_t k) {
-            const auto traces =
-                cluster::collect_traces(core::kAllConfigs[k], spec, samples, 555);
-            cluster::ScaleModel model(traces, clock);
-            results[k] = model.sweep(nodes, 5, 777);
-        });
-    }
+    core::parallel_for(jobs, core::kAllConfigs.size(), [&](std::size_t k) {
+        const auto traces =
+            cluster::collect_traces(core::kAllConfigs[k], spec, samples, 555);
+        cluster::ScaleModel model(traces, clock);
+        results[k] = model.sweep(nodes, 5, 777);
+    });
     obs::BenchReport report("abl_scale");
     static constexpr const char* kTags[3] = {"native", "kitten", "linux"};
     for (std::size_t i = 0; i < nodes.size(); ++i) {

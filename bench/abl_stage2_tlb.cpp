@@ -34,34 +34,30 @@ int main(int argc, char** argv) {
         double st_norm = 0.0;
     };
     std::vector<Point> points(walks.size());
-    {
-        // Each walk value runs a private Harness (and thus private Nodes), so
-        // the sweep points fan across workers without sharing any state; the
-        // table below is printed after the fan-in, in sweep order.
-        core::ThreadPool pool(jobs);
-        core::parallel_for_indexed(pool, walks.size(), [&](std::size_t i) {
-            const sim::Cycles walk = walks[i];
-            core::Harness::Options opt;
-            opt.trials = 1;
-            opt.measurement_noise = false;
-            opt.config_factory = [walk](core::SchedulerKind kind,
-                                        std::uint64_t seed) {
-                core::NodeConfig cfg = core::Harness::default_config(kind, seed);
-                cfg.platform.perf.nested_walk = walk;
-                return cfg;
-            };
-            core::Harness h(opt);
-            const double ra_native =
-                h.run_trial(core::SchedulerKind::kNativeKitten, ra, 9).score;
-            const double ra_virt =
-                h.run_trial(core::SchedulerKind::kKittenPrimary, ra, 9).score;
-            const double st_native =
-                h.run_trial(core::SchedulerKind::kNativeKitten, st, 9).score;
-            const double st_virt =
-                h.run_trial(core::SchedulerKind::kKittenPrimary, st, 9).score;
-            points[i] = {ra_virt / ra_native, st_virt / st_native};
-        });
-    }
+    // Each walk value runs a private Harness (and thus private Nodes), so
+    // the sweep points fan across threads without sharing any state; the
+    // table below is printed after the join, in sweep order.
+    core::parallel_for(jobs, walks.size(), [&](std::size_t i) {
+        const sim::Cycles walk = walks[i];
+        core::Harness::Options opt;
+        opt.trials = 1;
+        opt.measurement_noise = false;
+        opt.config_factory = [walk](core::SchedulerKind kind, std::uint64_t seed) {
+            core::NodeConfig cfg = core::Harness::default_config(kind, seed);
+            cfg.platform.perf.nested_walk = walk;
+            return cfg;
+        };
+        core::Harness h(opt);
+        const double ra_native =
+            h.run_trial(core::SchedulerKind::kNativeKitten, ra, 9).score;
+        const double ra_virt =
+            h.run_trial(core::SchedulerKind::kKittenPrimary, ra, 9).score;
+        const double st_native =
+            h.run_trial(core::SchedulerKind::kNativeKitten, st, 9).score;
+        const double st_virt =
+            h.run_trial(core::SchedulerKind::kKittenPrimary, st, 9).score;
+        points[i] = {ra_virt / ra_native, st_virt / st_native};
+    });
     for (std::size_t i = 0; i < walks.size(); ++i) {
         std::printf("%-18llu %16.4f %16.4f\n",
                     static_cast<unsigned long long>(walks[i]), points[i].ra_norm,

@@ -1,7 +1,8 @@
 // Shared argv handling for the bench binaries: every sweep accepts
-// `--jobs N` (N = worker threads for fanning independent runs; 0 = one per
-// hardware thread, 1 = legacy serial). The flag is extracted in place so
-// each bench's positional arguments keep their indices.
+// `--jobs N` (N = threads for fanning independent runs through
+// core::parallel_for; 0 = one per hardware thread, 1 = the same path on the
+// calling thread). The flag is extracted in place so each bench's
+// positional arguments keep their indices.
 #pragma once
 
 #include <cstdlib>

@@ -12,10 +12,11 @@
 // down nodes (each summed over the fleet's nodes, so at --jobs N they add up
 // the workers' time), simulated events per second of run time, mean arena
 // bytes/node, projected parallel efficiency, and peak RSS. The trial
-// fan-out goes through core::ThreadPool; results are merged in node-index
-// order, and the sweep is run at --jobs 1 and at the requested --jobs with
-// the deterministic outputs compared byte-for-byte (host-time metrics are
-// reported separately and excluded from the comparison).
+// fan-out goes through core::parallel_for (at --jobs 1, on the calling
+// thread); results are merged in node-index order, and the sweep is run at
+// --jobs 1 and at the requested --jobs with the deterministic outputs
+// compared byte-for-byte (host-time metrics are reported separately and
+// excluded from the comparison).
 //
 // Usage: fleet_scaling [--jobs N] [--floor FILE] [counts...]
 //   counts  fleet sizes to sweep (default: 10 100 1000 10000)
@@ -72,8 +73,8 @@ struct NodeSample {
     double teardown_s = 0.0;  ///< Node destruction + arena reset
 };
 
-/// One fleet point: `nodes` detailed trials fanned across the pool, each
-/// worker reusing a thread-local arena (reset between trials = O(1)
+/// One fleet point: `nodes` detailed trials fanned across `jobs` threads,
+/// each reusing a thread-local arena (reset between trials = O(1)
 /// teardown), then a scale-model projection over the traces.
 struct FleetPoint {
     int nodes = 0;
@@ -86,14 +87,13 @@ struct FleetPoint {
     double teardown_s = 0.0;
 };
 
-FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
-                     const wl::WorkloadSpec& spec, std::uint64_t base_seed) {
+FleetPoint run_fleet(int jobs, int nodes, const wl::WorkloadSpec& spec,
+                     std::uint64_t base_seed) {
     std::vector<NodeSample> samples(static_cast<std::size_t>(nodes));
-    core::parallel_for_indexed(pool, static_cast<std::size_t>(nodes),
-                               [&](std::size_t i) {
-        // One arena per worker thread, reused for every trial the worker
-        // picks up: teardown is Node dtor + arena.reset() (dtor sweep +
-        // pointer rewind), and the warmed chunks serve the next trial.
+    core::parallel_for(jobs, static_cast<std::size_t>(nodes), [&](std::size_t i) {
+        // One arena per thread, reused for every trial the thread picks up:
+        // teardown is Node dtor + arena.reset() (dtor sweep + pointer
+        // rewind), and the warmed chunks serve the next trial.
         static thread_local sim::Arena arena;
         core::NodeConfig cfg = core::Harness::default_config(
             core::SchedulerKind::kKittenPrimary,
@@ -156,10 +156,9 @@ SweepRun run_sweep(int jobs, const std::vector<int>& counts,
                    const wl::WorkloadSpec& spec) {
     SweepRun run;
     const Clock::time_point t0 = Clock::now();
-    core::ThreadPool pool(jobs);
     run.points.reserve(counts.size());
     for (const int n : counts) {
-        run.points.push_back(run_fleet(pool, n, spec, /*base_seed=*/20210101));
+        run.points.push_back(run_fleet(jobs, n, spec, /*base_seed=*/20210101));
     }
     run.wall_s = seconds(t0, Clock::now());
 
@@ -187,8 +186,7 @@ double peak_rss_mib() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    int jobs = benchargs::parse_jobs(argc, argv, 8);
-    if (jobs <= 0) jobs = core::ThreadPool::default_jobs();
+    const int jobs = core::resolve_jobs(benchargs::parse_jobs(argc, argv, 8));
 
     std::string floor_file;
     std::vector<int> counts;

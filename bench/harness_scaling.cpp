@@ -8,7 +8,7 @@
 // seconds, simulated events per wall-clock second, and speedup vs serial.
 // Speedup tracks host cores: a 1-core container reports ~1.0 by
 // construction, a 4-core host ~3x+ at --jobs 4 (trials are embarrassingly
-// parallel; the residual is the serialized merge + pool fan-in).
+// parallel; the residual is the serialized merge + thread start and join).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

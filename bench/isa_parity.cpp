@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const arch::Isa isas[] = {arch::Isa::kArm, arch::Isa::kRiscv};
 
     // One job per (ISA, config) cell, fanned out together; a cell's node
-    // is private, so cross-ISA runs can share the worker pool.
+    // is private, so cross-ISA runs can share the fan-out.
     std::vector<core::SelfishJob> runs;
     for (const arch::Isa isa : isas) {
         for (const auto& cfg : configs) {

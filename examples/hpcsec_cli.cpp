@@ -5,10 +5,11 @@
 //              [--config native|kitten|linux] [--trials N] [--seed S]
 //              [--isa arm|riscv]        (machine-model backend: ARMv8+GIC or
 //                                        RISC-V H-extension+PLIC; default arm)
-//              [--jobs N]               (worker threads for trial fan-out;
+//              [--jobs N]               (threads for trial fan-out;
 //                                        default = hardware threads, 1 =
-//                                        legacy serial path; outputs are
-//                                        bit-identical for every N)
+//                                        the same path on the calling
+//                                        thread; outputs are bit-identical
+//                                        for every N)
 //              [--seconds S]            (selfish duration)
 //              [--super-secondary] [--secure] [--selective-routing]
 //              [--tick-hz HZ]           (primary tick rate override)
@@ -57,7 +58,6 @@
 #include "arch/isa.h"
 #include "check/check.h"
 #include "core/harness.h"
-#include "core/parallel.h"
 #include "hafnium/hypercall.h"
 #include "obs/events.h"
 #include "obs/profiler.h"
@@ -80,7 +80,7 @@ struct CliOptions {
     std::string config = "kitten";
     arch::Isa isa = arch::Isa::kArm;
     int trials = 3;
-    int jobs = 0;  // 0 = one worker per hardware thread
+    int jobs = 0;  // 0 = one thread per hardware thread
     std::uint64_t seed = 42;
     double seconds = 10.0;
     bool super_secondary = false;
@@ -527,6 +527,11 @@ int run_observed(const CliOptions& opt, const wl::WorkloadSpec* spec,
                  std::uint32_t mask) {
     const core::NodeConfig probe = factory(core::SchedulerKind::kKittenPrimary,
                                            opt.seed);
+    auto recorded = [&factory, mask](core::SchedulerKind k, std::uint64_t seed) {
+        core::NodeConfig cfg = factory(k, seed);
+        cfg.platform.obs_mask |= mask;
+        return cfg;
+    };
     obs::TraceExporter exporter(sim::ClockSpec{probe.platform.clock_hz});
     core::ExperimentRow row;
     ResilTotals totals;
@@ -544,8 +549,7 @@ int run_observed(const CliOptions& opt, const wl::WorkloadSpec* spec,
             hopt.trials = 1;
             hopt.jobs = 1;  // exporter processes must append in config order
             hopt.base_seed = opt.seed;
-            hopt.config_factory = factory;
-            hopt.obs_mask = mask;
+            hopt.config_factory = recorded;
             hopt.pre_trial = make_pre_trial(opt, totals);
             hopt.post_trial = [&](core::SchedulerKind, std::uint64_t,
                                   core::Node& node) {
@@ -569,8 +573,7 @@ int run_observed(const CliOptions& opt, const wl::WorkloadSpec* spec,
                         spec->name.c_str(), kConfigNames[c], r.score,
                         spec->metric.c_str(), r.seconds);
         } else {
-            core::NodeConfig cfg = factory(kind, opt.seed);
-            cfg.platform.obs_mask |= mask;
+            const core::NodeConfig cfg = recorded(kind, opt.seed);
             const auto series =
                 core::run_selfish_experiment(kind, opt.seconds, opt.seed, &cfg);
             exporter.add_process(static_cast<int>(c), kConfigNames[c],
@@ -679,7 +682,7 @@ int run(int argc, char** argv) {
 
     core::Harness::Options hopt;
     hopt.trials = opt.trials;
-    hopt.jobs = opt.jobs;  // 0 = one worker per hardware thread
+    hopt.jobs = opt.jobs;  // 0 = one thread per hardware thread
     hopt.base_seed = opt.seed;
     hopt.config_factory = factory;
     hopt.obs_window = opt.obs_window;

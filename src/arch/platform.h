@@ -1,8 +1,8 @@
 // Machine assembly: everything below the software stack.
 //
 // A Platform owns the simulation engine, physical memory, the interrupt
-// controller (GIC or PLIC, per the configured ISA), cores (MMU + timer +
-// executor each), and the monitor — the pieces a real SoC provides. Presets
+// controller (GIC or PLIC, per the configured ISA), cores (timer + executor
+// each), and the monitor — the pieces a real SoC provides. Presets
 // mirror the hardware the paper used: the Pine A64-LTS evaluation board and
 // the QEMU virt profile Kitten also supports; any preset can be re-based
 // onto the RISC-V backend by setting PlatformConfig::isa.

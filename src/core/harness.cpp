@@ -29,38 +29,29 @@ NodeConfig Harness::default_config(SchedulerKind kind, std::uint64_t seed) {
 
 TrialResult Harness::run_trial(SchedulerKind kind, const wl::WorkloadSpec& spec,
                                std::uint64_t seed) {
-    return run_trial_impl(kind, spec, seed, nullptr);
+    std::mutex callback_mutex;
+    return run_trial_impl(kind, spec, seed, callback_mutex);
 }
 
-// callback_mutex is non-null on pooled workers: everything user-provided
-// (config_factory, pre_trial, post_trial, attachment destruction) runs
-// mutually exclusive so existing single-threaded rigging keeps working.
-// The trial body itself — one private Node — runs lock-free.
+// Everything user-provided (config_factory, pre_trial, post_trial,
+// attachment destruction) runs under callback_mutex, so single-threaded
+// rigging keeps working when trials fan out. The trial body itself — one
+// private Node — runs lock-free.
 TrialResult Harness::run_trial_impl(SchedulerKind kind,
                                     const wl::WorkloadSpec& spec,
                                     std::uint64_t seed,
-                                    std::mutex* callback_mutex) {
-    auto locked = [callback_mutex] {
-        return callback_mutex != nullptr ? std::unique_lock<std::mutex>(*callback_mutex)
-                                         : std::unique_lock<std::mutex>();
-    };
+                                    std::mutex& callback_mutex) {
     NodeConfig cfg;
     {
-        auto lock = locked();
+        std::lock_guard<std::mutex> lock(callback_mutex);
         cfg = options_.config_factory(kind, seed);
-    }
-    cfg.platform.obs_mask |= options_.obs_mask;
-    if (options_.isa) cfg.platform.isa = *options_.isa;
-    if (options_.check_mode != check::Mode::kOff) {
-        cfg.check_mode = options_.check_mode;
-        cfg.check_period = options_.check_period;
     }
     Node node(std::move(cfg));
     // Declared after node so it is torn down first even when a trial throws.
     std::shared_ptr<void> attachment;
     node.boot();
     if (options_.pre_trial) {
-        auto lock = locked();
+        std::lock_guard<std::mutex> lock(callback_mutex);
         attachment = options_.pre_trial(kind, seed, node);
     }
     wl::ParallelWorkload workload(spec);
@@ -79,35 +70,20 @@ TrialResult Harness::run_trial_impl(SchedulerKind kind,
     }
     r.metrics = node.publish_metrics();
     {
-        auto lock = locked();
+        std::lock_guard<std::mutex> lock(callback_mutex);
         if (options_.post_trial) options_.post_trial(kind, seed, node);
         attachment.reset();
     }
     return r;
 }
 
-int Harness::effective_jobs(std::size_t tasks) const {
-    int jobs = options_.jobs;
-    if (jobs <= 0) jobs = ThreadPool::default_jobs();
-    return static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs), tasks));
-}
-
 std::vector<TrialResult> Harness::run_trials(
     SchedulerKind kind, const wl::WorkloadSpec& spec,
     const std::vector<std::uint64_t>& seeds) {
     std::vector<TrialResult> results(seeds.size());
-    const int jobs = effective_jobs(seeds.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < seeds.size(); ++i) {
-            results[i] = run_trial_impl(kind, spec, seeds[i], nullptr);
-        }
-        return results;
-    }
     std::mutex callback_mutex;
-    ThreadPool pool(jobs);
-    parallel_for_indexed(pool, seeds.size(), [&](std::size_t i) {
-        results[i] = run_trial_impl(kind, spec, seeds[i], &callback_mutex);
+    parallel_for(options_.jobs, seeds.size(), [&](std::size_t i) {
+        results[i] = run_trial_impl(kind, spec, seeds[i], callback_mutex);
     });
     return results;
 }
@@ -116,49 +92,15 @@ ExperimentRow Harness::run_row(const wl::WorkloadSpec& spec) {
     return run_rows({spec}).front();
 }
 
+// The full specs x configs x trials cross-product fans out as one flat task
+// list, and results merge *eagerly* in task order — a cursor under the merge
+// mutex folds every completed prefix task into the row aggregates and drops
+// its snapshot immediately. Every RunningStats/MetricsAggregate sees the
+// same sequence of adds at every jobs value (bit-identical output), and
+// snapshot memory stays bounded by the out-of-order window (~O(jobs))
+// instead of O(specs x configs x trials).
 std::vector<ExperimentRow> Harness::run_rows(
     const std::vector<wl::WorkloadSpec>& specs) {
-    const std::size_t ntasks =
-        specs.size() * kAllConfigs.size() * static_cast<std::size_t>(options_.trials);
-    const int jobs = effective_jobs(ntasks);
-    if (jobs > 1) return run_rows_parallel(specs, jobs);
-
-    std::vector<ExperimentRow> rows;
-    rows.reserve(specs.size());
-    for (const auto& spec : specs) {
-        ExperimentRow row;
-        row.workload = spec.name;
-        row.metric = spec.metric;
-        if (options_.obs_window > 0) {
-            for (auto& agg : row.metrics) {
-                agg.set_window(static_cast<std::size_t>(options_.obs_window));
-            }
-        }
-        for (std::size_t c = 0; c < kAllConfigs.size(); ++c) {
-            sim::RunningStats stats;
-            for (int t = 0; t < options_.trials; ++t) {
-                const TrialResult r =
-                    run_trial_impl(kAllConfigs[c], spec, trial_seed(c, t), nullptr);
-                stats.add(r.score);
-                row.metrics[c].add(r.metrics);
-            }
-            row.cells[c] = {stats.mean(), stats.stddev(),
-                            static_cast<int>(stats.count())};
-        }
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-// The full specs x configs x trials cross-product fans out as one flat task
-// list; results merge *eagerly* in exactly the serial loop's order — a
-// cursor under the merge mutex folds every completed prefix task into the
-// row aggregates and drops its snapshot immediately. Every RunningStats/
-// MetricsAggregate sees the same sequence of adds as jobs=1 (bit-identical
-// output), and snapshot memory stays bounded by the out-of-order window
-// (~O(jobs)) instead of O(specs x configs x trials).
-std::vector<ExperimentRow> Harness::run_rows_parallel(
-    const std::vector<wl::WorkloadSpec>& specs, int jobs) {
     std::vector<RowTask> tasks;
     for (std::size_t r = 0; r < specs.size(); ++r) {
         for (std::size_t c = 0; c < kAllConfigs.size(); ++c) {
@@ -183,25 +125,22 @@ std::vector<ExperimentRow> Harness::run_rows_parallel(
     std::size_t merged = 0;
     std::mutex merge_mutex;
     std::mutex callback_mutex;
-    {
-        ThreadPool pool(jobs);
-        parallel_for_indexed(pool, tasks.size(), [&](std::size_t i) {
-            const RowTask& task = tasks[i];
-            results[i] = run_trial_impl(kAllConfigs[task.config], specs[task.row],
-                                        trial_seed(task.config, task.trial),
-                                        &callback_mutex);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            done[i] = 1;
-            while (merged < tasks.size() && done[merged] != 0) {
-                const RowTask& m = tasks[merged];
-                TrialResult& res = results[merged];
-                cell_stats[m.row * kAllConfigs.size() + m.config].add(res.score);
-                rows[m.row].metrics[m.config].add(res.metrics);
-                res = TrialResult{};  // free the snapshot now, not at the end
-                ++merged;
-            }
-        });
-    }
+    parallel_for(options_.jobs, tasks.size(), [&](std::size_t i) {
+        const RowTask& task = tasks[i];
+        results[i] = run_trial_impl(kAllConfigs[task.config], specs[task.row],
+                                    trial_seed(task.config, task.trial),
+                                    callback_mutex);
+        std::lock_guard<std::mutex> lock(merge_mutex);
+        done[i] = 1;
+        while (merged < tasks.size() && done[merged] != 0) {
+            const RowTask& m = tasks[merged];
+            TrialResult& res = results[merged];
+            cell_stats[m.row * kAllConfigs.size() + m.config].add(res.score);
+            rows[m.row].metrics[m.config].add(res.metrics);
+            res = TrialResult{};  // free the snapshot now, not at the end
+            ++merged;
+        }
+    });
 
     for (std::size_t r = 0; r < specs.size(); ++r) {
         for (std::size_t c = 0; c < kAllConfigs.size(); ++c) {
@@ -330,20 +269,11 @@ SelfishSeries run_selfish_experiment(SchedulerKind kind, double seconds,
 std::vector<SelfishSeries> run_selfish_experiments(
     const std::vector<SelfishJob>& runs, int jobs) {
     std::vector<SelfishSeries> out(runs.size());
-    if (jobs <= 0) jobs = ThreadPool::default_jobs();
-    jobs = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs), runs.size()));
-    auto one = [&](std::size_t i) {
+    parallel_for(jobs, runs.size(), [&](std::size_t i) {
         const SelfishJob& job = runs[i];
         out[i] = run_selfish_experiment(job.kind, job.seconds, job.seed,
                                         job.config ? &*job.config : nullptr);
-    };
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < runs.size(); ++i) one(i);
-    } else {
-        ThreadPool pool(jobs);
-        parallel_for_indexed(pool, runs.size(), one);
-    }
+    });
     return out;
 }
 

@@ -59,32 +59,24 @@ public:
         double timeout_s = 600.0;
         std::uint64_t base_seed = 20210101;
         bool measurement_noise = true;
-        /// Worker threads for fanning trials out in run_trials/run_row/
-        /// run_rows. 1 = the legacy serial path (no pool, no locks);
-        /// 0 = one worker per hardware thread. Each trial owns a private
-        /// Node, and results are merged in trial order, so aggregate output
-        /// is bit-identical for every jobs value. config_factory must be
-        /// thread-safe when jobs != 1; pre_trial/post_trial (and attachment
-        /// destruction) are serialized under a harness mutex.
+        /// Threads for fanning trials out in run_trials/run_row/run_rows
+        /// (core::parallel_for): 1 = every trial on the calling thread, in
+        /// order; 0 = one per hardware thread. Each trial owns a private
+        /// Node, and the same code merges results in trial order at every
+        /// jobs value, so aggregate output is bit-identical for every jobs
+        /// value. config_factory, pre_trial and post_trial (and attachment
+        /// destruction) run one at a time under a harness mutex, on
+        /// whichever thread runs the trial.
         int jobs = 1;
-        /// Structured-recorder categories to enable on every trial node
-        /// (obs::Category bits, OR-ed into the platform config).
-        std::uint32_t obs_mask = 0;
-        /// Force every trial node onto this ISA backend (applied after
-        /// config_factory, like obs_mask). Unset = keep whatever the
-        /// factory's platform preset chose (ARM for all built-in presets).
-        std::optional<arch::Isa> isa;
         /// Close a windowed aggregate snapshot every N trials in each row
         /// cell (obs::MetricsAggregate::set_window). 0 = totals only.
         /// Windows follow merge order — trial order within the cell — so
         /// windowed output stays bit-identical for every jobs value.
         int obs_window = 0;
-        /// Invariant auditing on every trial node (hypervisor configs only;
-        /// the native baseline has no SPM to audit). A trial ends with a
-        /// final full validate() so sampled mode can't miss late damage.
-        check::Mode check_mode = check::Mode::kOff;
-        int check_period = 64;
-        /// Override node construction (ablations swap this out).
+        /// Node construction, where callers set any NodeConfig field (ISA,
+        /// recorder categories, audit mode) for every trial node; ablations
+        /// swap it out. A trial on an audited node ends with a full
+        /// validate(), so sampled mode can't miss late damage.
         std::function<NodeConfig(SchedulerKind, std::uint64_t seed)> config_factory;
         /// Invoked after each trial, before the node is destroyed (trace
         /// harvesting, extra assertions).
@@ -108,7 +100,7 @@ public:
                           std::uint64_t seed);
 
     /// Run one seeded trial per entry of `seeds`, fanned across
-    /// Options::jobs worker threads. Results come back in seed order.
+    /// Options::jobs threads. Results come back in seed order.
     std::vector<TrialResult> run_trials(SchedulerKind kind,
                                         const wl::WorkloadSpec& spec,
                                         const std::vector<std::uint64_t>& seeds);
@@ -142,11 +134,7 @@ private:
     };
 
     TrialResult run_trial_impl(SchedulerKind kind, const wl::WorkloadSpec& spec,
-                               std::uint64_t seed, std::mutex* callback_mutex);
-    std::vector<ExperimentRow> run_rows_parallel(
-        const std::vector<wl::WorkloadSpec>& specs, int jobs);
-
-    [[nodiscard]] int effective_jobs(std::size_t tasks) const;
+                               std::uint64_t seed, std::mutex& callback_mutex);
 
     Options options_;
 };
@@ -177,7 +165,7 @@ struct SelfishJob {
     std::optional<NodeConfig> config;  ///< overrides default_config when set
 };
 
-/// Run each job on its own worker thread (jobs semantics as in
+/// Run the jobs through core::parallel_for (jobs semantics as in
 /// Harness::Options::jobs). Each run owns a private Node; results come back
 /// in job order, bit-identical to calling run_selfish_experiment serially.
 std::vector<SelfishSeries> run_selfish_experiments(

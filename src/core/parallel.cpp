@@ -1,80 +1,11 @@
 #include "core/parallel.h"
 
-#include <exception>
-#include <utility>
-
 namespace hpcsec::core {
 
-int ThreadPool::default_jobs() {
+int resolve_jobs(int jobs) {
+    if (jobs > 0) return jobs;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-ThreadPool::ThreadPool(int threads) {
-    if (threads <= 0) threads = default_jobs();
-    workers_.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-    }
-}
-
-ThreadPool::~ThreadPool() {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++outstanding_;
-    }
-    work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-            if (queue_.empty()) return;  // shutdown with a drained queue
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--outstanding_ == 0) idle_cv_.notify_all();
-        }
-    }
-}
-
-void parallel_for_indexed(ThreadPool& pool, std::size_t n,
-                          const std::function<void(std::size_t)>& fn) {
-    std::vector<std::exception_ptr> errors(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([i, &fn, &errors] {
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    pool.wait_idle();
-    for (auto& e : errors) {
-        if (e) std::rethrow_exception(e);
-    }
 }
 
 }  // namespace hpcsec::core

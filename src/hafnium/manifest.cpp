@@ -13,7 +13,7 @@ std::string to_string(VmRole role) {
     return "?";
 }
 
-std::vector<std::string> Manifest::validate() const {
+std::vector<std::string> Manifest::problems() const {
     std::vector<std::string> problems;
     int primaries = 0;
     int supers = 0;

@@ -54,7 +54,7 @@ struct Manifest {
     ///  - plain secondaries own no devices;
     ///  - every VM needs memory and at least one VCPU;
     ///  - names are unique and non-empty.
-    [[nodiscard]] std::vector<std::string> validate() const;
+    [[nodiscard]] std::vector<std::string> problems() const;
 
     [[nodiscard]] const VmSpec* primary() const;
     [[nodiscard]] const VmSpec* super_secondary() const;

@@ -25,7 +25,7 @@ Spm::Spm(arch::Platform& platform, Manifest manifest, IrqRoutingPolicy policy)
 
 void Spm::boot() {
     if (booted_) throw std::logic_error("Spm::boot: already booted");
-    const auto problems = manifest_.validate();
+    const auto problems = manifest_.problems();
     if (!problems.empty()) {
         std::string msg = "Spm::boot: invalid manifest:";
         for (const auto& p : problems) msg += "\n  " + p;
@@ -65,7 +65,7 @@ void Spm::boot() {
         }
     }
     // Explicit per-VM device requests from the manifest are honored for the
-    // primary/super-secondary as well (validated by Manifest::validate).
+    // primary/super-secondary as well (validated by Manifest::problems).
     const arch::IrqLayout& layout = platform_->isa_ops().irq;
     platform_->irqc().enable_irq(layout.phys_timer);
     platform_->irqc().enable_irq(layout.virt_timer);
@@ -1185,6 +1185,8 @@ void Spm::publish_metrics() {
     auto& m = platform_->metrics();
     if (!stats_gauges_registered_) {
         for (std::size_t i = 0; i < std::size(published); ++i) {
+            // sca-suppress(hot-path-alloc): the first call registers the
+            // gauges; later calls, a strict audit's among them, reuse them.
             stats_gauges_[i] = m.gauge(published[i].first);
         }
         stats_gauges_registered_ = true;

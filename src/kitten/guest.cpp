@@ -79,7 +79,6 @@ sim::Cycles KittenGuestOs::on_virq(hafnium::Vcpu& vcpu, int virq) {
     }
     if (virq == hafnium::kMessageVirq) {
         ++stats_.messages;
-        if (message_hook) message_hook();
         return config_.msg_service;
     }
     // Forwarded device IRQ (super-secondary role): generic handler.

@@ -52,9 +52,6 @@ public:
     /// work again (wired to ParallelWorkload::on_release).
     void wake_runnable_vcpus();
 
-    /// Invoked when a mailbox message arrives for this VM.
-    std::function<void()> message_hook;
-
     /// Invoked on every serviced virtual-timer tick — the guest's liveness
     /// signal. The resilience watchdog (src/resil/) feeds per-VCPU heartbeat
     /// timestamps from here; unset in ordinary runs (one branch per tick).

@@ -311,8 +311,4 @@ void LinuxKernel::on_task_complete(arch::CoreId core, arch::Runnable* task) {
     dispatch(core);
 }
 
-void LinuxKernel::on_message(arch::VmId from) {
-    if (message_hook) message_hook(from);
-}
-
 }  // namespace hpcsec::linux_fwk

@@ -56,9 +56,7 @@ public:
                       hafnium::ExitReason reason) override;
     void on_vcpu_wake(hafnium::Vcpu& vcpu) override;
     void on_task_complete(arch::CoreId core, arch::Runnable* task) override;
-    void on_message(arch::VmId from) override;
-
-    std::function<void(arch::VmId from)> message_hook;
+    void on_message(arch::VmId) override {}
 
     struct Stats {
         std::uint64_t ticks = 0;

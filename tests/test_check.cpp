@@ -80,12 +80,21 @@ TEST(VcpuTransitions, LegalityTable) {
 
 // --- clean runs stay silent --------------------------------------------------
 
-TEST(CheckClean, StrictKittenRunHasZeroFindings) {
+/// One noise-free trial per run_trial, every node under a strict auditor.
+Harness strict_harness() {
     Harness::Options opt;
     opt.trials = 1;
     opt.measurement_noise = false;
-    opt.check_mode = Mode::kStrict;
-    Harness h(opt);
+    opt.config_factory = [](SchedulerKind kind, std::uint64_t seed) {
+        NodeConfig cfg = Harness::default_config(kind, seed);
+        cfg.check_mode = Mode::kStrict;
+        return cfg;
+    };
+    return Harness(opt);
+}
+
+TEST(CheckClean, StrictKittenRunHasZeroFindings) {
+    Harness h = strict_harness();
     // Strict mode throws on the first violation, so completing is the proof.
     const auto r = h.run_trial(SchedulerKind::kKittenPrimary, small_spec(), 42);
     EXPECT_EQ(r.check_failures, 0u);
@@ -93,21 +102,13 @@ TEST(CheckClean, StrictKittenRunHasZeroFindings) {
 }
 
 TEST(CheckClean, StrictLinuxRunHasZeroFindings) {
-    Harness::Options opt;
-    opt.trials = 1;
-    opt.measurement_noise = false;
-    opt.check_mode = Mode::kStrict;
-    Harness h(opt);
+    Harness h = strict_harness();
     const auto r = h.run_trial(SchedulerKind::kLinuxPrimary, small_spec(), 43);
     EXPECT_EQ(r.check_failures, 0u);
 }
 
 TEST(CheckClean, NativeConfigHasNoSpmToAudit) {
-    Harness::Options opt;
-    opt.trials = 1;
-    opt.measurement_noise = false;
-    opt.check_mode = Mode::kStrict;
-    Harness h(opt);
+    Harness h = strict_harness();
     const auto r = h.run_trial(SchedulerKind::kNativeKitten, small_spec(), 44);
     EXPECT_EQ(r.check_failures, 0u);
 

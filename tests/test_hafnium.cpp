@@ -45,23 +45,23 @@ VmSpec super_secondary_spec() {
 TEST(Manifest, ValidManifestPasses) {
     Manifest m;
     m.vms = {primary_spec(), secondary_spec("compute")};
-    EXPECT_TRUE(m.validate().empty());
+    EXPECT_TRUE(m.problems().empty());
 }
 
 TEST(Manifest, RequiresExactlyOnePrimary) {
     Manifest none;
     none.vms = {secondary_spec("a")};
-    EXPECT_FALSE(none.validate().empty());
+    EXPECT_FALSE(none.problems().empty());
 
     Manifest two;
     two.vms = {primary_spec("p1"), primary_spec("p2")};
-    EXPECT_FALSE(two.validate().empty());
+    EXPECT_FALSE(two.problems().empty());
 }
 
 TEST(Manifest, AtMostOneSuperSecondary) {
     Manifest m;
     m.vms = {primary_spec(), super_secondary_spec(), super_secondary_spec()};
-    auto problems = m.validate();
+    auto problems = m.problems();
     bool found = false;
     for (const auto& p : problems) found |= p.find("super-secondary") != std::string::npos;
     EXPECT_TRUE(found);
@@ -72,7 +72,7 @@ TEST(Manifest, SecondariesCannotOwnDevices) {
     VmSpec bad = secondary_spec("compute");
     bad.devices = {"uart0"};
     m.vms = {primary_spec(), bad};
-    EXPECT_FALSE(m.validate().empty());
+    EXPECT_FALSE(m.problems().empty());
 }
 
 TEST(Manifest, RejectsDuplicateNamesAndBadSizes) {
@@ -83,7 +83,7 @@ TEST(Manifest, RejectsDuplicateNamesAndBadSizes) {
     VmSpec novcpu = secondary_spec("x");
     novcpu.vcpu_count = 0;
     m.vms = {primary_spec(), dup, unaligned, novcpu};
-    EXPECT_GE(m.validate().size(), 3u);
+    EXPECT_GE(m.problems().size(), 3u);
 }
 
 TEST(Manifest, PrimaryMustBeNonSecure) {
@@ -91,7 +91,7 @@ TEST(Manifest, PrimaryMustBeNonSecure) {
     VmSpec p = primary_spec();
     p.world = arch::World::kSecure;
     m.vms = {p, secondary_spec("compute")};
-    EXPECT_FALSE(m.validate().empty());
+    EXPECT_FALSE(m.problems().empty());
 }
 
 // --- SPM boot ------------------------------------------------------------------

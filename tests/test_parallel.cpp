@@ -1,14 +1,21 @@
-// Parallel experiment engine: fanning trials across worker threads must be
+// Parallel experiment engine: fanning trials across threads must be
 // invisible in the results. Every aggregate the harness reports — cell
 // stats, merged metrics, formatted tables — must be bit-identical between
-// --jobs 1 (the legacy serial loop) and any other jobs value, because the
-// parallel path gives each trial a private Node and replays the merge in
-// exact serial order. Also covers the ThreadPool primitive itself.
+// --jobs 1 (the same fan-out code, run on the calling thread) and any other
+// jobs value, because each trial gets a private Node and the merge folds
+// results in trial order. A fold the tests write themselves over single
+// trials is the independent serial reference. Also covers the parallel_for
+// primitive itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/harness.h"
@@ -51,6 +58,38 @@ void expect_rows_bit_identical(const std::vector<ExperimentRow>& a,
     EXPECT_EQ(Harness::format_raw(a), Harness::format_raw(b));
     EXPECT_EQ(Harness::format_normalized(a), Harness::format_normalized(b));
     EXPECT_EQ(Harness::format_metrics_json(a), Harness::format_metrics_json(b));
+}
+
+// The serial reference the harness must reproduce: one run_trial per
+// (config, trial) in trial order, folded into RunningStats by hand.
+TEST(ParallelHarness, RowsMatchAFoldOfSingleTrials) {
+    const wl::WorkloadSpec spec = small_spec();
+    Harness single(base_options(1));
+    ExperimentRow expected;
+    expected.workload = spec.name;
+    expected.metric = spec.metric;
+    for (std::size_t c = 0; c < kAllConfigs.size(); ++c) {
+        sim::RunningStats stats;
+        for (int t = 0; t < single.options().trials; ++t) {
+            stats.add(single.run_trial(kAllConfigs[c], spec, single.trial_seed(c, t)).score);
+        }
+        expected.cells[c] = {stats.mean(), stats.stddev(),
+                             static_cast<int>(stats.count())};
+    }
+    for (const int jobs : {1, 8}) {
+        SCOPED_TRACE(jobs);
+        const auto rows = Harness(base_options(jobs)).run_rows({spec});
+        ASSERT_EQ(rows.size(), 1u);
+        EXPECT_EQ(rows[0].workload, expected.workload);
+        EXPECT_EQ(rows[0].metric, expected.metric);
+        for (std::size_t c = 0; c < kAllConfigs.size(); ++c) {
+            EXPECT_EQ(std::memcmp(&rows[0].cells[c], &expected.cells[c],
+                                  sizeof(CellStats)),
+                      0)
+                << "cell " << c;
+        }
+        EXPECT_EQ(Harness::format_raw(rows), Harness::format_raw({expected}));
+    }
 }
 
 TEST(ParallelHarness, RowsBitIdenticalAcrossJobs) {
@@ -180,30 +219,80 @@ TEST(ParallelHarness, SelfishExperimentsMatchSerial) {
     }
 }
 
-TEST(ThreadPool, RunsAllIndicesOnce) {
-    ThreadPool pool(4);
+TEST(ParallelFor, RunsEachIndexOnce) {
     std::vector<std::atomic<int>> hits(257);
-    parallel_for_indexed(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+    parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
     }
 }
 
-TEST(ThreadPool, PropagatesLowestIndexException) {
-    ThreadPool pool(4);
+TEST(ParallelFor, OneJobRunsInOrderOnTheCallingThreadAndStopsAtTheFirstThrow) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
     try {
-        parallel_for_indexed(pool, 64, [&](std::size_t i) {
+        parallel_for(1, 64, [&](std::size_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(i);
+            if (i == 13) throw std::runtime_error("boom@13");
+        });
+        FAIL() << "expected exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "boom@13");
+    }
+    ASSERT_EQ(order.size(), 14u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, RethrowsTheLowestIndexExceptionAfterEveryIndexRan) {
+    std::vector<std::atomic<int>> hits(64);
+    try {
+        parallel_for(4, hits.size(), [&](std::size_t i) {
+            ++hits[i];
             if (i % 10 == 3) throw std::runtime_error("boom@" + std::to_string(i));
         });
         FAIL() << "expected exception";
     } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "boom@3");
     }
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
 }
 
-TEST(ThreadPool, ZeroTasksIsANoop) {
-    ThreadPool pool(2);
-    parallel_for_indexed(pool, 0, [&](std::size_t) { FAIL(); });
+TEST(ParallelFor, ZeroIndicesCallsNothing) {
+    parallel_for(4, 0, [&](std::size_t) { FAIL(); });
+    parallel_for(1, 0, [&](std::size_t) { FAIL(); });
+}
+
+// The first `hw` indices each wait until `hw` calls have begun, and a
+// thread takes its next index only when its call returns, so they meet
+// only if parallel_for started one thread per hardware thread. The caller
+// only waits, so it runs none of the calls.
+TEST(ParallelFor, ZeroJobsUsesOneThreadPerHardwareThread) {
+    const int hw = resolve_jobs(0);
+    EXPECT_EQ(hw, static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    std::atomic<int> entered{0};
+    const std::size_t n = static_cast<std::size_t>(hw) * 4;
+    parallel_for(0, n, [&](std::size_t i) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            threads.insert(std::this_thread::get_id());
+        }
+        ++entered;
+        if (i >= static_cast<std::size_t>(hw)) return;
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (entered.load() < hw && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+    });
+    EXPECT_EQ(threads.size(), static_cast<std::size_t>(hw));
+    if (hw > 1) {
+        EXPECT_EQ(threads.count(caller), 0u);
+    }
 }
 
 }  // namespace

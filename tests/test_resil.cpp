@@ -362,7 +362,11 @@ TEST(ChaosSoak, AllConfigsSurviveFaultsWithZeroFindings) {
         hopt.trials = 1;
         hopt.base_seed = 71;
         hopt.timeout_s = 600.0;
-        hopt.check_mode = check::Mode::kStrict;  // native: no SPM, audit off
+        hopt.config_factory = [](SchedulerKind k, std::uint64_t seed) {
+            NodeConfig cfg = Harness::default_config(k, seed);
+            cfg.check_mode = check::Mode::kStrict;  // native: no SPM, audit off
+            return cfg;
+        };
         struct Rig {
             std::unique_ptr<resil::Supervisor> sup;
             std::unique_ptr<resil::ChaosInjector> chaos;

@@ -109,6 +109,10 @@ DEFAULTS: dict = {
         # and MetricsAggregate; the hot-path observe() only ever reaches
         # the O(1) streaming pair, so welding them is pure noise.
         "add",
+        # `publish_metrics` exists on Node, Platform, Spm, the Auditor and
+        # the resil and attack classes; the strict audit calls only Spm's
+        # (edge below).
+        "publish_metrics",
     ],
     # Extra edges "Caller::name -> Callee::name" for calls the name matcher
     # cannot see (ambiguous names, function pointers).
@@ -116,6 +120,7 @@ DEFAULTS: dict = {
         # Spm::enter_vcpu calls arch::Executor::begin ("core already
         # running" guard); 'begin' is in ambiguous_callees.
         ["enter_vcpu", "Executor::begin"],
+        ["Auditor::check_accounting", "Spm::publish_metrics"],
     ],
 
     # ---- hot-path allocation (hot-path-alloc) -----------------------------
@@ -132,6 +137,9 @@ DEFAULTS: dict = {
         # Core::signal_irq invokes the registered IrqHandler std::function.
         ["signal_irq", "Spm::handle_phys_irq"],
         ["signal_irq", "KittenKernel::native_irq"],
+        # Spm::hypercall_intercepted runs each HypercallInterceptor's
+        # after() through a base pointer: the strict audit.
+        ["hypercall_intercepted", "Auditor::after"],
     ],
 
     # ---- determinism bans (det-wall-clock / det-random) -------------------
