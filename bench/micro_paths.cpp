@@ -407,6 +407,27 @@ void BM_HypercallAuditStrictChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_HypercallAuditStrictChurn);
 
+// Ownership churn beside the lend churn above: each iteration compute
+// donates one page to the primary and the primary donates it back, two
+// audited calls that each change the frame's owner and both VMs' tables.
+void BM_HypercallAuditStrictDonate(benchmark::State& state) {
+    SpmBench b;
+    constexpr arch::VmId kPrimary = 1;
+    constexpr arch::VmId kCompute = 2;
+    constexpr arch::IpaAddr kOwn = 5 * arch::kPageSize;
+    constexpr arch::IpaAddr kWindow = 0x80'0000'0000ull;  // above every RAM window
+    check::Auditor auditor(b.spm, {check::Mode::kStrict});
+    bool ok = true;
+    for (auto _ : state) {
+        ok &= hf::mem_donate(b.spm, 0, kCompute, kPrimary, kOwn, 1, kWindow).ok();
+        ok &= hf::mem_donate(b.spm, 0, kPrimary, kCompute, kWindow, 1, kOwn).ok();
+    }
+    if (!ok) state.SkipWithError("FF-A donate failed");
+    state.SetItemsProcessed(2 * state.iterations());
+    state.counters["audits"] = static_cast<double>(auditor.audits());
+}
+BENCHMARK(BM_HypercallAuditStrictDonate);
+
 // The structured recorder must cost one predicted branch per call site when
 // its category is masked off (ISSUE acceptance: instrumentation is free in
 // ordinary runs). Compare against the enabled path, which appends an Event.

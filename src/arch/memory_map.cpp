@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <utility>
 
 namespace hpcsec::arch {
 
@@ -73,6 +74,39 @@ void paint(std::vector<Run>& runs, std::uint64_t first, std::uint64_t end,
 
 }  // namespace
 
+MemoryMap::MemoryMap(MemoryMap&& other) noexcept
+    : regions_(std::move(other.regions_)),
+      owner_runs_(std::move(other.owner_runs_)),
+      tag_runs_(std::move(other.tag_runs_)),
+      store_(std::move(other.store_)),
+      mmio_(std::move(other.mmio_)),
+      allocated_frames_(std::exchange(other.allocated_frames_, 0)) {
+    other.restart_log();
+    owner_generation_ = other.owner_generation_;
+    restart_log();
+}
+
+MemoryMap& MemoryMap::operator=(MemoryMap&& other) noexcept {
+    if (this != &other) {
+        regions_ = std::move(other.regions_);
+        owner_runs_ = std::move(other.owner_runs_);
+        tag_runs_ = std::move(other.tag_runs_);
+        store_ = std::move(other.store_);
+        mmio_ = std::move(other.mmio_);
+        allocated_frames_ = std::exchange(other.allocated_frames_, 0);
+        other.restart_log();
+        owner_generation_ = std::max(owner_generation_, other.owner_generation_);
+        restart_log();
+    }
+    return *this;
+}
+
+void MemoryMap::paint_owner(std::uint64_t first, std::uint64_t end, const VmId* owner) {
+    paint(owner_runs_, first, end, owner);
+    owner_log_[++owner_generation_ % kChangeLog] = {first << kPageShift,
+                                                    (end - first) << kPageShift};
+}
+
 void MemoryMap::add_region(MemRegion region) {
     if (region.size == 0 || (region.base & kPageMask) != 0 || (region.size & kPageMask) != 0) {
         throw std::invalid_argument("MemoryMap: regions must be non-empty and page aligned");
@@ -84,6 +118,7 @@ void MemoryMap::add_region(MemRegion region) {
     regions_.push_back(std::move(region));
     std::sort(regions_.begin(), regions_.end(),
               [](const MemRegion& a, const MemRegion& b) { return a.base < b.base; });
+    restart_log();
 }
 
 const MemRegion* MemoryMap::find_region(PhysAddr a) const {
@@ -135,7 +170,7 @@ PhysAddr MemoryMap::alloc_frames(std::uint64_t nframes, VmId owner, World world)
             const std::uint64_t gap_end =
                 it == owner_runs_.end() ? last : std::min(it->first, last);
             if (gap_end >= gap + nframes) {
-                paint(owner_runs_, gap, gap + nframes, &owner);
+                paint_owner(gap, gap + nframes, &owner);
                 allocated_frames_ += nframes;
                 return gap << kPageShift;
             }
@@ -152,7 +187,7 @@ void MemoryMap::free_frames(PhysAddr base, std::uint64_t nframes) {
     if (pages_covered(owner_runs_, first, end) != nframes) {
         throw std::logic_error("free_frames: frame not allocated");
     }
-    paint(owner_runs_, first, end, nullptr);
+    paint_owner(first, end, nullptr);
     allocated_frames_ -= nframes;
     // Scrub. The store is sparse, so walk its words rather than the range:
     // a 256 MiB VM is 32 M words, and the store holds only the non-zero
@@ -203,7 +238,7 @@ void MemoryMap::set_owner(PhysAddr base, std::uint64_t nframes, VmId owner) {
     if (pages_covered(owner_runs_, first, first + nframes) != nframes) {
         throw std::logic_error("set_owner: frame not allocated");
     }
-    paint(owner_runs_, first, first + nframes, &owner);
+    paint_owner(first, first + nframes, &owner);
 }
 
 std::optional<FrameOwner> MemoryMap::owner_of(PhysAddr a) const {

@@ -10,6 +10,7 @@
 // blocks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -47,6 +48,13 @@ struct FrameOwner {
 
 class MemoryMap {
 public:
+    MemoryMap() = default;
+    MemoryMap(MemoryMap&& other) noexcept;
+    MemoryMap& operator=(MemoryMap&& other) noexcept;
+    MemoryMap(const MemoryMap&) = delete;
+    MemoryMap& operator=(const MemoryMap&) = delete;
+
+    /// Starts the ownership change log afresh (see owner_changes).
     void add_region(MemRegion region);
 
     [[nodiscard]] const std::vector<MemRegion>& regions() const { return regions_; }
@@ -95,6 +103,33 @@ public:
         const std::function<void(PhysAddr, std::uint64_t, const FrameOwner&)>& fn) const;
 
     [[nodiscard]] std::uint64_t allocated_frames() const { return allocated_frames_; }
+
+    // --- ownership change log ---------------------------------------------
+
+    /// Bumped by every repaint of frame ownership, after the call's argument
+    /// check: alloc_frames, free_frames (once for each run free_owned_by
+    /// frees) and set_owner. add_region and a move into or out of this map
+    /// bump it too, and start the log afresh. While it is unchanged, so is
+    /// every frame's owner.
+    [[nodiscard]] std::uint64_t owner_generation() const { return owner_generation_; }
+
+    /// Generations the ownership log covers.
+    static constexpr std::uint64_t kChangeLog = 4;
+
+    /// Call fn(base, bytes) with the PA range each generation after `since`
+    /// repainted, oldest first, and return true. Return false, calling
+    /// nothing, when the log cannot say: more than kChangeLog generations
+    /// went by, or add_region or a move came among them. check::Auditor
+    /// re-checks only the frames these ranges cover.
+    template <typename Fn>
+    bool owner_changes(std::uint64_t since, const Fn& fn) const {
+        if (since < log_start_ || owner_generation_ - since > kChangeLog) return false;
+        for (std::uint64_t g = since + 1; g <= owner_generation_; ++g) {
+            const OwnerChange& c = owner_log_[g % kChangeLog];
+            fn(c.base, c.bytes);
+        }
+        return true;
+    }
 
     // --- integrity tags (HDFI-style one-bit frame tags) --------------------
 
@@ -149,7 +184,18 @@ private:
         VmId owner = kHypervisorId;
     };
 
+    /// The frames one ownership generation repainted.
+    struct OwnerChange {
+        PhysAddr base = 0;
+        std::uint64_t bytes = 0;
+    };
+
     [[nodiscard]] bool in_tag_run(std::uint64_t page) const;
+    /// The one place owner runs are painted: repaint pages [first, end) as
+    /// owned by `*owner` (free when null) and log it as a new generation.
+    void paint_owner(std::uint64_t first, std::uint64_t end, const VmId* owner);
+    /// Move to a new generation that the log cannot reach back past.
+    void restart_log() { log_start_ = ++owner_generation_; }
 
     std::vector<MemRegion> regions_;
     std::vector<Run> owner_runs_;  ///< allocated frames only
@@ -157,6 +203,11 @@ private:
     std::unordered_map<std::uint64_t, std::uint64_t> store_;
     std::unordered_map<std::uint64_t, MmioHandler> mmio_;  // keyed by region base
     std::uint64_t allocated_frames_ = 0;
+    std::uint64_t owner_generation_ = 0;
+    /// The oldest generation owner_changes can start from.
+    std::uint64_t log_start_ = 0;
+    /// owner_log_[g % kChangeLog] is what generation g repainted.
+    std::array<OwnerChange, kChangeLog> owner_log_{};
 };
 
 }  // namespace hpcsec::arch

@@ -119,7 +119,7 @@ PageTable& PageTable::operator=(PageTable&& other) noexcept {
 }
 
 void PageTable::log_change(std::uint64_t in_base, std::uint64_t size) {
-    changes_[++generation_ % kChangeLog] = {in_base, size};
+    changes_[++generation_ % kChangeLog] = {in_base, in_base + size};
 }
 
 void PageTable::log_everything() { changes_.fill({0, fmt_.input_limit()}); }
@@ -371,30 +371,37 @@ void PageTable::visit_mappings(RunWalk& walk, const std::uint64_t* d, int level,
 }
 
 void PageTable::refresh_runs(std::vector<MappingView>& runs, std::uint64_t since) const {
+    if (generation_ - since > kChangeLog) runs.clear();  // the log no longer reaches back
+    std::array<Range, kChangeLog> ranges;
+    const std::size_t n = refresh_ranges(since, ranges);
+    for (std::size_t i = 0; i < n; ++i) refresh_range(runs, ranges[i].lo, ranges[i].hi);
+}
+
+std::size_t PageTable::refresh_ranges(std::uint64_t since,
+                                      std::array<Range, kChangeLog>& out) const {
     const std::uint64_t behind = generation_ - since;
-    if (behind == 0) return;
-    if (behind > kChangeLog) {  // the log no longer reaches back
-        runs.clear();
-        refresh_range(runs, 0, fmt_.input_limit());
-        return;
+    if (behind == 0) return 0;
+    if (behind > kChangeLog) {
+        out[0] = {0, fmt_.input_limit()};
+        return 1;
     }
     // The ranges changed since then, in input order, merged where they
     // overlap or touch.
-    std::array<Change, kChangeLog> changed;
     for (std::uint64_t k = 0; k < behind; ++k) {
-        changed[k] = changes_[(since + 1 + k) % kChangeLog];
+        out[k] = changes_[(since + 1 + k) % kChangeLog];
     }
-    const auto last = changed.begin() + static_cast<std::ptrdiff_t>(behind);
-    std::sort(changed.begin(), last,
-              [](const Change& a, const Change& b) { return a.in_base < b.in_base; });
-    for (auto c = changed.begin(); c != last;) {
-        const std::uint64_t lo = c->in_base;
-        std::uint64_t hi = lo + c->size;
-        for (++c; c != last && c->in_base <= hi; ++c) {
-            hi = std::max(hi, c->in_base + c->size);
+    const auto last = out.begin() + static_cast<std::ptrdiff_t>(behind);
+    std::sort(out.begin(), last,
+              [](const Range& a, const Range& b) { return a.lo < b.lo; });
+    std::size_t n = 0;
+    for (auto c = out.begin(); c != last; ++c) {
+        if (n > 0 && c->lo <= out[n - 1].hi) {
+            out[n - 1].hi = std::max(out[n - 1].hi, c->hi);
+        } else {
+            out[n++] = *c;
         }
-        refresh_range(runs, lo, hi);
     }
+    return n;
 }
 
 void PageTable::refresh_range(std::vector<MappingView>& runs, std::uint64_t lo,

@@ -124,6 +124,10 @@ public:
         bool secure = false;
     };
 
+    /// Generations the change log covers: refresh_runs walks only the
+    /// changed ranges of a list at most this many generations old.
+    static constexpr std::uint64_t kChangeLog = 4;
+
     /// Enumerate the mappings as maximal runs, in input-address order, one
     /// callback per run (audit / introspection path). The callback must not
     /// mutate this table.
@@ -137,6 +141,21 @@ public:
     /// are walked: the runs there are cut at the range edges, replaced, and
     /// joined again at the seams. Otherwise the whole table is walked.
     void refresh_runs(std::vector<MappingView>& runs, std::uint64_t since) const;
+
+    /// An input range [lo, hi).
+    struct Range {
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+    };
+
+    /// The input ranges refresh_runs(runs, since) walks, in input order and
+    /// merged where they overlap or touch: the ranges logged after `since`,
+    /// or the whole input range once the log no longer reaches back. Fills
+    /// the front of `out` and returns how many; outside them, the runs at
+    /// generation `since` still hold. check::Auditor reads which PAs a
+    /// refresh may have changed from them.
+    [[nodiscard]] std::size_t refresh_ranges(std::uint64_t since,
+                                             std::array<Range, kChangeLog>& out) const;
 
     /// Number of live table nodes (root included) — i.e. translation-table
     /// memory footprint in page units.
@@ -156,17 +175,7 @@ public:
     /// stage-2 runs only when either moved.
     [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-    /// Generations the change log covers: refresh_runs walks only the
-    /// changed ranges of a list at most this many generations old.
-    static constexpr std::uint64_t kChangeLog = 4;
-
 private:
-    /// The input range one generation's map, unmap or protect may have
-    /// changed: the call's whole range, whatever part of it took effect.
-    struct Change {
-        std::uint64_t in_base = 0;
-        std::uint64_t size = 0;
-    };
     /// One walk of the runs inside [lo, hi): the run it has open, and where
     /// it hands each finished run.
     struct RunWalk;
@@ -201,8 +210,10 @@ private:
     std::uint64_t mapping_count_ = 0;
     std::uint64_t mapped_bytes_ = 0;
     std::uint64_t generation_ = 0;
-    /// changes_[g % kChangeLog] is the range generation g changed.
-    std::array<Change, kChangeLog> changes_{};
+    /// changes_[g % kChangeLog] is the input range generation g's map,
+    /// unmap or protect may have changed: the call's whole range, whatever
+    /// part of it took effect.
+    std::array<Range, kChangeLog> changes_{};
 };
 
 }  // namespace hpcsec::arch

@@ -1,6 +1,7 @@
 #include "check/check.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <tuple>
@@ -52,6 +53,13 @@ struct Piece {
     }
     return {nullptr, ~arch::PhysAddr{0}};
 }
+
+/// The piece index's order: by PA, then VM, then IPA. A VM's pieces never
+/// share an IPA, so no two pieces tie, and every path that builds the
+/// index visits overlapping pieces in one order.
+constexpr auto by_pa_order = [](const auto& a, const auto& b) {
+    return std::tie(a.pa, a.vm, a.ipa) < std::tie(b.pa, b.vm, b.ipa);
+};
 
 /// First PA in [pa, end) that no grant passing `accept` covers, or `end`
 /// when they cover all of it. Grants may overlap and come in any order.
@@ -110,6 +118,10 @@ Auditor::Auditor(hafnium::Spm& spm, Options options)
     : hafnium::HypercallInterceptor(hafnium::HypercallInterceptor::Stage::kAudit),
       spm_(&spm),
       options_(options) {
+    const arch::IrqLayout& layout = spm_->platform().isa_ops().irq;
+    for (int irq = 0; irq < arch::IrqBitset::kBits; ++irq) {
+        if (routed_irq_id(irq, layout)) routed_irqs_.insert(irq);
+    }
     spm_->attach_audit(this);
     spm_->attach_interceptor(this);
 }
@@ -220,30 +232,103 @@ void Auditor::after(const hafnium::HypercallSite& site,
 // Rule: stage-2 exclusivity / ownership / TrustZone worlds
 // --------------------------------------------------------------------------
 
-const std::vector<arch::PageTable::MappingView>& Auditor::stage2_runs(
-    const hafnium::Vm& vm) {
+void Auditor::record_at(arch::PhysAddr lo, arch::PhysAddr hi, CheckFailure f) {
+    // sca-suppress(hot-path-alloc): grows only when a check has failed.
+    failed_.push_back({lo, hi});
+    record(std::move(f));
+}
+
+void Auditor::mark(arch::PhysAddr lo, arch::PhysAddr hi) {
+    // sca-suppress(hot-path-alloc): cleared, not freed, per audit, so it
+    // grows only past the most dirty ranges an audit has seen.
+    dirty_.push_back({lo, hi});
+}
+
+bool Auditor::dirty(arch::PhysAddr lo, arch::PhysAddr hi) const {
+    for (const PaRange& r : dirty_) {  // short, and sorted by start
+        if (r.lo > hi) return false;
+        if (r.hi >= lo) return true;
+    }
+    return false;
+}
+
+template <typename Fn>
+void Auditor::cut_run(arch::VmId vm, const arch::PageTable::MappingView& run,
+                      const Fn& fn) const {
+    const arch::MemoryMap& mem = spm_->platform().mem();
+    const arch::PhysAddr run_end = run.out_base + run.size;
+    for (arch::PhysAddr pa = run.out_base; pa < run_end;) {
+        const Piece piece = piece_at(mem, pa);
+        const arch::PhysAddr end = std::min(run_end, piece.end);
+        fn(PaMapping{vm, run.in_base + (pa - run.out_base), pa, end - pa, run.perms,
+                     run.secure, piece.region});
+        pa = end;
+    }
+}
+
+void Auditor::sync_stage2(const hafnium::Vm& vm, bool& full) {
     const auto slot = static_cast<std::size_t>(vm.id() - 1);
     // sca-suppress(hot-path-alloc): one slot per VM id, added by the first
     // audit that sees the VM.
     if (slot >= stage2_runs_.size()) stage2_runs_.resize(slot + 1);
     Stage2Runs& cached = stage2_runs_[slot];
+    if (vm.destroyed) {
+        if (!cached.runs.empty()) {
+            std::erase_if(pieces_, [&vm](const PaMapping& p) { return p.vm == vm.id(); });
+            cached.runs.clear();
+        }
+        return;
+    }
     const arch::PageTable& table = vm.stage2();
     if (cached.table != &table) {  // never read: an empty list at generation 0
+        full = full || cached.table != nullptr;
         cached.table = &table;
         cached.generation = 0;
         cached.runs.clear();
     }
-    if (cached.generation != table.generation()) {
-        table.refresh_runs(cached.runs, cached.generation);
-        cached.generation = table.generation();
-    }
-    return cached.runs;
+    if (cached.generation == table.generation()) return;
+    full = full || table.generation() - cached.generation > arch::PageTable::kChangeLog;
+    ChangedRanges changed;
+    const std::size_t n = full ? 0 : table.refresh_ranges(cached.generation, changed);
+    reindex(vm.id(), cached.runs, changed, n, /*add=*/false);
+    table.refresh_runs(cached.runs, cached.generation);
+    cached.generation = table.generation();
+    reindex(vm.id(), cached.runs, changed, n, /*add=*/true);
 }
 
-void Auditor::check_stage2() {
-    auto& mem = spm_->platform().mem();
+void Auditor::reindex(arch::VmId vm, const std::vector<arch::PageTable::MappingView>& runs,
+                      const ChangedRanges& changed, std::size_t n, bool add) {
+    // A piece that meets no changed range, closed at both ends, is the same
+    // before and after the refresh: only those that meet one are swapped.
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto [lo, hi] = changed[i];
+        auto run = std::partition_point(runs.begin(), runs.end(),
+                                        [lo](const arch::PageTable::MappingView& r) {
+                                            return r.in_base + r.size < lo;
+                                        });
+        for (; run != runs.end() && run->in_base <= hi; ++run) {
+            const std::uint64_t from = std::max(run->in_base, lo);
+            const std::uint64_t to = std::min(run->in_base + run->size, hi);
+            const arch::PhysAddr pa = run->out_base + (from - run->in_base);
+            if (from < to) mark(pa, pa + (to - from));
+            cut_run(vm, *run, [this, lo, hi, add](const PaMapping& m) {
+                if (m.ipa > hi || m.ipa + m.size < lo) return;
+                // Pieces are unique, and one that meets two ranges comes
+                // twice: take out or put in only once.
+                const auto at =
+                    std::lower_bound(pieces_.begin(), pieces_.end(), m, by_pa_order);
+                const bool present = at != pieces_.end() && !by_pa_order(m, *at);
+                if (!add && present) pieces_.erase(at);
+                // sca-suppress(hot-path-alloc): the index keeps its capacity,
+                // so it grows only past the most pieces the node has held.
+                if (add && !present) pieces_.insert(at, m);
+            });
+        }
+    }
+}
 
-    // Resolve every live grant to the PA range it covers.
+void Auditor::resolve_grants(bool full) {
+    std::swap(grant_ranges_, audited_grant_ranges_);
     grant_ranges_.clear();
     for (const auto& g : spm_->grants()) {
         const arch::WalkResult w = spm_->vm_translate(g.owner, g.owner_ipa);
@@ -252,102 +337,168 @@ void Auditor::check_stage2() {
         // grows only past the most live grants an audit has seen.
         grant_ranges_.push_back({g.owner, g.borrower, w.out, g.pages * arch::kPageSize});
     }
+    if (full) return;
+    // The grants in the longest common head and tail of the two lists are
+    // unchanged; those between, on either side, came, went or moved.
+    const std::vector<GrantRange>& was = audited_grant_ranges_;
+    const auto [was_at, is_at] =
+        std::mismatch(was.begin(), was.end(), grant_ranges_.begin(), grant_ranges_.end());
+    const auto [was_end, is_end] =
+        std::mismatch(was.rbegin(), std::make_reverse_iterator(was_at),
+                      grant_ranges_.rbegin(), std::make_reverse_iterator(is_at));
+    for (auto it = was_at; it != was_end.base(); ++it) mark(it->pa, it->pa + it->size);
+    for (auto it = is_at; it != is_end.base(); ++it) mark(it->pa, it->pa + it->size);
+}
 
-    ram_maps_.clear();
-    const auto check_mapping = [&](hafnium::Vm& vm, const PaMapping& m,
-                                   const arch::MemRegion* region) {
-        if (region == nullptr) {
-            record({Rule::kStage2Ownership, vm.id(), -1,
-                    "maps unbacked PA " + hex(m.pa) + " (" + std::to_string(m.size) +
-                        " bytes)"});
-            return;
+void Auditor::check_piece(const PaMapping& m) {
+    const hafnium::Vm& vm = spm_->vm(m.vm);
+    const arch::MemRegion* region = m.region;
+    const arch::PhysAddr end = m.pa + m.size;
+    if (region == nullptr) {
+        record_at(m.pa, end,
+                  {Rule::kStage2Ownership, vm.id(), -1,
+                   "maps unbacked PA " + hex(m.pa) + " (" + std::to_string(m.size) +
+                       " bytes)"});
+        return;
+    }
+    if (region->kind == arch::RegionKind::kMmio) {
+        if (vm.role() == hafnium::VmRole::kSecondary) {
+            record_at(m.pa, end,
+                      {Rule::kStage2Ownership, vm.id(), -1,
+                       "secondary maps MMIO region '" + region->name + "'"});
         }
-        if (region->kind == arch::RegionKind::kMmio) {
-            if (vm.role() == hafnium::VmRole::kSecondary) {
-                record({Rule::kStage2Ownership, vm.id(), -1,
-                        "secondary maps MMIO region '" + region->name + "'"});
-            }
-            return;  // device windows are exempt from RAM rules
-        }
-
-        // TrustZone: the NS bit must match the frame's world, and a
-        // normal-world VM must never reach secure RAM.
-        const bool frame_secure = region->world == arch::World::kSecure;
-        if (m.secure != frame_secure) {
-            record({Rule::kTrustZone, vm.id(), -1,
-                    std::string("stage-2 secure attribute ") +
-                        (m.secure ? "set" : "clear") + " but frame world is " +
-                        (frame_secure ? "secure" : "non-secure")});
-        }
-        if (vm.world() == arch::World::kNonSecure && frame_secure) {
-            record({Rule::kTrustZone, vm.id(), -1,
-                    "normal-world VM maps secure RAM at PA " + hex(m.pa)});
-        }
-
-        // Ownership, exactly: every run of frames the VM does not own must
-        // be covered by grants that name it as borrower.
-        mem.for_each_owner_run(m.pa, m.size, [&](arch::PhysAddr pa, std::uint64_t frames,
-                                                 const arch::FrameOwner& owner) {
-            if (owner.allocated && owner.vm == vm.id()) return;
-            const arch::PhysAddr end = pa + frames * arch::kPageSize;
-            const arch::PhysAddr bad = first_ungranted(
-                grant_ranges_, pa, end,
-                [&vm](const GrantRange& gr) { return gr.borrower == vm.id(); });
-            if (bad == end) return;
-            record({Rule::kStage2Ownership, vm.id(), -1,
-                    "maps PA " + hex(bad) + " owned by vm " + std::to_string(owner.vm) +
-                        " without a grant"});
-        });
-        // sca-suppress(hot-path-alloc): cleared, not freed, per audit, like
-        // grant_ranges_.
-        ram_maps_.push_back(m);
-    };
-
-    for (int id = 1; id <= spm_->vm_count(); ++id) {
-        hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
-        if (vm.destroyed) continue;
-        // The table reports maximal runs; cut each where the PA crosses into
-        // another region, or out of the unbacked stretch between two.
-        for (const arch::PageTable::MappingView& m : stage2_runs(vm)) {
-            const arch::PhysAddr run_end = m.out_base + m.size;
-            for (arch::PhysAddr pa = m.out_base; pa < run_end;) {
-                const Piece piece = piece_at(mem, pa);
-                const arch::PhysAddr end = std::min(run_end, piece.end);
-                check_mapping(vm,
-                              {vm.id(), m.in_base + (pa - m.out_base), pa, end - pa,
-                               m.perms, m.secure},
-                              piece.region);
-                pa = end;
-            }
-        }
+        return;  // device windows are exempt from RAM rules
     }
 
-    // Exclusivity sweep: writable RAM present in two different VMs' tables
-    // must be covered, over the whole overlap, by grants between exactly
-    // those VMs.
-    std::sort(ram_maps_.begin(), ram_maps_.end(),
-              [](const PaMapping& a, const PaMapping& b) {
-                  return a.pa != b.pa ? a.pa < b.pa : a.vm < b.vm;
-              });
-    for (std::size_t i = 0; i < ram_maps_.size(); ++i) {
-        const PaMapping& a = ram_maps_[i];
-        if ((a.perms & arch::kPermW) == 0) continue;
-        for (std::size_t j = i + 1; j < ram_maps_.size(); ++j) {
-            const PaMapping& b = ram_maps_[j];
+    // TrustZone: the NS bit must match the frame's world, and a normal-world
+    // VM must never reach secure RAM.
+    const bool frame_secure = region->world == arch::World::kSecure;
+    if (m.secure != frame_secure) {
+        record_at(m.pa, end,
+                  {Rule::kTrustZone, vm.id(), -1,
+                   std::string("stage-2 secure attribute ") +
+                       (m.secure ? "set" : "clear") + " but frame world is " +
+                       (frame_secure ? "secure" : "non-secure")});
+    }
+    if (vm.world() == arch::World::kNonSecure && frame_secure) {
+        record_at(m.pa, end,
+                  {Rule::kTrustZone, vm.id(), -1,
+                   "normal-world VM maps secure RAM at PA " + hex(m.pa)});
+    }
+
+    // Ownership, exactly: every run of frames the VM does not own must be
+    // covered by grants that name it as borrower.
+    // Each run of one owner is one unit, re-checked whole when it meets the
+    // dirty set.
+    spm_->platform().mem().for_each_owner_run(
+        m.pa, m.size,
+        [this, &vm](arch::PhysAddr pa, std::uint64_t frames,
+                    const arch::FrameOwner& owner) {
+            if (owner.allocated && owner.vm == vm.id()) return;
+            const arch::PhysAddr run_end = pa + frames * arch::kPageSize;
+            if (!dirty(pa, run_end)) return;
+            const arch::PhysAddr bad = first_ungranted(
+                grant_ranges_, pa, run_end,
+                [&vm](const GrantRange& gr) { return gr.borrower == vm.id(); });
+            if (bad == run_end) return;
+            record_at(pa, run_end,
+                      {Rule::kStage2Ownership, vm.id(), -1,
+                       "maps PA " + hex(bad) + " owned by vm " +
+                           std::to_string(owner.vm) + " without a grant"});
+        });
+}
+
+void Auditor::check_stage2() {
+    // Only a scan that ran to its end leaves verdicts to build on.
+    bool full = !synced_;
+    synced_ = false;
+    dirty_.clear();
+
+    // Ownership changes since the last audit.
+    const arch::MemoryMap& mem = spm_->platform().mem();
+    full = full || !mem.owner_changes(mem_generation_, [this](arch::PhysAddr base,
+                                                             std::uint64_t bytes) {
+        mark(base, base + bytes);
+    });
+    mem_generation_ = mem.owner_generation();
+    // Table changes, which also add and drop pieces, and grant changes.
+    for (int id = 1; id <= spm_->vm_count(); ++id) {
+        sync_stage2(spm_->vm(static_cast<arch::VmId>(id)), full);
+    }
+    resolve_grants(full);
+
+    if (full) {
+        ++full_scans_;
+        pieces_.clear();
+        for (int id = 1; id <= spm_->vm_count(); ++id) {
+            const hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
+            if (vm.destroyed) continue;
+            for (const arch::PageTable::MappingView& run :
+                 stage2_runs_[static_cast<std::size_t>(id - 1)].runs) {
+                cut_run(vm.id(), run, [this](const PaMapping& m) {
+                    // sca-suppress(hot-path-alloc): see reindex.
+                    pieces_.push_back(m);
+                });
+            }
+        }
+        std::sort(pieces_.begin(), pieces_.end(), by_pa_order);
+        dirty_.clear();
+        mark(0, ~arch::PhysAddr{0});
+    } else {
+        // The units that failed at the last audit are re-checked too.
+        // sca-suppress(hot-path-alloc): see mark.
+        dirty_.insert(dirty_.end(), failed_.begin(), failed_.end());
+        std::sort(dirty_.begin(), dirty_.end(),
+                  [](const PaRange& a, const PaRange& b) { return a.lo < b.lo; });
+    }
+    failed_.clear();
+
+    // The pieces that meet the dirty set, visited first in table order (VM,
+    // then IPA), then in index order.
+    visit_.clear();
+    for (std::size_t i = 0; i < pieces_.size(); ++i) {
+        if (dirty(pieces_[i].pa, pieces_[i].pa + pieces_[i].size)) {
+            // sca-suppress(hot-path-alloc): cleared, not freed, per audit,
+            // like dirty_.
+            visit_.push_back(static_cast<std::uint32_t>(i));
+        }
+    }
+    std::sort(visit_.begin(), visit_.end(), [this](std::uint32_t a, std::uint32_t b) {
+        return std::tie(pieces_[a].vm, pieces_[a].ipa) <
+               std::tie(pieces_[b].vm, pieces_[b].ipa);
+    });
+    for (const std::uint32_t i : visit_) check_piece(pieces_[i]);
+
+    // Exclusivity sweep, in index order: writable RAM present in two
+    // different VMs' tables must be covered, over the whole overlap, by
+    // grants between exactly those VMs.
+    std::sort(visit_.begin(), visit_.end());
+    const auto writable_ram = [](const PaMapping& m) {
+        return (m.perms & arch::kPermW) != 0 && m.region != nullptr &&
+               m.region->kind == arch::RegionKind::kRam;
+    };
+    for (const std::uint32_t i : visit_) {
+        const PaMapping& a = pieces_[i];
+        if (!writable_ram(a)) continue;
+        for (std::size_t j = i + 1; j < pieces_.size(); ++j) {
+            const PaMapping& b = pieces_[j];
             if (b.pa >= a.pa + a.size) break;  // sorted: no further overlap
-            if (b.vm == a.vm || (b.perms & arch::kPermW) == 0) continue;
+            if (b.vm == a.vm || !writable_ram(b)) continue;
             const arch::PhysAddr end = std::min(a.pa + a.size, b.pa + b.size);
+            if (!dirty(b.pa, end)) continue;
             const arch::PhysAddr bad =
                 first_ungranted(grant_ranges_, b.pa, end, [&a, &b](const GrantRange& gr) {
                     return (gr.owner == a.vm && gr.borrower == b.vm) ||
                            (gr.owner == b.vm && gr.borrower == a.vm);
                 });
             if (bad == end) continue;
-            record({Rule::kStage2Exclusive, b.vm, -1,
-                    "PA " + hex(bad) + " writable in vm " + std::to_string(a.vm) +
-                        " and vm " + std::to_string(b.vm) + " without a grant"});
+            record_at(b.pa, end,
+                      {Rule::kStage2Exclusive, b.vm, -1,
+                       "PA " + hex(bad) + " writable in vm " + std::to_string(a.vm) +
+                           " and vm " + std::to_string(b.vm) + " without a grant"});
         }
     }
+    synced_ = true;
 }
 
 // --------------------------------------------------------------------------
@@ -411,26 +562,35 @@ void Auditor::check_core_locality() {
 // --------------------------------------------------------------------------
 
 void Auditor::check_vgic() {
-    const arch::IrqLayout& layout = spm_->platform().isa_ops().irq;
+    // Four word ANDs per set against the routed mask; ids are spelled out
+    // only where a stray bit is set, ascending, pending before enabled.
+    const auto flag_strays = [this](const arch::IrqBitset& set, const char* what,
+                                    arch::VmId vm, int v) {
+        for (int w = 0; w < arch::IrqBitset::kWords; ++w) {
+            for (std::uint64_t stray = set.word(w) & ~routed_irqs_.word(w); stray != 0;
+                 stray &= stray - 1) {
+                record({Rule::kVgicSanity, vm, v,
+                        std::string(what) + " virq " +
+                            std::to_string(w * 64 + std::countr_zero(stray)) +
+                            " is not a routed interrupt id"});
+            }
+        }
+    };
     for (int id = 1; id <= spm_->vm_count(); ++id) {
-        hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
+        const hafnium::Vm& vm = spm_->vm(static_cast<arch::VmId>(id));
         if (vm.destroyed) continue;
         for (int v = 0; v < vm.vcpu_count(); ++v) {
-            const hafnium::Vcpu& vcpu = vm.vcpu(v);
-            for (const int irq : vcpu.vgic.pending) {
-                if (!routed_irq_id(irq, layout)) {
-                    record({Rule::kVgicSanity, vm.id(), v,
-                            "pending virq " + std::to_string(irq) +
-                                " is not a routed interrupt id"});
-                }
+            const hafnium::VGicState& vgic = vm.vcpu(v).vgic;
+            std::uint64_t stray = 0;
+            for (int w = 0; w < arch::IrqBitset::kWords; ++w) {
+                stray |= (vgic.pending.word(w) | vgic.enabled.word(w)) &
+                         ~routed_irqs_.word(w);
             }
-            for (const int irq : vcpu.vgic.enabled) {
-                if (!routed_irq_id(irq, layout)) {
-                    record({Rule::kVgicSanity, vm.id(), v,
-                            "enabled virq " + std::to_string(irq) +
-                                " is not a routed interrupt id"});
-                }
+            if (stray == 0) [[likely]] {
+                continue;
             }
+            flag_strays(vgic.pending, "pending", vm.id(), v);
+            flag_strays(vgic.enabled, "enabled", vm.id(), v);
         }
     }
 }

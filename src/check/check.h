@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "arch/irq_bitset.h"
 #include "hafnium/spm.h"
 
 namespace hpcsec::check {
@@ -99,6 +100,9 @@ public:
     }
     [[nodiscard]] std::size_t count(Rule r) const;
     [[nodiscard]] std::uint64_t audits() const { return audits_; }
+    /// Audits that re-checked every stage-2 unit rather than only those the
+    /// changes since the last audit touched (docs/CHECKING.md).
+    [[nodiscard]] std::uint64_t full_scans() const { return full_scans_; }
     [[nodiscard]] std::uint64_t transitions_checked() const { return transitions_; }
     [[nodiscard]] const Options& options() const { return options_; }
     void clear();
@@ -125,11 +129,19 @@ private:
         arch::VmId borrower = 0;
         arch::PhysAddr pa = 0;
         std::uint64_t size = 0;
+
+        bool operator==(const GrantRange&) const = default;
     };
 
-    /// A run of stage-2 terminal mappings, contiguous in IPA and PA with
-    /// equal attributes and inside one region (or one unbacked stretch),
-    /// tagged with its VM.
+    /// A PA range [lo, hi).
+    struct PaRange {
+        arch::PhysAddr lo = 0;
+        arch::PhysAddr hi = 0;
+    };
+
+    /// A piece: a run of stage-2 terminal mappings, contiguous in IPA and PA
+    /// with equal attributes and inside one region (or one unbacked
+    /// stretch), tagged with its VM and that region (null when unbacked).
     struct PaMapping {
         arch::VmId vm = 0;
         arch::IpaAddr ipa = 0;
@@ -137,6 +149,7 @@ private:
         std::uint64_t size = 0;
         std::uint8_t perms = arch::kPermNone;
         bool secure = false;
+        const arch::MemRegion* region = nullptr;
     };
 
     /// One VM's stage-2 maximal runs as for_each_mapping would report them
@@ -147,14 +160,42 @@ private:
         std::uint64_t generation = 0;
         std::vector<arch::PageTable::MappingView> runs;
     };
+    /// The input ranges one refresh walks (PageTable::refresh_ranges).
+    using ChangedRanges = std::array<arch::PageTable::Range, arch::PageTable::kChangeLog>;
 
     void record(CheckFailure f);  ///< dedup, retain, obs event, strict throw
+    /// Record a finding of the stage-2 unit over PA [lo, hi), and keep that
+    /// range for the next audit to re-check.
+    void record_at(arch::PhysAddr lo, arch::PhysAddr hi, CheckFailure f);
+    /// Add [lo, hi) to the dirty set.
+    void mark(arch::PhysAddr lo, arch::PhysAddr hi);
+    /// True when [lo, hi], closed, meets the dirty set: a unit there may
+    /// have changed since the last audit, or failed at it.
+    [[nodiscard]] bool dirty(arch::PhysAddr lo, arch::PhysAddr hi) const;
 
-    /// `vm`'s stage-2 runs, brought up to date by PageTable::refresh_runs
-    /// when its table's generation moved (a table at a new address starts
-    /// from an empty list at generation 0). Runs, never verdicts: every
-    /// audit checks each run against the live memory map and grants.
-    const std::vector<arch::PageTable::MappingView>& stage2_runs(const hafnium::Vm& vm);
+    /// Bring `vm`'s stage-2 runs up to date (PageTable::refresh_runs) when
+    /// its table's generation moved; a table never read starts from an
+    /// empty list at generation 0. Unless `full` is set, also mark dirty the
+    /// PAs the refreshed ranges map before and after, and swap the pieces
+    /// that meet those ranges in the index; set `full` when that cannot be
+    /// done exactly. A destroyed VM leaves the index.
+    void sync_stage2(const hafnium::Vm& vm, bool& full);
+    /// The pieces cut from `runs` (old when `add` is false, new when true)
+    /// that meet the first `n` of `changed`: mark the PAs those ranges map,
+    /// and take the pieces out of the index or put them in.
+    void reindex(arch::VmId vm, const std::vector<arch::PageTable::MappingView>& runs,
+                 const ChangedRanges& changed, std::size_t n, bool add);
+    /// Resolve every live grant, and unless `full` is set, mark dirty the
+    /// ranges of the grants that came, went or moved since the last audit.
+    void resolve_grants(bool full);
+    /// Cut `run` where its PA crosses into another region or out of the
+    /// unbacked stretch between two: fn(piece) per piece, in PA order.
+    template <typename Fn>
+    void cut_run(arch::VmId vm, const arch::PageTable::MappingView& run,
+                 const Fn& fn) const;
+    /// The rules on one piece: unbacked, MMIO and TrustZone, then ownership
+    /// over each run of one owner that meets the dirty set.
+    void check_piece(const PaMapping& m);
 
     // Scan rules (each may record any number of failures).
     void check_stage2();
@@ -167,14 +208,29 @@ private:
     std::vector<CheckFailure> failures_;
     std::unordered_set<std::string> seen_;
     std::uint64_t audits_ = 0;
+    std::uint64_t full_scans_ = 0;
     std::uint64_t transitions_ = 0;
     std::uint64_t calls_since_scan_ = 0;
     std::uint64_t events_at_last_scan_ = 0;
 
-    // Kept across audits, so an audit of an unchanged node allocates nothing.
+    // Kept across audits, so an audit after warm-up allocates nothing.
+    /// False until a stage-2 scan runs to its end: only then do the state
+    /// below and failed_ describe the last audit.
+    bool synced_ = false;
+    std::uint64_t mem_generation_ = 0;  ///< MemoryMap::owner_generation audited
     std::vector<Stage2Runs> stage2_runs_;  ///< index = VM id - 1
+    /// This audit's grants and the last audit's, in Spm::grants() order.
     std::vector<GrantRange> grant_ranges_;
-    std::vector<PaMapping> ram_maps_;
+    std::vector<GrantRange> audited_grant_ranges_;
+    /// Every piece of every live VM, sorted by (pa, vm, ipa).
+    std::vector<PaMapping> pieces_;
+    /// PAs a unit must meet to be re-checked, sorted by their start.
+    std::vector<PaRange> dirty_;
+    /// Ranges of the units that failed, for the next audit's dirty set.
+    std::vector<PaRange> failed_;
+    /// Indices into pieces_ of the pieces that meet the dirty set.
+    std::vector<std::uint32_t> visit_;
+    arch::IrqBitset routed_irqs_;  ///< the ids check_vgic accepts
     std::vector<const hafnium::Vcpu*> running_;  ///< per core
     /// The gauges check_accounting reconciles, looked up on its first call.
     std::array<obs::MetricsRegistry::Handle, 8> reconciled_gauges_{};

@@ -26,6 +26,7 @@
 #include "core/node.h"
 #include "core/signature.h"
 #include "crypto/sha256.h"
+#include "hafnium/abi.h"
 #include "hafnium/spm.h"
 #include "kitten/guest.h"
 #include "kitten/kitten.h"
@@ -393,6 +394,109 @@ TEST(AuditAlloc, StrictAuditOfAnUnchangedNodeMakesNoHeapAllocation) {
     EXPECT_EQ(node.auditor()->audits() - audits, 1000u);
     EXPECT_EQ(allocs, 0u) << "1000 audited calls on an unchanged node made " << allocs
                           << " allocations";
+}
+
+/// Counts the heap allocations of the Stage::kAudit interceptors' after()
+/// hooks. after() runs innermost stage first, so a hook at kChaos opens the
+/// window just before the auditor's and one at kMetrics closes it just
+/// after.
+class AuditWindow {
+public:
+    explicit AuditWindow(hafnium::Spm& spm) : spm_(&spm) {
+        spm.attach_interceptor(&open_);
+        spm.attach_interceptor(&close_);
+    }
+    ~AuditWindow() {
+        spm_->detach_interceptor(&open_);
+        spm_->detach_interceptor(&close_);
+    }
+    AuditWindow(const AuditWindow&) = delete;
+    AuditWindow& operator=(const AuditWindow&) = delete;
+
+    [[nodiscard]] std::uint64_t allocations() const { return close_.total; }
+
+private:
+    struct Open final : hafnium::HypercallInterceptor {
+        Open() : HypercallInterceptor(Stage::kChaos) {}
+        void after(const hafnium::HypercallSite&, const hafnium::HfResult&) override {
+            start_counting();
+        }
+    };
+    struct Close final : hafnium::HypercallInterceptor {
+        Close() : HypercallInterceptor(Stage::kMetrics) {}
+        void after(const hafnium::HypercallSite&, const hafnium::HfResult&) override {
+            stop_counting();
+            total += CountingWindow::count();
+        }
+        std::uint64_t total = 0;
+    };
+
+    hafnium::Spm* spm_;
+    Open open_;
+    Close close_;
+};
+
+// Lend/reclaim churn changes both VMs' tables and the grant list on every
+// call, so each strict audit takes the incremental path: it marks the PAs
+// that changed, re-indexes the pieces there and re-checks what they touch.
+// Once the churn has warmed the auditor's scratch vectors to their largest
+// size, that path allocates nothing.
+TEST(AuditAlloc, StrictAuditAfterWarmLendReclaimChurnMakesNoHeapAllocation) {
+    arch::Platform platform(arch::PlatformConfig::pine_a64());
+    hafnium::VmSpec primary;
+    primary.name = "primary";
+    primary.role = hafnium::VmRole::kPrimary;
+    primary.mem_bytes = 64ull << 20;
+    primary.vcpu_count = 4;
+    primary.image = {1};
+    hafnium::VmSpec compute = primary;
+    compute.name = "compute";
+    compute.role = hafnium::VmRole::kSecondary;
+    compute.image = {2};
+    hafnium::Manifest manifest;
+    manifest.vms = {primary, compute};
+    hafnium::Spm spm(platform, std::move(manifest));
+    spm.boot();
+    check::Auditor auditor(spm, {check::Mode::kStrict});
+
+    constexpr arch::VmId kPrimary = 1;
+    constexpr arch::VmId kCompute = 2;
+    constexpr std::uint64_t kBlock = 2ull << 20;
+    constexpr arch::IpaAddr kWindow = 0x80'0000'0000ull;  // above every RAM window
+    constexpr std::uint64_t kLends = 8;
+    // Each round lends one or two pages out of eight of compute's 2 MiB
+    // blocks to the primary, then reclaims them.
+    const auto churn = [&spm](int rounds) {
+        bool ok = true;
+        for (int r = 0; r < rounds; ++r) {
+            for (std::uint64_t i = 0; i < kLends; ++i) {
+                ok &= hf::mem_lend(spm, 0, kCompute, kPrimary,
+                                   (2 * i + 1) * kBlock + 3 * arch::kPageSize, 1 + i % 2,
+                                   kWindow + i * kBlock)
+                          .ok();
+            }
+            for (std::uint64_t i = 0; i < kLends; ++i) {
+                ok &= hf::mem_reclaim(spm, 0, kCompute, kPrimary,
+                                      (2 * i + 1) * kBlock + 3 * arch::kPageSize)
+                          .ok();
+            }
+        }
+        return ok;
+    };
+    ASSERT_TRUE(churn(2));  // warm-up
+    const std::uint64_t audits = auditor.audits();
+    const std::uint64_t full_scans = auditor.full_scans();
+
+    std::uint64_t allocs = 0;
+    {
+        AuditWindow window(spm);
+        ASSERT_TRUE(churn(8));
+        allocs = window.allocations();
+    }
+    EXPECT_EQ(auditor.audits() - audits, 8 * 2 * kLends);
+    EXPECT_EQ(auditor.full_scans(), full_scans) << "an audit fell back to a full scan";
+    EXPECT_EQ(allocs, 0u) << 8 * 2 * kLends << " audits after lend/reclaim churn made "
+                          << allocs << " allocations";
 }
 
 // The Kitten run queues are vectors, so a queue allocates nothing until a

@@ -140,6 +140,58 @@ TEST(MemoryMap, SetOwnerTransfersFrames) {
     EXPECT_FALSE(m.owned_span(a, 4 * kPageSize, 1));
 }
 
+// The ownership log reports the range of every repaint since a generation,
+// oldest first, until more repaints than it holds went by; a refused call
+// logs nothing, and add_region and a move start it afresh.
+TEST(MemoryMap, OwnerLogReportsEveryPaintedRangeUntilItOverflows) {
+    MemoryMap m = make_map();
+    using Ranges = std::vector<std::pair<PhysAddr, std::uint64_t>>;
+    const auto changes = [&m](std::uint64_t since, Ranges& out) {
+        out.clear();
+        return m.owner_changes(since, [&out](PhysAddr base, std::uint64_t bytes) {
+            out.emplace_back(base, bytes);
+        });
+    };
+    Ranges got;
+    const std::uint64_t start = m.owner_generation();
+    ASSERT_TRUE(changes(start, got));
+    EXPECT_TRUE(got.empty());
+
+    const PhysAddr a = m.alloc_frames(8, 1, World::kNonSecure);
+    m.set_owner(a + 2 * kPageSize, 2, 7);
+    m.free_frames(a + 6 * kPageSize, 2);
+    EXPECT_THROW(m.free_frames(a + 6 * kPageSize, 1), std::logic_error);  // logs nothing
+    m.free_owned_by(7);
+    ASSERT_EQ(m.owner_generation(), start + MemoryMap::kChangeLog);
+    ASSERT_TRUE(changes(start, got));
+    EXPECT_EQ(got, (Ranges{{a, 8 * kPageSize},
+                           {a + 2 * kPageSize, 2 * kPageSize},
+                           {a + 6 * kPageSize, 2 * kPageSize},
+                           {a + 2 * kPageSize, 2 * kPageSize}}));
+    ASSERT_TRUE(changes(start + 3, got));
+    EXPECT_EQ(got, (Ranges{{a + 2 * kPageSize, 2 * kPageSize}}));
+
+    // One repaint more than the log holds: the oldest reader falls back.
+    const PhysAddr b = m.alloc_frames(1, 2, World::kNonSecure);
+    EXPECT_FALSE(changes(start, got));
+    EXPECT_TRUE(got.empty());
+    ASSERT_TRUE(changes(start + 1, got));
+    EXPECT_EQ(got.size(), MemoryMap::kChangeLog);
+    EXPECT_EQ(got.back(), (std::pair<PhysAddr, std::uint64_t>{b, kPageSize}));
+
+    // A new region or a move may change what any frame is: no reader can
+    // enumerate past either.
+    std::uint64_t now = m.owner_generation();
+    m.add_region({"ram2", kRamBase + kRamSize, 1ull << 20, RegionKind::kRam,
+                  World::kNonSecure});
+    EXPECT_FALSE(changes(now, got));
+    now = m.owner_generation();
+    MemoryMap moved = std::move(m);
+    EXPECT_FALSE(changes(now, got));
+    EXPECT_GT(moved.owner_generation(), now);
+    EXPECT_TRUE(moved.owned_span(b, kPageSize, 2));
+}
+
 // --- MemoryMap extents ----------------------------------------------------------
 
 TEST(MemoryMapExtents, FirstFitReusesAnInteriorHole) {

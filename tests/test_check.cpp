@@ -4,6 +4,7 @@
 // documented in docs/CHECKING.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -335,6 +336,47 @@ TEST(CheckGrants, SharedPagesAreNotExclusivityFindings) {
     EXPECT_EQ(node.auditor()->validate(), 0u) << node.auditor()->report();
 }
 
+// Stray vGIC ids are reported per VCPU, pending before enabled, each set in
+// ascending order, whichever set alone holds them, on both ISAs.
+TEST(CheckVgic, StrayPendingAndEnabledIdsAreFlaggedInOrder) {
+    for (const arch::Isa isa : {arch::Isa::kArm, arch::Isa::kRiscv}) {
+        arch::PlatformConfig config = arch::PlatformConfig::pine_a64();
+        config.isa = isa;
+        arch::Platform platform(config);
+        hafnium::VmSpec primary;
+        primary.name = "primary";
+        primary.role = hafnium::VmRole::kPrimary;
+        primary.mem_bytes = 64ull << 20;
+        primary.vcpu_count = 2;
+        primary.image = {1};
+        hafnium::Manifest manifest;
+        manifest.vms = {primary};
+        hafnium::Spm spm(platform, std::move(manifest));
+        spm.boot();
+        Auditor auditor(spm, {Mode::kSampled});
+        ASSERT_EQ(auditor.validate(), 0u) << auditor.report();
+
+        hafnium::VGicState& vgic = spm.primary_vm().vcpu(1).vgic;
+        vgic.enabled.insert(19);
+        vgic.enabled.insert(17);
+        ASSERT_EQ(auditor.validate(), 2u) << auditor.report();
+        vgic.pending.insert(18);
+        ASSERT_EQ(auditor.validate(), 1u) << auditor.report();
+        EXPECT_EQ(auditor.report(),
+                  "[vgic-sanity] vm=1 vcpu=1: enabled virq 17 is not a routed interrupt id\n"
+                  "[vgic-sanity] vm=1 vcpu=1: enabled virq 19 is not a routed interrupt id\n"
+                  "[vgic-sanity] vm=1 vcpu=1: pending virq 18 is not a routed interrupt id\n")
+            << arch::to_string(isa);
+        auditor.clear();
+        auditor.validate();
+        EXPECT_EQ(auditor.report(),
+                  "[vgic-sanity] vm=1 vcpu=1: pending virq 18 is not a routed interrupt id\n"
+                  "[vgic-sanity] vm=1 vcpu=1: enabled virq 17 is not a routed interrupt id\n"
+                  "[vgic-sanity] vm=1 vcpu=1: enabled virq 19 is not a routed interrupt id\n")
+            << arch::to_string(isa);
+    }
+}
+
 // --- exact ownership and exclusivity ----------------------------------------
 
 /// A bare SPM whose 1 GiB primary sits at the 1 GiB-aligned DRAM base, so
@@ -495,6 +537,79 @@ TEST_P(ExactAudit, RunCrossingIntoSecureRamIsATrustZoneFinding) {
         << auditor.report();
 }
 
+// A grant revoked with no table change near the frames it covered: the
+// borrower's grant window was unmapped before, and a rogue window of the
+// borrower's maps the page below the grant and its three pages. The revoked
+// grant's range starts inside the rogue window's owner run and inside its
+// overlap with the owner's RAM, and alone must make a warm auditor re-check
+// both. (The sampled auditors' period keeps them from auditing inside the
+// hypercall, so the next audit is the one that sees the change.)
+TEST_P(ExactAudit, GrantRevokedUnderAnUntouchedWindowIsFound) {
+    constexpr std::uint64_t kPage = arch::kPageSize;
+    OneBlockSpm node(GetParam());
+    const arch::VmId tenant = node.spm.find_vm("tenant")->id();
+    const arch::IpaAddr own = 0x10'0000;
+    const arch::IpaAddr window = 0xA000'0000;
+    ASSERT_TRUE(hf::mem_share(node.spm, 0, tenant, arch::kPrimaryVmId, own - kPage, 1,
+                              window)
+                    .ok());
+    ASSERT_TRUE(hf::mem_share(node.spm, 0, tenant, arch::kPrimaryVmId, own, 3,
+                              window + kPage)
+                    .ok());
+    const arch::PhysAddr pa = node.spm.vm_translate(tenant, own).out;
+    node.spm.primary_vm().stage2().unmap(window + kPage, 3 * kPage);
+    check::CorruptionAccess::map_rogue_window(node.spm, arch::kPrimaryVmId, pa - kPage,
+                                              4);
+    Auditor warm(node.spm, {Mode::kSampled});
+    ASSERT_EQ(warm.validate(), 0u) << warm.report();
+
+    ASSERT_TRUE(hf::mem_reclaim(node.spm, 0, tenant, arch::kPrimaryVmId, own).ok());
+    warm.validate();
+    Auditor fresh(node.spm, {Mode::kSampled});
+    fresh.validate();
+    EXPECT_EQ(warm.report(), fresh.report());
+    EXPECT_EQ(warm.full_scans(), 1u);
+    EXPECT_NE(warm.report().find("maps PA " + hex_pa(pa) + " owned by vm " +
+                                 std::to_string(tenant) + " without a grant"),
+              std::string::npos)
+        << warm.report();
+    EXPECT_NE(warm.report().find("PA " + hex_pa(pa) + " writable"), std::string::npos)
+        << warm.report();
+}
+
+// The owner's page under a live grant, remapped to another frame with no
+// call: the grant now covers other frames, and a rogue window of the
+// borrower's onto the last of the old ones, clear of both images of the
+// remapped page, loses its cover. A warm auditor must resolve the grant
+// again and re-check what it covered before.
+TEST_P(ExactAudit, GrantWhoseOwnerPageMovedIsResolvedAgain) {
+    constexpr std::uint64_t kPage = arch::kPageSize;
+    OneBlockSpm node(GetParam());
+    hafnium::Vm& tenant = *node.spm.find_vm("tenant");
+    const arch::IpaAddr own = 0x10'0000;
+    const arch::IpaAddr window = 0xA000'0000;
+    ASSERT_TRUE(
+        hf::mem_share(node.spm, 0, tenant.id(), arch::kPrimaryVmId, own, 3, window).ok());
+    const arch::PhysAddr pa = node.spm.vm_translate(tenant.id(), own).out;
+    node.spm.primary_vm().stage2().unmap(window, 3 * kPage);
+    check::CorruptionAccess::map_rogue_window(node.spm, arch::kPrimaryVmId,
+                                              pa + 2 * kPage, 1);
+    Auditor warm(node.spm, {Mode::kSampled});
+    ASSERT_EQ(warm.validate(), 0u) << warm.report();
+
+    tenant.stage2().unmap(own, kPage);
+    tenant.stage2().map(own, pa - 2 * kPage, kPage, arch::kPermRW);
+    warm.validate();
+    Auditor fresh(node.spm, {Mode::kSampled});
+    fresh.validate();
+    EXPECT_EQ(warm.report(), fresh.report());
+    EXPECT_EQ(warm.full_scans(), 1u);
+    EXPECT_NE(warm.report().find("maps PA " + hex_pa(pa + 2 * kPage) + " owned by vm " +
+                                 std::to_string(tenant.id()) + " without a grant"),
+              std::string::npos)
+        << warm.report();
+}
+
 INSTANTIATE_TEST_SUITE_P(BothIsas, ExactAudit,
                          ::testing::Values(arch::Isa::kArm, arch::Isa::kRiscv),
                          [](const ::testing::TestParamInfo<arch::Isa>& info) {
@@ -532,12 +647,16 @@ protected:
     hafnium::Spm spm{platform, manifest()};
 };
 
-// A long-lived auditor, which re-walks only the tables whose generation
-// moved, must report exactly what a freshly built one reports, after every
-// step of a generated sequence: FF-A share, lend, donate and reclaim calls
-// between any two VMs, destroy and re-create, and direct changes that no
-// hypercall makes (rogue windows, protect, and re-owned frames under mapped
-// runs), which leave findings for both to agree on.
+// Long-lived auditors, which re-check only the units the changes since
+// their last audit touched or that failed at it, must report exactly what
+// freshly built ones report, after every step of a generated sequence: FF-A
+// share, lend, donate and reclaim calls between any two VMs, destroy and
+// re-create, and direct changes that no hypercall makes (rogue windows,
+// protect, re-owned, freed and allocated frames under mapped runs, and
+// bursts of five changes, one more than either change log holds), which
+// leave findings for them to agree on. A sampled auditor must report the
+// same findings in the same order; a strict twin must throw at the same
+// steps with the same text.
 TEST_P(WarmAudit, LongLivedAuditorReportsWhatAFreshOneReports) {
     constexpr int kSteps = 240;
     constexpr std::uint64_t kPage = arch::kPageSize;
@@ -548,10 +667,37 @@ TEST_P(WarmAudit, LongLivedAuditorReportsWhatAFreshOneReports) {
     constexpr std::uint8_t kPerms[] = {arch::kPermNone, arch::kPermR, arch::kPermRW,
                                        arch::kPermRWX};
     spm.boot();
+    arch::MemoryMap& mem = platform.mem();
     sim::Rng rng(std::get<0>(GetParam()) ^ 0xca5e);
+    // The strict twin audits only when the test asks, so a violation never
+    // throws out of a step's hypercall.
+    Auditor strict(spm, {Mode::kStrict});
+    spm.detach_interceptor(&strict);
     Auditor warm(spm, {Mode::kSampled, /*period=*/1, /*event_period=*/0});
+    const auto thrown = [](Auditor& auditor) -> std::string {
+        try {
+            auditor.validate();
+        } catch (const CheckViolation& e) {
+            return e.what();
+        }
+        return "";
+    };
+    // The first audit scans everything; one with nothing changed does not.
+    ASSERT_EQ(warm.validate(), 0u) << warm.report();
+    ASSERT_EQ(thrown(strict), "");
+    ASSERT_EQ(warm.validate(), 0u);
+    ASSERT_EQ(thrown(strict), "");
+    ASSERT_EQ(warm.full_scans(), 1u);
+    ASSERT_EQ(strict.full_scans(), 1u);
+
     arch::IpaAddr next_hole = kHole;
     std::size_t findings = 0;
+    std::size_t incremental = 0;
+    std::size_t table_overflows = 0;
+    std::size_t owner_overflows = 0;
+    std::size_t after_throw = 0;
+    std::size_t strict_incremental = 0;
+    bool threw = false;
 
     const auto live_vm = [&]() -> hafnium::Vm& {
         std::vector<arch::VmId> live;
@@ -564,12 +710,32 @@ TEST_P(WarmAudit, LongLivedAuditorReportsWhatAFreshOneReports) {
     const auto page_of = [&rng](const hafnium::Vm& vm) {
         return vm.ipa_base + rng.next_below(vm.mem_bytes() / kPage + 2) * kPage;
     };
+    // The lowest free frame of non-secure RAM: the first that alloc_frames
+    // hands out.
+    const auto first_free = [&mem] {
+        arch::PhysAddr found = ~arch::PhysAddr{0};
+        for (const arch::MemRegion& r : mem.regions()) {
+            if (r.kind != arch::RegionKind::kRam || r.world != arch::World::kNonSecure) {
+                continue;
+            }
+            mem.for_each_owner_run(r.base, r.size,
+                                   [&found](arch::PhysAddr pa, std::uint64_t,
+                                            const arch::FrameOwner& owner) {
+                                       if (!owner.allocated) found = std::min(found, pa);
+                                   });
+        }
+        return found;
+    };
 
     for (int step = 0; step < kSteps; ++step) {
         hafnium::Vm& vm = live_vm();
         hafnium::Vm& other = live_vm();
-        const std::uint64_t op = rng.next_below(10);
+        // The first third makes only the calls the SPM checks, which leave
+        // no findings, so the strict twin audits incrementally up to the
+        // first direct change that leaves one.
+        const std::uint64_t op = rng.next_below(step < kSteps / 3 ? 7 : 13);
         std::string what;
+        std::size_t* overflow = nullptr;
         if (op < 4) {
             const hafnium::Call call = kSends[rng.next_below(3)];
             const arch::IpaAddr window =
@@ -593,8 +759,9 @@ TEST_P(WarmAudit, LongLivedAuditorReportsWhatAFreshOneReports) {
             spm.destroy_vm(vm.id());
             (void)spm.create_vm(spec);
         } else if (op == 7) {
-            // A rogue window past the VM's RAM onto a frame of `other`, or
-            // the window's removal when one is mapped there.
+            // A rogue window past the VM's RAM onto a frame of `other` or
+            // onto the first free frames, or the window's removal when one
+            // is mapped there.
             const arch::IpaAddr window = vm.ipa_base + vm.mem_bytes();
             const auto mapped = [&vm](arch::IpaAddr ipa) {
                 return vm.stage2().walk(ipa).fault == arch::FaultKind::kNone;
@@ -605,33 +772,90 @@ TEST_P(WarmAudit, LongLivedAuditorReportsWhatAFreshOneReports) {
             } else {
                 what = "rogue window from " + vm.name();
                 const arch::PhysAddr target =
-                    other.mem_base + rng.next_below(other.mem_bytes() / kPage) * kPage;
+                    rng.next_below(2) == 0
+                        ? first_free()
+                        : other.mem_base +
+                              rng.next_below(other.mem_bytes() / kPage) * kPage;
                 check::CorruptionAccess::map_rogue_window(spm, vm.id(), target, 2);
             }
+        } else if (op == 11) {
+            // The first free frames go to `other`: under a rogue window onto
+            // them, the mapping's owner changes with no table change.
+            what = "alloc frames for " + other.name();
+            (void)mem.alloc_frames(1 + rng.next_below(2), other.id(),
+                                   arch::World::kNonSecure);
         } else {
-            // A mapped page of the VM's: change its perms directly, or
-            // re-own its frame to another VM.
+            // A mapped page of the VM's: change its perms directly, re-own
+            // or free its frame, or make five such changes at once.
             const arch::IpaAddr ipa = page_of(vm);
             const arch::WalkResult w = vm.stage2().walk(ipa);
             if (w.fault != arch::FaultKind::kNone) continue;
+            const bool allocated = mem.owner_of(w.out).has_value();
             if (op == 8) {
                 what = "protect in " + vm.name();
                 vm.stage2().protect(ipa, kPage, kPerms[rng.next_below(4)]);
-            } else if (platform.mem().owner_of(w.out).has_value()) {
+            } else if (op == 9 && allocated) {
                 what = "re-own a frame of " + vm.name();
-                platform.mem().set_owner(w.out, 1, other.id());
+                mem.set_owner(w.out, 1, other.id());
+            } else if (op == 10 && allocated) {
+                what = "free a frame " + vm.name() + " maps";
+                mem.free_frames(w.out, 1);
+            } else if (op == 12 && rng.next_below(2) == 0) {
+                what = "protect five times in " + vm.name();
+                overflow = &table_overflows;
+                for (std::uint64_t k = 0; k <= arch::PageTable::kChangeLog; ++k) {
+                    vm.stage2().protect(ipa, kPage, kPerms[rng.next_below(4)]);
+                }
+            } else if (op == 12 && allocated) {
+                what = "re-own a frame of " + vm.name() + " five times";
+                overflow = &owner_overflows;
+                for (std::uint64_t k = 0; k <= arch::MemoryMap::kChangeLog; ++k) {
+                    mem.set_owner(w.out, 1, k % 2 == 0 ? other.id() : vm.id());
+                }
             }
         }
 
+        const std::uint64_t warm_full = warm.full_scans();
         warm.clear();
         warm.validate();
         Auditor cold(spm, {Mode::kSampled, 1, 0});
         cold.validate();
         ASSERT_EQ(warm.report(), cold.report()) << "step " << step << ": " << what;
         findings += cold.failures().size();
+        const bool warm_was_full = warm.full_scans() != warm_full;
+        if (overflow != nullptr) {
+            ASSERT_TRUE(warm_was_full) << "step " << step << ": " << what;
+            ++*overflow;
+        } else if (!warm_was_full) {
+            ++incremental;
+        }
+
+        const std::uint64_t strict_full = strict.full_scans();
+        strict.clear();
+        const std::string twin = thrown(strict);
+        std::string fresh_text;
+        {
+            Auditor fresh(spm, {Mode::kStrict});
+            fresh_text = thrown(fresh);
+        }
+        ASSERT_EQ(twin, fresh_text) << "step " << step << ": " << what;
+        if (threw) {
+            ASSERT_NE(strict.full_scans(), strict_full)
+                << "step " << step << ": " << what;
+            ++after_throw;
+        } else if (strict.full_scans() == strict_full) {
+            ++strict_incremental;
+        }
+        threw = !twin.empty();
     }
-    // The direct changes must have given the two something to agree on.
+    // The direct changes must have given the auditors something to agree
+    // on, and the incremental path and each fallback must have run.
     EXPECT_GT(findings, 0u);
+    EXPECT_GT(incremental, 0u);
+    EXPECT_GT(strict_incremental, 0u);
+    EXPECT_GT(table_overflows, 0u);
+    EXPECT_GT(owner_overflows, 0u);
+    EXPECT_GT(after_throw, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
